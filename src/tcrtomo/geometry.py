@@ -203,8 +203,10 @@ class RadonOperator(LinearOperator):
     """Radon transform for one fixed set of angles as a sparse matrix."""
 
     def __init__(self, angles, offsets, image_size):
-        self.angles = np.asarray(angles, dtype=np.float64)
-        self.offsets = np.asarray(offsets, dtype=np.float64)
+        # own copies: a cached operator must not follow later edits of the
+        # caller's arrays
+        self.angles = np.array(angles, dtype=np.float64)
+        self.offsets = np.array(offsets, dtype=np.float64)
         self.image_size = int(image_size)
         self.in_shape = (self.image_size, self.image_size)
         self.out_shape = (self.angles.size, self.offsets.size)
@@ -229,7 +231,11 @@ _OP_CACHE = {}
 
 
 def operator_for_angles(angles, offsets, image_size):
-    """RadonOperator for an explicit angle list, cached per sampling."""
+    """RadonOperator for an explicit angle list, cached per sampling.
+
+    Every projector of the package, radon_forward, radon_adjoint and fbp
+    included, comes from this cache.
+    """
     angles = np.asarray(angles, dtype=np.float64)
     offsets = np.asarray(offsets, dtype=np.float64)
     key = (int(image_size), tuple(np.round(offsets, 12)),
@@ -248,18 +254,16 @@ def radon_operator(geom, t):
 
 
 def radon_forward(image, angles, offsets):
-    """One-off forward projection (builds and discards the sparse matrix)."""
+    """Forward projection through the cached operator for this sampling."""
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 2 or image.shape[0] != image.shape[1]:
         raise ValueError(f"image must be square 2-D, got shape {image.shape}")
-    op = RadonOperator(angles, offsets, image.shape[0])
-    return op.forward(image)
+    return operator_for_angles(angles, offsets, image.shape[0]).forward(image)
 
 
 def radon_adjoint(sino, angles, offsets, image_size):
     """Exact transpose of radon_forward for the same sampling."""
-    op = RadonOperator(angles, offsets, image_size)
-    return op.adjoint(np.asarray(sino, dtype=np.float64))
+    return operator_for_angles(angles, offsets, image_size).adjoint(sino)
 
 
 def operator_norm(op, tol=1e-4, max_iter=200):

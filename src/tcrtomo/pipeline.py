@@ -210,18 +210,7 @@ def tcr_reconstruct(sino, cfg, refine_model, predict_model, gt=None,
                          refined=np.asarray(refined), initial=initial,
                          reports=reports)
     if gt is not None:
-        gt = np.asarray(gt, dtype=np.float64)
-        if gt.shape != recon.shape:
-            raise ValueError(
-                f"ground truth shape {gt.shape} does not match {recon.shape}")
-        for t in range(n_frames):
-            row = {"step": t,
-                   "psnr": psnr(gt[t], recon[t]),
-                   "ssim": ssim(gt[t], recon[t])}
-            if t >= 1:
-                row["psnr_prior"] = psnr(gt[t], predictions[t - 1])
-                row["ssim_prior"] = ssim(gt[t], predictions[t - 1])
-            result.metrics.append(row)
+        result.metrics = evaluate(result, gt)["frames"]
     return result
 
 

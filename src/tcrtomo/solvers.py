@@ -10,6 +10,12 @@ anchors x to a prior image (the temporal prediction):
 All of them return (solution, SolveReport).  Operators follow the
 forward/adjoint protocol of geometry.LinearOperator; images may have any
 shape as long as it matches the operator.
+
+All three share one preamble (checks, float64 casts, the x0 copy) and
+project each kept iterate once: its residual A x - psi gives both the
+discrepancy and the data term of the objective, and l2_tcr reuses it in
+the next gradient.  Each trace entry is the value a separate projection
+of that iterate would give.
 """
 
 from dataclasses import dataclass, field
@@ -53,8 +59,48 @@ def prox_shifted_l1(v, lam, anchor):
     return anchor + soft_threshold(v - anchor, lam)
 
 
-def _discrepancy(op, x, psi):
-    return float(np.linalg.norm((op.forward(x) - psi).ravel()))
+def _prepare(op, psi, prior, x0, max_iter, **weights):
+    """Shared solver preamble; returns float64 (psi, prior, x).
+
+    Rejects negative weights, max_iter < 1, an x0 of the wrong shape and
+    non-finite psi, prior or x0.  x starts as a copy of x0, or zeros.
+    """
+    for name, w in weights.items():
+        if w < 0:
+            raise ValueError(f"{name} must be >= 0, got {w}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    psi = np.asarray(psi, dtype=np.float64)
+    prior = np.asarray(prior, dtype=np.float64)
+    x = (np.zeros(op.in_shape) if x0 is None
+         else np.array(x0, dtype=np.float64, copy=True))
+    if x.shape != tuple(op.in_shape):
+        raise ValueError(f"x0 shape {x.shape} does not match {op.in_shape}")
+    for name, v in (("psi", psi), ("prior", prior), ("x0", x)):
+        if not np.isfinite(v).all():
+            raise ValueError(f"{name} has non-finite entries")
+    return psi, prior, x
+
+
+def _residual(op, x, psi, l1=None, tv=None):
+    """Residual r = A x - psi of iterate x, its norm, and the objective.
+
+    The discrepancy ||r|| and the data term 1/2 ||r||^2 come from the one
+    projection.  l1 = (alpha, prior) adds alpha ||x - prior||_1 and
+    tv = beta adds beta ||grad x||_1; the objective sums data, TV, then L1,
+    left to right, and is None when neither term is given.
+    """
+    r = op.forward(x) - psi
+    obj = None
+    if l1 is not None or tv is not None:
+        obj = 0.5 * float(np.sum(r ** 2))
+        if tv is not None:
+            gr, gc = grad2d(x)
+            obj += tv * float(np.sum(np.abs(gr)) + np.sum(np.abs(gc)))
+        if l1 is not None:
+            alpha, prior = l1
+            obj += alpha * float(np.sum(np.abs(x - prior)))
+    return r, float(np.linalg.norm(r.ravel())), obj
 
 
 def l2_tcr(op, psi, prior, alpha, x0=None, max_iter=19, tau=None):
@@ -65,33 +111,22 @@ def l2_tcr(op, psi, prior, alpha, x0=None, max_iter=19, tau=None):
     on the non-increasing run.  alpha = 0 gives the plain Landweber
     iteration with the early-stopping rule acting as regularization.
     """
-    psi = np.asarray(psi, dtype=np.float64)
-    prior = np.asarray(prior, dtype=np.float64)
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    psi, prior, x = _prepare(op, psi, prior, x0, max_iter, alpha=alpha)
     if tau is None:
         tau = 1.0 / (1.01 * op.norm_ata())
-    x = (np.zeros(op.in_shape) if x0 is None
-         else np.array(x0, dtype=np.float64, copy=True))
-    if x.shape != tuple(op.in_shape):
-        raise ValueError(f"x0 shape {x.shape} does not match {op.in_shape}")
 
-    report = SolveReport(stop_reason="max_iter")
-    d = _discrepancy(op, x, psi)
-    report.discrepancies.append(d)
+    r, d, _ = _residual(op, x, psi)
+    report = SolveReport(discrepancies=[d])
     for _ in range(max_iter):
-        grad = op.adjoint(op.forward(x) - psi)
+        grad = op.adjoint(r)
         if alpha > 0:
             grad = grad + alpha * (x - prior)
         x_new = x - tau * grad
-        d_new = _discrepancy(op, x_new, psi)
+        r_new, d_new, _ = _residual(op, x_new, psi)
         if d_new > d:
             report.stop_reason = "discrepancy_increase"
             break
-        x = x_new
-        d = d_new
+        x, r, d = x_new, r_new, d_new
         report.discrepancies.append(d)
         report.iterations += 1
     report.objective = 0.5 * d * d
@@ -107,41 +142,25 @@ def l1_tcr_fista(op, psi, prior, alpha, x0=None, max_iter=200):
     h_1 = 1, h_{k+1} = (1 + sqrt(1 + 4 h_k^2)) / 2,
     y_{k+1} = x_k + (h_k - 1)/h_{k+1} * (x_k - x_{k-1}).
     """
-    psi = np.asarray(psi, dtype=np.float64)
-    prior = np.asarray(prior, dtype=np.float64)
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    lip = 1.01 * op.norm_ata()
-    step = 1.0 / lip
+    psi, prior, x = _prepare(op, psi, prior, x0, max_iter, alpha=alpha)
+    step = 1.0 / (1.01 * op.norm_ata())
     lam = alpha * step
 
-    x = (np.zeros(op.in_shape) if x0 is None
-         else np.array(x0, dtype=np.float64, copy=True))
-    if x.shape != tuple(op.in_shape):
-        raise ValueError(f"x0 shape {x.shape} does not match {op.in_shape}")
-
-    def objective(z):
-        r = 0.5 * float(np.sum((op.forward(z) - psi) ** 2))
-        return r + alpha * float(np.sum(np.abs(z - prior)))
-
-    report = SolveReport(stop_reason="max_iter")
-    report.discrepancies.append(_discrepancy(op, x, psi))
-    report.objectives.append(objective(x))
+    _, d, obj = _residual(op, x, psi, l1=(alpha, prior))
+    report = SolveReport(discrepancies=[d], objectives=[obj])
     x_prev = x
     y = x
     h = 1.0
     for _ in range(max_iter):
         grad = op.adjoint(op.forward(y) - psi)
-        x_new = prox_shifted_l1(y - step * grad, lam, prior)
+        x = prox_shifted_l1(y - step * grad, lam, prior)
         h_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * h * h))
-        y = x_new + ((h - 1.0) / h_new) * (x_new - x_prev)
-        x_prev = x_new
-        x = x_new
+        y = x + ((h - 1.0) / h_new) * (x - x_prev)
+        x_prev = x
         h = h_new
-        report.discrepancies.append(_discrepancy(op, x, psi))
-        report.objectives.append(objective(x))
+        _, d, obj = _residual(op, x, psi, l1=(alpha, prior))
+        report.discrepancies.append(d)
+        report.objectives.append(obj)
         report.iterations += 1
     report.objective = report.objectives[-1]
     return x, report
@@ -186,37 +205,18 @@ def l1_tv_tcr_pdhg(op, psi, prior, alpha, beta, x0=None, max_iter=400):
       xbar = 2 x_new - x
     with tau = sigma = 0.99 / ||K||, ||K||^2 <= 1.01 ||A^T A|| + 8.
     """
-    psi = np.asarray(psi, dtype=np.float64)
-    prior = np.asarray(prior, dtype=np.float64)
-    if alpha < 0 or beta < 0:
-        raise ValueError(f"alpha and beta must be >= 0, got {(alpha, beta)}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    psi, prior, x = _prepare(op, psi, prior, x0, max_iter, alpha=alpha,
+                             beta=beta)
     if len(op.in_shape) != 2:
         raise ValueError(f"TV solver needs 2-D images, got shape {op.in_shape}")
-
-    norm_k = np.sqrt(1.01 * op.norm_ata() + 8.0)
-    tau = sigma = 0.99 / norm_k
-
-    x = (np.zeros(op.in_shape) if x0 is None
-         else np.array(x0, dtype=np.float64, copy=True))
-    if x.shape != tuple(op.in_shape):
-        raise ValueError(f"x0 shape {x.shape} does not match {op.in_shape}")
+    tau = sigma = 0.99 / np.sqrt(1.01 * op.norm_ata() + 8.0)
     xbar = x.copy()
     y1 = np.zeros(op.out_shape)
     y2r = np.zeros(op.in_shape)
     y2c = np.zeros(op.in_shape)
 
-    def objective(z):
-        r = 0.5 * float(np.sum((op.forward(z) - psi) ** 2))
-        gr, gc = grad2d(z)
-        r += beta * float(np.sum(np.abs(gr)) + np.sum(np.abs(gc)))
-        r += alpha * float(np.sum(np.abs(z - prior)))
-        return r
-
-    report = SolveReport(stop_reason="max_iter")
-    report.discrepancies.append(_discrepancy(op, x, psi))
-    report.objectives.append(objective(x))
+    _, d, obj = _residual(op, x, psi, l1=(alpha, prior), tv=beta)
+    report = SolveReport(discrepancies=[d], objectives=[obj])
     for _ in range(max_iter):
         y1 = (y1 + sigma * (op.forward(xbar) - psi)) / (1.0 + sigma)
         gr, gc = grad2d(xbar)
@@ -226,8 +226,9 @@ def l1_tv_tcr_pdhg(op, psi, prior, alpha, beta, x0=None, max_iter=400):
             x - tau * (op.adjoint(y1) - div2d(y2r, y2c)), tau * alpha, prior)
         xbar = 2.0 * x_new - x
         x = x_new
-        report.discrepancies.append(_discrepancy(op, x, psi))
-        report.objectives.append(objective(x))
+        _, d, obj = _residual(op, x, psi, l1=(alpha, prior), tv=beta)
+        report.discrepancies.append(d)
+        report.objectives.append(obj)
         report.iterations += 1
     report.objective = report.objectives[-1]
     return x, report

@@ -141,13 +141,19 @@ def _zero_grads(params):
 
 
 def write_log(path, rows):
-    """Write training log rows as CSV with the fixed column set."""
+    """Write training log rows as CSV.
+
+    The header is LOG_COLUMNS followed by any further keys, in the order
+    the rows first carry them; a row leaves the columns it lacks empty.
+    """
+    columns = list(LOG_COLUMNS)
+    for row in rows:
+        columns += [k for k in row if k not in columns]
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=LOG_COLUMNS)
+        writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row.get(k, "") for k in LOG_COLUMNS})
+        writer.writerows(rows)
 
 
 def _checkpoint(cfg, params, optimizer, model_cfg, kind, epoch, final=False):

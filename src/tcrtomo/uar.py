@@ -18,7 +18,7 @@ back to the image.
 """
 
 import os
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .errors import ConfigError
 from .geometry import fbp, operator_for_angles
 from .layers import add_conv2d, add_conv3d, add_linear
 from .optim import adamw_step, init_adamw
-from .training import write_log
+from .training import _zero_grads, write_log
 
 __all__ = [
     "MODES",
@@ -128,12 +128,6 @@ class UarTrainConfig:
             raise ConfigError("alpha", "must be nonnegative")
         if self.lambda_gp < 0:
             raise ConfigError("lambda_gp", "must be nonnegative")
-
-
-def uar_train_config(**overrides):
-    """UarTrainConfig with keyword overrides applied to the defaults."""
-    base = UarTrainConfig()
-    return replace(base, **overrides) if overrides else base
 
 
 # ------------------------------------------------------------- parameters
@@ -500,11 +494,6 @@ def gen_loss(params, critic, psi, aop, alpha=0.1, parts=None):
 
 
 # -------------------------------------------------------------- training
-
-def _zero_grads(params):
-    for t in params.values():
-        t.grad = None
-
 
 def _build_pools(dataset, mode, rng):
     """Ground-truth and measurement pools in the mode's sample shape.

@@ -3,7 +3,8 @@
 Run with -v to get the per-criterion pass/fail lines; each test also
 prints an [acceptance] line with the measured numbers (visible with -s
 or -rA). Criteria 6 and 7 share one desk-scale fixture that trains both
-sequence models (a few minutes of CPU); everything else is fast.
+sequence models (a few minutes of CPU) and carry the `slow` marker;
+everything else is fast.
 """
 
 import json
@@ -456,6 +457,7 @@ def desk():
                            elapsed=time.monotonic() - t0)
 
 
+@pytest.mark.slow
 def test_06_reconstruction_beats_pure_prediction(desk):
     n_frames = DESK_GEOM.n_steps
     pre_params, pre_cfg = desk.predict_model
@@ -491,6 +493,7 @@ def test_06_reconstruction_beats_pure_prediction(desk):
            f"protocol {desk.elapsed / 60:.1f} min")
 
 
+@pytest.mark.slow
 def test_07_more_angles_help(desk):
     def all_frames_mean(results, ds):
         vals = []

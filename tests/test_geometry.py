@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.ndimage import map_coordinates
 
+from tcrtomo import geometry
 from tcrtomo.geometry import (MatrixOperator, RadonOperator, ScanGeometry,
                               angle_schedule, fbp, operator_for_angles,
                               operator_norm, radon_adjoint, radon_forward)
@@ -231,6 +232,42 @@ def test_fbp_amplitude_calibration():
     offsets = np.linspace(-1, 1, 100)
     rec = fbp(radon_forward(img, angles, offsets), angles, offsets, size)
     assert abs(rec.max() / img.max() - 1.0) < 0.05
+
+
+def test_one_off_transforms_use_the_operator_cache(monkeypatch):
+    size = 24
+    angles = np.array([0.21, 1.3, 2.6])  # a sampling no other test uses
+    offsets = np.linspace(-1, 1, 31)
+    img = disc_image(size, radius=0.5)
+    sino = radon_forward(img, angles, offsets)  # first call fills the cache
+    n_cached = len(geometry._OP_CACHE)
+    op = operator_for_angles(angles, offsets, size)
+    assert np.array_equal(radon_forward(img, angles, offsets), op.forward(img))
+    assert np.array_equal(radon_adjoint(sino, angles, offsets, size),
+                          op.adjoint(sino))
+
+    backprojections = []
+    adjoint = op.adjoint
+
+    def spy(y):
+        backprojections.append(adjoint(y))
+        return backprojections[-1]
+
+    monkeypatch.setattr(op, "adjoint", spy)
+    rec = fbp(sino, angles, offsets, size)
+    assert len(backprojections) == 1 and rec is backprojections[0]
+    assert len(geometry._OP_CACHE) == n_cached
+
+
+def test_cached_operator_keeps_its_own_sampling():
+    angles = np.array([0.37, 2.2])
+    offsets = np.linspace(-1, 1, 13)
+    radon_forward(np.ones((8, 8)), angles, offsets)
+    angles[0] = 2.9
+    offsets[0] = -2.0
+    op = operator_for_angles([0.37, 2.2], np.linspace(-1, 1, 13), 8)
+    assert np.array_equal(op.angles, [0.37, 2.2])
+    assert np.array_equal(op.offsets, np.linspace(-1, 1, 13))
 
 
 def test_fbp_shape_validation():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tcrtomo.errors import ConfigError
+from tcrtomo.errors import ConfigError, NumericalError
 from tcrtomo.geometry import MatrixOperator, ScanGeometry, operator_for_angles
 from tcrtomo.phantoms import generate_dataset
 from tcrtomo.pipeline import (ReconConfig, aggregate_metrics,
@@ -92,6 +92,16 @@ class TestStructure:
         sino.frames = sino.frames[:1]
         sino.angles = sino.angles[:1]
         with pytest.raises(ValueError, match="2 time steps"):
+            tcr_reconstruct(sino, _cfg(), rm, pm)
+
+    @pytest.mark.parametrize("step", [2, 9])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_frame_fails_at_its_step(self, setup, step, bad):
+        _, ds, rm, pm = setup
+        import copy
+        sino = copy.deepcopy(ds.sinograms[0])
+        sino.frames[step][0, 0] = bad
+        with pytest.raises(NumericalError, match=f"at step {step}: psi"):
             tcr_reconstruct(sino, _cfg(), rm, pm)
 
 

@@ -387,6 +387,13 @@ class TestTraining:
             rows = list(csv.DictReader(fh))
         assert [r["split"] for r in rows] == ["phase1", "phase2", "phase3"]
         assert float(rows[0]["loss"]) == pytest.approx(log[0]["loss"])
+        assert list(rows[0])[-3:] == ["gp", "datafit", "loss_reg"]
+        for row, entry in zip(rows, log):
+            for key in ("gp", "datafit", "loss_reg"):
+                if key in entry:
+                    assert float(row[key]) == pytest.approx(entry[key])
+                else:
+                    assert row[key] == ""
 
     def test_sampler_streams_are_independent(self, tiny_dataset):
         trace = []
