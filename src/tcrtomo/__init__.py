@@ -11,8 +11,8 @@ Submodules: geometry (scan model, discrete projector, FBP), phantoms
 (Landweber, FISTA, PDHG with a prior-coupling term), autodiff (reverse
 mode on numpy), stt (the causal spatial-temporal transformer), training
 (both model stages), pipeline (sequential reconstruction, evaluation),
-uar (adversarial unrolled baseline), metrics (PSNR/SSIM), config + cli
-(experiment plumbing).
+uar (adversarial unrolled baseline), metrics (PSNR/SSIM), spec + config +
+cli (experiment plumbing).
 
 Attribute access is lazy so `import tcrtomo` stays cheap and thread-cap
 environment variables set by the CLI take effect before numpy binds its

@@ -68,7 +68,7 @@ def _resolve_config(args, extra=None):
 def _load_model(path, expect_kind):
     """Checkpoint -> (params, SttConfig), validating the stored metadata."""
     from .checkpoint import load_checkpoint
-    from .errors import DatasetFormatError
+    from .errors import ConfigError, DatasetFormatError
     from .stt import SttConfig
     params, extra, _ = load_checkpoint(path, requires_grad=False)
     if "model" not in extra:
@@ -79,7 +79,10 @@ def _load_model(path, expect_kind):
         raise DatasetFormatError(
             f"checkpoint {path} holds a {kind!r} model, expected "
             f"{expect_kind!r}")
-    return params, SttConfig.from_dict(extra["model"])
+    try:
+        return params, SttConfig.from_dict(extra["model"])
+    except ConfigError as exc:
+        raise DatasetFormatError(f"checkpoint {path} model {exc}") from None
 
 
 def _load_measurements(path):
@@ -189,9 +192,7 @@ def cmd_gen_data(args):
                               f"unknown split {split!r}, have {_SPLIT_ORDER}")
     geom = geometry_from(cfg)
     seed = cfg["seed"]
-    counts = {"train": cfg["phantom"]["n_train"],
-              "val": cfg["phantom"]["n_val"],
-              "test": cfg["phantom"]["n_test"]}
+    counts = {split: cfg["phantom"]["n_" + split] for split in _SPLIT_ORDER}
     for offset, split in enumerate(_SPLIT_ORDER):
         if split not in wanted or counts[split] == 0:
             continue
@@ -205,18 +206,26 @@ def cmd_gen_data(args):
     return 0
 
 
-def cmd_train_refine(args):
+def _trainer_configs(args, cfg, name, geometry):
+    """(SttConfig, TrainConfig) of trainer section `name`, errors under it."""
     from .config import stt_config_from, train_config_from
+    from .spec import under
+    section = cfg[name]
+    with under("/" + name):
+        model_cfg = stt_config_from(section, geometry.image_size,
+                                    max_context=max(64, geometry.n_steps + 1))
+        tcfg = train_config_from(section, cfg["seed"], out_dir=args.out,
+                                 log_path=os.path.join(args.out, "log.csv"))
+    return model_cfg, tcfg
+
+
+def cmd_train_refine(args):
     from .datasets import read_dataset
     from .training import train_refinement
     cfg = _resolve_config(args)
     ds = read_dataset(args.data)
     val = read_dataset(args.val) if args.val else None
-    section = cfg["train_refine"]
-    model_cfg = stt_config_from(section, ds.geometry.image_size,
-                                max_context=max(64, ds.geometry.n_steps + 1))
-    tcfg = train_config_from(section, cfg["seed"], out_dir=args.out,
-                             log_path=os.path.join(args.out, "log.csv"))
+    model_cfg, tcfg = _trainer_configs(args, cfg, "train_refine", ds.geometry)
     _, log = train_refinement(ds, tcfg, model_cfg, val_dataset=val)
     final = [r for r in log if r["split"] == "train"][-1]
     print(f"refinement model: {tcfg.epochs} epochs, final train loss "
@@ -225,18 +234,14 @@ def cmd_train_refine(args):
 
 
 def cmd_train_predict(args):
-    from .config import stt_config_from, train_config_from
     from .datasets import read_dataset
     from .training import train_prediction
     cfg = _resolve_config(args)
     ds = read_dataset(args.data)
     val = read_dataset(args.val) if args.val else None
     re_params, re_cfg = _load_model(args.refine, "refine")
-    section = cfg["train_predict"]
-    model_cfg = stt_config_from(section, ds.geometry.image_size,
-                                max_context=max(64, ds.geometry.n_steps + 1))
-    tcfg = train_config_from(section, cfg["seed"], out_dir=args.out,
-                             log_path=os.path.join(args.out, "log.csv"))
+    model_cfg, tcfg = _trainer_configs(args, cfg, "train_predict",
+                                       ds.geometry)
     _, log = train_prediction(ds, re_params, re_cfg, tcfg, model_cfg,
                               val_dataset=val)
     final = [r for r in log if r["split"] == "train"][-1]
@@ -263,17 +268,11 @@ def cmd_train_uar(args):
 def cmd_reconstruct(args):
     from .config import recon_config_from
     from .pipeline import save_result, tcr_reconstruct
-    recon_over = {}
-    if args.solver is not None:
-        recon_over["solver"] = args.solver
-    for key, value in (("alpha_init", args.alpha_init),
-                       ("alpha_rest", args.alpha_rest),
-                       ("beta_init", args.beta_init),
-                       ("beta_rest", args.beta_rest)):
-        if value is not None:
-            recon_over[key] = value
-    if args.init_mode is not None:
-        recon_over["init_mode"] = args.init_mode
+    # each flag overrides recon.<same name>
+    recon_over = {key: getattr(args, key)
+                  for key in ("solver", "alpha_init", "alpha_rest",
+                              "beta_init", "beta_rest", "init_mode")
+                  if getattr(args, key) is not None}
     cfg = _resolve_config(args, {"recon": recon_over} if recon_over else None)
     sinos, gts, image_size = _load_measurements(args.input)
     refine_model = _load_model(args.refine, "refine")
@@ -447,7 +446,7 @@ def _build_parser():
     p.add_argument("--beta-init", type=float, dest="beta_init")
     p.add_argument("--beta-rest", type=float, dest="beta_rest")
     p.add_argument("--init-mode", dest="init_mode",
-                   choices=("landweber", "tv"))
+                   help="overrides recon.init_mode")
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("evaluate", parents=[common],

@@ -2,9 +2,10 @@
 
 A configuration is one JSON object with sections geometry, phantom,
 train_refine, train_predict, train_uar, recon, eval plus a top-level
-seed.  Every field is optional; missing entries take the documented
-defaults below.  Unknown keys are rejected with a JSON-pointer path so
-typos fail loudly instead of silently running a default.
+seed.  Every field is optional; defaults and bounds come from the
+dataclass fields each section exposes.  Unknown keys are rejected with
+a JSON-pointer path so typos fail loudly instead of silently running a
+default.
 
 Two presets ship: "desk" (32x32, 8 steps, 200 phantoms, 30 epochs;
 finishes on a laptop CPU) and "paper" (64x64, 10 steps, 5000 phantoms,
@@ -14,13 +15,15 @@ a default).
 
 import copy
 import json
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError, MissingArtifactError
 from .geometry import ScanGeometry
 from .pipeline import ReconConfig
+from .spec import check_value, fields_from_dict, spec, under
 from .stt import SttConfig
-from .training import TrainConfig
-from .uar import UarConfig, UarTrainConfig
+from .training import TrainConfig, prediction_train_config
+from .uar import MODES, UarConfig, UarTrainConfig
 
 __all__ = [
     "DEFAULTS",
@@ -36,74 +39,6 @@ __all__ = [
     "recon_config_from",
     "uar_configs_from",
 ]
-
-DEFAULTS = {
-    "seed": 0,
-    "geometry": {
-        "image_size": 64,
-        "n_steps": 10,
-        "n_angles_init": 20,
-        "n_angles_rest": 3,
-        "n_offsets": 100,
-        "rotation_delta": None,
-    },
-    "phantom": {
-        "n_train": 200,
-        "n_val": 8,
-        "n_test": 20,
-        "noise_level": 0.0,
-    },
-    "train_refine": {
-        "epochs": 100,
-        "batch_size": 8,
-        "warmup": 10,
-        "hold_until": 0,
-        "min_lr": 1e-6,
-        "max_lr": 1e-4,
-        "checkpoint_every": 0,
-        "model": {"model_dim": 64, "heads": 4, "layers": 2, "window": None},
-    },
-    "train_predict": {
-        "epochs": 100,
-        "batch_size": 8,
-        "warmup": 0,
-        "hold_until": 40,
-        "min_lr": 1e-6,
-        "max_lr": 3e-5,
-        "checkpoint_every": 0,
-        "model": {"model_dim": 64, "heads": 4, "layers": 2, "window": None},
-    },
-    "train_uar": {
-        "mode": "static2d",
-        "unroll": 20,
-        "gamma_channels": 32,
-        "critic_channels": [16, 16, 32, 32, 32, 32],
-        "critic_hidden": 64,
-        "phase1_epochs": 5,
-        "phase2_epochs": 5,
-        "phase3_epochs": 10,
-        "lr_warmup": 1e-5,
-        "lr_adversarial": 2e-5,
-        "alpha": 0.1,
-        "lambda_gp": 10.0,
-    },
-    "recon": {
-        "solver": "L1",
-        "alpha_init": 0.1,
-        "alpha_rest": 0.1,
-        "beta_init": 0.0,
-        "beta_rest": 0.0,
-        "landweber_iters": 19,
-        "max_iter_l2": 19,
-        "max_iter_l1": 200,
-        "max_iter_pdhg": 400,
-        "init_mode": "landweber",
-        "init_tv_weight": 0.01,
-    },
-    "eval": {
-        "data_range": 1.0,
-    },
-}
 
 PRESETS = {
     "desk": {
@@ -127,122 +62,67 @@ PRESETS = {
 }
 
 
-class _Field:
-    """Leaf validator: type kind plus simple range/choice constraints."""
+@dataclass(frozen=True)
+class _Unowned:
+    """Entries that no module dataclass holds."""
 
-    def __init__(self, kind, minimum=None, choices=None, allow_none=False,
-                 length=None):
-        self.kind = kind
-        self.minimum = minimum
-        self.choices = choices
-        self.allow_none = allow_none
-        self.length = length
-
-    def check(self, value, path):
-        if value is None:
-            if self.allow_none:
-                return
-            raise ConfigError(path, "must not be null")
-        if self.kind == "int":
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(path, f"expected integer, got {value!r}")
-        elif self.kind == "num":
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(path, f"expected number, got {value!r}")
-        elif self.kind == "str":
-            if not isinstance(value, str):
-                raise ConfigError(path, f"expected string, got {value!r}")
-        elif self.kind == "intlist":
-            if (not isinstance(value, list)
-                    or any(isinstance(v, bool) or not isinstance(v, int)
-                           for v in value)):
-                raise ConfigError(path, f"expected list of integers, got {value!r}")
-            if self.length is not None and len(value) != self.length:
-                raise ConfigError(
-                    path, f"expected {self.length} entries, got {len(value)}")
-            if self.minimum is not None and any(v < self.minimum for v in value):
-                raise ConfigError(path, f"entries must be >= {self.minimum}")
-            return
-        if self.minimum is not None and self.kind in ("int", "num"):
-            if value < self.minimum:
-                raise ConfigError(path, f"must be >= {self.minimum}, got {value}")
-        if self.choices is not None and value not in self.choices:
-            raise ConfigError(
-                path, f"must be one of {sorted(self.choices)}, got {value!r}")
+    seed: int = spec(0, minimum=0)
+    n_train: int = spec(200, minimum=0)
+    n_val: int = spec(8, minimum=0)
+    n_test: int = spec(20, minimum=0)
+    noise_level: float = spec(0.0, minimum=0.0)
+    mode: str = spec("static2d", choices=MODES)
+    data_range: float = spec(1.0, minimum=0.0)
 
 
-def _model_schema():
-    return {
-        "model_dim": _Field("int", minimum=1),
-        "heads": _Field("int", minimum=1),
-        "layers": _Field("int", minimum=1),
-        "window": _Field("int", minimum=1, allow_none=True),
-    }
+_TRAIN = ("epochs", "batch_size", "warmup", "hold_until", "min_lr", "max_lr",
+          "checkpoint_every")
+_MODEL = dict.fromkeys(("model_dim", "heads", "layers", "window"), SttConfig)
 
-
-def _train_schema():
-    return {
-        "epochs": _Field("int", minimum=1),
-        "batch_size": _Field("int", minimum=1),
-        "warmup": _Field("int", minimum=0),
-        "hold_until": _Field("int", minimum=0),
-        "min_lr": _Field("num", minimum=0.0),
-        "max_lr": _Field("num", minimum=0.0),
-        "checkpoint_every": _Field("int", minimum=0),
-        "model": _model_schema(),
-    }
-
-
-SCHEMA = {
-    "seed": _Field("int", minimum=0),
-    "geometry": {
-        "image_size": _Field("int", minimum=2),
-        "n_steps": _Field("int", minimum=2),
-        "n_angles_init": _Field("int", minimum=1),
-        "n_angles_rest": _Field("int", minimum=1),
-        "n_offsets": _Field("int", minimum=2),
-        "rotation_delta": _Field("num", allow_none=True),
-    },
-    "phantom": {
-        "n_train": _Field("int", minimum=0),
-        "n_val": _Field("int", minimum=0),
-        "n_test": _Field("int", minimum=0),
-        "noise_level": _Field("num", minimum=0.0),
-    },
-    "train_refine": _train_schema(),
-    "train_predict": _train_schema(),
+# each key -> the dataclass (or, for train_predict, the default instance)
+# whose field of that name gives the key's type, bound and default
+_SECTIONS = {
+    "seed": _Unowned,
+    "geometry": dict.fromkeys(("image_size", "n_steps", "n_angles_init",
+                               "n_angles_rest", "n_offsets",
+                               "rotation_delta"), ScanGeometry),
+    "phantom": dict.fromkeys(("n_train", "n_val", "n_test", "noise_level"),
+                             _Unowned),
+    "train_refine": {**dict.fromkeys(_TRAIN, TrainConfig), "model": _MODEL},
+    "train_predict": {**dict.fromkeys(_TRAIN, prediction_train_config()),
+                      "model": _MODEL},
     "train_uar": {
-        "mode": _Field("str", choices=("static2d", "dynamic3d")),
-        "unroll": _Field("int", minimum=1),
-        "gamma_channels": _Field("int", minimum=1),
-        "critic_channels": _Field("intlist", minimum=1, length=6),
-        "critic_hidden": _Field("int", minimum=1),
-        "phase1_epochs": _Field("int", minimum=0),
-        "phase2_epochs": _Field("int", minimum=0),
-        "phase3_epochs": _Field("int", minimum=0),
-        "lr_warmup": _Field("num", minimum=0.0),
-        "lr_adversarial": _Field("num", minimum=0.0),
-        "alpha": _Field("num", minimum=0.0),
-        "lambda_gp": _Field("num", minimum=0.0),
+        "mode": _Unowned,
+        **dict.fromkeys(("unroll", "gamma_channels", "critic_channels",
+                         "critic_hidden"), UarConfig),
+        **dict.fromkeys(("phase1_epochs", "phase2_epochs", "phase3_epochs",
+                         "lr_warmup", "lr_adversarial", "alpha",
+                         "lambda_gp"), UarTrainConfig),
     },
-    "recon": {
-        "solver": _Field("str", choices=("L2", "L1", "L1TV",
-                                         "l2", "l1", "l1tv")),
-        "alpha_init": _Field("num", minimum=0.0),
-        "alpha_rest": _Field("num", minimum=0.0),
-        "beta_init": _Field("num", minimum=0.0),
-        "beta_rest": _Field("num", minimum=0.0),
-        "landweber_iters": _Field("int", minimum=1),
-        "max_iter_l2": _Field("int", minimum=1),
-        "max_iter_l1": _Field("int", minimum=1),
-        "max_iter_pdhg": _Field("int", minimum=1),
-        "init_mode": _Field("str", choices=("landweber", "tv")),
-        "init_tv_weight": _Field("num", minimum=0.0),
-    },
-    "eval": {
-        "data_range": _Field("num", minimum=0.0),
-    },
+    "recon": dict.fromkeys(("solver", "alpha_init", "alpha_rest", "beta_init",
+                            "beta_rest", "landweber_iters", "max_iter_l2",
+                            "max_iter_l1", "max_iter_pdhg", "init_mode",
+                            "init_tv_weight"), ReconConfig),
+    "eval": {"data_range": _Unowned},
 }
+
+
+def _derive(tree, leaf):
+    return {key: _derive(v, leaf) if isinstance(v, dict) else leaf(v, key)
+            for key, v in tree.items()}
+
+
+def _field(owner, name):
+    return next(f for f in fields(owner) if f.name == name)
+
+
+def _default(owner, name):
+    value = getattr(owner, name)
+    return list(value) if isinstance(value, tuple) else value
+
+
+SCHEMA = _derive(_SECTIONS, _field)
+DEFAULTS = _derive(_SECTIONS, _default)
 
 
 def validate_config(doc, schema=None, path=""):
@@ -262,7 +142,7 @@ def validate_config(doc, schema=None, path=""):
         if isinstance(target, dict):
             validate_config(value, target, sub)
         else:
-            target.check(value, sub)
+            check_value(target, value, sub)
 
 
 def merge_config(base, override):
@@ -315,59 +195,39 @@ def load_config(path=None, preset=None, overrides=None):
 
 # ------------------------------------------- section -> module configs
 
+def _build(cls, section, path, **fixed):
+    """cls from the entries of a validated section that name its fields.
+
+    A ConfigError raised while constructing gets path in front.
+    """
+    names = {f.name for f in fields(cls)}
+    with under(path):
+        return fields_from_dict(cls, {
+            **{k: v for k, v in section.items() if k in names}, **fixed})
+
+
 def geometry_from(cfg):
-    g = cfg["geometry"]
-    return ScanGeometry(image_size=g["image_size"], n_steps=g["n_steps"],
-                        n_angles_init=g["n_angles_init"],
-                        n_angles_rest=g["n_angles_rest"],
-                        n_offsets=g["n_offsets"],
-                        rotation_delta=g["rotation_delta"])
+    return _build(ScanGeometry, cfg["geometry"], "/geometry")
 
 
 def stt_config_from(section, image_size, max_context=64):
-    m = section["model"]
-    return SttConfig(model_dim=m["model_dim"], heads=m["heads"],
-                     layers=m["layers"], image_size=image_size,
-                     max_context=max_context, window=m["window"])
+    """SttConfig of a trainer section; error paths start at /model."""
+    return _build(SttConfig, section["model"], "/model",
+                  image_size=image_size, max_context=max_context)
 
 
 def train_config_from(section, seed, out_dir=None, log_path=None):
-    return TrainConfig(epochs=section["epochs"],
-                       batch_size=section["batch_size"], seed=seed,
-                       warmup=section["warmup"],
-                       hold_until=section["hold_until"],
-                       min_lr=section["min_lr"], max_lr=section["max_lr"],
-                       checkpoint_every=section["checkpoint_every"],
-                       out_dir=out_dir, log_path=log_path)
+    """TrainConfig of a trainer section; error paths are section-relative."""
+    return _build(TrainConfig, section, "", seed=seed, out_dir=out_dir,
+                  log_path=log_path)
 
 
 def recon_config_from(section, image_size):
-    return ReconConfig(image_size=image_size,
-                       solver=section["solver"].upper(),
-                       alpha_init=section["alpha_init"],
-                       alpha_rest=section["alpha_rest"],
-                       beta_init=section["beta_init"],
-                       beta_rest=section["beta_rest"],
-                       landweber_iters=section["landweber_iters"],
-                       max_iter_l2=section["max_iter_l2"],
-                       max_iter_l1=section["max_iter_l1"],
-                       max_iter_pdhg=section["max_iter_pdhg"],
-                       init_mode=section["init_mode"],
-                       init_tv_weight=section["init_tv_weight"])
+    return _build(ReconConfig, section, "/recon", image_size=image_size)
 
 
 def uar_configs_from(section, seed, out_dir=None, log_path=None):
     """(mode, UarConfig, UarTrainConfig) from the train_uar section."""
-    model = UarConfig(unroll=section["unroll"],
-                      gamma_channels=section["gamma_channels"],
-                      critic_channels=tuple(section["critic_channels"]),
-                      critic_hidden=section["critic_hidden"])
-    train = UarTrainConfig(phase1_epochs=section["phase1_epochs"],
-                           phase2_epochs=section["phase2_epochs"],
-                           phase3_epochs=section["phase3_epochs"],
-                           lr_warmup=section["lr_warmup"],
-                           lr_adversarial=section["lr_adversarial"],
-                           alpha=section["alpha"],
-                           lambda_gp=section["lambda_gp"], seed=seed,
-                           out_dir=out_dir, log_path=log_path)
-    return section["mode"], model, train
+    return (section["mode"], _build(UarConfig, section, "/train_uar"),
+            _build(UarTrainConfig, section, "/train_uar", seed=seed,
+                   out_dir=out_dir, log_path=log_path))

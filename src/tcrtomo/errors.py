@@ -15,6 +15,7 @@ class ConfigError(ValueError):
 
     def __init__(self, path, message):
         self.path = path
+        self.message = message
         super().__init__(f"{path}: {message}")
 
 

@@ -19,11 +19,15 @@ scanner that keeps acquiring while the object moves.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
+from .spec import check_fields, fields_from_dict, fields_to_dict, spec
 
+
+@dataclass(eq=False)
 class ScanGeometry:
     """Time-dependent parallel-beam sampling pattern.
 
@@ -34,25 +38,21 @@ class ScanGeometry:
     n_steps) so the union of all fans spreads evenly over [0, pi).
     """
 
-    def __init__(self, image_size=64, n_steps=10, n_angles_init=20,
-                 n_angles_rest=3, n_offsets=100, rotation_delta=None):
-        if image_size < 2:
-            raise ValueError(f"image_size must be >= 2, got {image_size}")
-        if n_steps < 2:
-            raise ValueError(f"n_steps must be >= 2, got {n_steps}")
-        if min(n_angles_init, n_angles_rest) < 1:
-            raise ValueError("angle counts must be >= 1, got "
-                             f"{(n_angles_init, n_angles_rest)}")
-        if n_offsets < 2:
-            raise ValueError(f"n_offsets must be >= 2, got {n_offsets}")
-        self.image_size = int(image_size)
-        self.n_steps = int(n_steps)
-        self.n_angles_init = int(n_angles_init)
-        self.n_angles_rest = int(n_angles_rest)
-        self.n_offsets = int(n_offsets)
-        if rotation_delta is None:
-            rotation_delta = math.pi / (n_angles_rest * n_steps)
-        self.rotation_delta = float(rotation_delta)
+    image_size: int = spec(64, minimum=2)
+    n_steps: int = spec(10, minimum=2)
+    n_angles_init: int = spec(20, minimum=1)
+    n_angles_rest: int = spec(3, minimum=1)
+    n_offsets: int = spec(100, minimum=2)
+    rotation_delta: float | None = spec(None)
+
+    def __post_init__(self):
+        check_fields(self)
+        for name in ("image_size", "n_steps", "n_angles_init",
+                     "n_angles_rest", "n_offsets"):
+            setattr(self, name, int(getattr(self, name)))
+        if self.rotation_delta is None:
+            self.rotation_delta = math.pi / (self.n_angles_rest * self.n_steps)
+        self.rotation_delta = float(self.rotation_delta)
         self.offsets = np.linspace(-1.0, 1.0, self.n_offsets)
 
     def n_angles(self, t):
@@ -63,19 +63,8 @@ class ScanGeometry:
         if not 0 <= t < self.n_steps:
             raise ValueError(f"time step {t} outside [0, {self.n_steps})")
 
-    def to_dict(self):
-        return {
-            "image_size": self.image_size,
-            "n_steps": self.n_steps,
-            "n_angles_init": self.n_angles_init,
-            "n_angles_rest": self.n_angles_rest,
-            "n_offsets": self.n_offsets,
-            "rotation_delta": self.rotation_delta,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
+    to_dict = fields_to_dict
+    from_dict = classmethod(fields_from_dict)
 
 
 def angle_schedule(geom, t):

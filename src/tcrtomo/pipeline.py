@@ -19,6 +19,7 @@ from .errors import ConfigError, DatasetFormatError, NumericalError
 from .geometry import operator_for_angles
 from .metrics import psnr, ssim
 from .solvers import l1_tcr_fista, l1_tv_tcr_pdhg, l2_tcr
+from .spec import check_fields, spec
 from .stt import predict_next, refine
 
 __all__ = [
@@ -34,9 +35,6 @@ __all__ = [
     "load_result",
 ]
 
-SOLVERS = ("L2", "L1", "L1TV")
-
-
 @dataclass(frozen=True)
 class ReconConfig:
     """Reconstruction settings: solver family, coupling weights, caps.
@@ -46,37 +44,27 @@ class ReconConfig:
     step; beta_* are the TV weights of the L1TV solver with the same
     split. Initial reconstructions use plain Landweber by default; the
     "tv" mode solves a TV-regularized problem instead, for measured data
-    whose raw backprojections are too streaky to refine.
+    whose raw backprojections are too streaky to refine. Solver names
+    may be given in lower case.
     """
 
-    image_size: int
-    solver: str = "L1"
-    alpha_init: float = 0.1
-    alpha_rest: float = 0.1
-    beta_init: float = 0.0
-    beta_rest: float = 0.0
-    landweber_iters: int = 19
-    max_iter_l2: int = 19
-    max_iter_l1: int = 200
-    max_iter_pdhg: int = 400
-    init_mode: str = "landweber"
-    init_tv_weight: float = 0.01
+    image_size: int = spec(minimum=8)
+    solver: str = spec("L1", choices=("L2", "L1", "L1TV",
+                                      "l2", "l1", "l1tv"))
+    alpha_init: float = spec(0.1, minimum=0.0)
+    alpha_rest: float = spec(0.1, minimum=0.0)
+    beta_init: float = spec(0.0, minimum=0.0)
+    beta_rest: float = spec(0.0, minimum=0.0)
+    landweber_iters: int = spec(19, minimum=1)
+    max_iter_l2: int = spec(19, minimum=1)
+    max_iter_l1: int = spec(200, minimum=1)
+    max_iter_pdhg: int = spec(400, minimum=1)
+    init_mode: str = spec("landweber", choices=("landweber", "tv"))
+    init_tv_weight: float = spec(0.01, minimum=0.0)
 
     def __post_init__(self):
-        if self.solver not in SOLVERS:
-            raise ConfigError("solver", f"must be one of {SOLVERS}")
-        for name in ("alpha_init", "alpha_rest", "beta_init", "beta_rest",
-                     "init_tv_weight"):
-            if getattr(self, name) < 0:
-                raise ConfigError(name, "must be nonnegative")
-        for name in ("landweber_iters", "max_iter_l2", "max_iter_l1",
-                     "max_iter_pdhg"):
-            if getattr(self, name) < 1:
-                raise ConfigError(name, "must be at least 1")
-        if self.init_mode not in ("landweber", "tv"):
-            raise ConfigError("init_mode", "must be 'landweber' or 'tv'")
-        if self.image_size < 8:
-            raise ConfigError("image_size", "must be at least 8")
+        check_fields(self)
+        object.__setattr__(self, "solver", self.solver.upper())
 
 
 @dataclass

@@ -62,12 +62,13 @@ def prox_shifted_l1(v, lam, anchor):
 def _prepare(op, psi, prior, x0, max_iter, **weights):
     """Shared solver preamble; returns float64 (psi, prior, x).
 
-    Rejects negative weights, max_iter < 1, an x0 of the wrong shape and
-    non-finite psi, prior or x0.  x starts as a copy of x0, or zeros.
+    Rejects negative or non-finite weights, max_iter < 1, an x0 of the
+    wrong shape and non-finite psi, prior or x0.  x starts as a copy of
+    x0, or zeros.
     """
     for name, w in weights.items():
-        if w < 0:
-            raise ValueError(f"{name} must be >= 0, got {w}")
+        if not 0 <= w < float("inf"):
+            raise ValueError(f"{name} must be finite and >= 0, got {w}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     psi = np.asarray(psi, dtype=np.float64)

@@ -23,8 +23,10 @@ import numpy as np
 from .autodiff import (Tensor, add, causal_attention, concat, conv2d, conv3d,
                        gelu, layer_norm, no_grad, reshape, rope_apply,
                        transpose, tslice, upsample2x)
+from .errors import ConfigError
 from .layers import (add_conv2d, add_conv3d, add_layer_norm, add_linear,
                      linear)
+from .spec import check_fields, fields_from_dict, fields_to_dict, spec
 
 __all__ = [
     "SttConfig",
@@ -48,46 +50,27 @@ class SttConfig:
     causal context; an integer bounds how far back attention reaches.
     """
 
-    model_dim: int = 64
-    heads: int = 4
-    layers: int = 2
-    image_size: int = 64
-    max_context: int = 64
-    window: int | None = None
-    enc_channels: tuple = (16, 32, 64)
+    model_dim: int = spec(64, minimum=1)
+    heads: int = spec(4, minimum=1)
+    layers: int = spec(2, minimum=1)
+    image_size: int = spec(64)
+    max_context: int = spec(64, minimum=1)
+    window: int | None = spec(None, minimum=1)
+    enc_channels: tuple[int, ...] = spec((16, 32, 64), minimum=1, length=3)
 
     def __post_init__(self):
+        check_fields(self)
         if self.model_dim % self.heads != 0:
-            raise ValueError("model_dim must be divisible by heads")
+            raise ConfigError("/model_dim", "must be divisible by heads")
         if self.image_size % 8 != 0:
-            raise ValueError("image_size must be divisible by 8")
-        if self.layers < 1 or self.max_context < 1:
-            raise ValueError("layers and max_context must be positive")
-        if self.window is not None and self.window < 1:
-            raise ValueError("window must be a positive integer or None")
-        if len(self.enc_channels) != 3 or any(c < 1 for c in self.enc_channels):
-            raise ValueError("enc_channels must be three positive integers")
+            raise ConfigError("/image_size", "must be divisible by 8")
 
     @property
     def grid(self):
         return self.image_size // 8
 
-    def to_dict(self):
-        return {
-            "model_dim": self.model_dim,
-            "heads": self.heads,
-            "layers": self.layers,
-            "image_size": self.image_size,
-            "max_context": self.max_context,
-            "window": self.window,
-            "enc_channels": list(self.enc_channels),
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        d["enc_channels"] = tuple(d.get("enc_channels", (16, 32, 64)))
-        return cls(**d)
+    to_dict = fields_to_dict
+    from_dict = classmethod(fields_from_dict)
 
 
 def init_stt_params(cfg, seed=0):

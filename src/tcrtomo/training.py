@@ -20,6 +20,7 @@ from .errors import ConfigError, DatasetFormatError
 from .geometry import operator_for_angles
 from .optim import adamw_step, init_adamw, lr_cosine
 from .solvers import l2_tcr
+from .spec import check_fields, spec
 from .stt import SttConfig, init_stt_params, refine, stt_apply
 
 __all__ = [
@@ -43,26 +44,23 @@ LOG_COLUMNS = ("epoch", "split", "loss", "lr", "gt_ratio", "tf_ratio", "rollout"
 class TrainConfig:
     """Loop hyperparameters; LR defaults match the refinement schedule."""
 
-    epochs: int = 100
-    batch_size: int = 8
+    epochs: int = spec(100, minimum=1)
+    batch_size: int = spec(8, minimum=1)
     seed: int = 0
-    warmup: int = 10
-    hold_until: int = 0
-    min_lr: float = 1e-6
-    max_lr: float = 1e-4
+    warmup: int = spec(10, minimum=0)
+    hold_until: int = spec(0, minimum=0)
+    min_lr: float = spec(1e-6, minimum=0.0)
+    max_lr: float = spec(1e-4, minimum=0.0)
     betas: tuple = (0.9, 0.95)
     weight_decay: float = 1e-2
     adam_eps: float = 1e-8
     landweber_iters: int = 19
-    checkpoint_every: int = 0
+    checkpoint_every: int = spec(0, minimum=0)
     out_dir: str | None = None
     log_path: str | None = None
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ConfigError("epochs", "must be at least 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size", "must be at least 1")
+        check_fields(self)
 
 
 def prediction_train_config(**overrides):

@@ -18,7 +18,7 @@ back to the image.
 """
 
 import os
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .errors import ConfigError
 from .geometry import fbp, operator_for_angles
 from .layers import add_conv2d, add_conv3d, add_linear
 from .optim import adamw_step, init_adamw
+from .spec import check_fields, fields_from_dict, fields_to_dict, spec
 from .training import _zero_grads, write_log
 
 __all__ = [
@@ -69,65 +70,42 @@ def _check_mode(mode):
 class UarConfig:
     """Network shape; channel widths are desk defaults, depth follows L=20."""
 
-    unroll: int = 20
-    gamma_channels: int = 32
-    critic_channels: tuple = (16, 16, 32, 32, 32, 32)
-    critic_hidden: int = 64
-    step_init: float = 0.01
+    unroll: int = spec(20, minimum=1)
+    gamma_channels: int = spec(32, minimum=1)
+    critic_channels: tuple[int, ...] = spec((16, 16, 32, 32, 32, 32),
+                                            minimum=1, length=6)
+    critic_hidden: int = spec(64, minimum=1)
+    step_init: float = spec(0.01)
 
     def __post_init__(self):
-        if self.unroll < 1:
-            raise ConfigError("unroll", "depth must be at least 1")
-        if self.gamma_channels < 1:
-            raise ConfigError("gamma_channels", "must be at least 1")
-        if len(self.critic_channels) != 6:
-            raise ConfigError(
-                "critic_channels",
-                f"critic has 6 conv layers, got {len(self.critic_channels)} widths")
-        if not np.isfinite(self.step_init):
-            raise ConfigError("step_init", "must be finite")
+        check_fields(self)
 
-    def to_dict(self):
-        d = asdict(self)
-        d["critic_channels"] = list(self.critic_channels)
-        return d
-
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        d["critic_channels"] = tuple(d["critic_channels"])
-        return cls(**d)
+    to_dict = fields_to_dict
+    from_dict = classmethod(fields_from_dict)
 
 
 @dataclass(frozen=True)
 class UarTrainConfig:
     """Three-phase protocol: 5 + 5 warmup epochs, 10 adversarial epochs."""
 
-    phase1_epochs: int = 5
-    phase2_epochs: int = 5
-    phase3_epochs: int = 10
-    lr_warmup: float = 1e-5
-    lr_adversarial: float = 2e-5
+    phase1_epochs: int = spec(5, minimum=0)
+    phase2_epochs: int = spec(5, minimum=0)
+    phase3_epochs: int = spec(10, minimum=0)
+    lr_warmup: float = spec(1e-5, above=0.0)
+    lr_adversarial: float = spec(2e-5, above=0.0)
     betas: tuple = (0.5, 0.99)
     adam_eps: float = 1e-8
-    alpha: float = 0.1
-    lambda_gp: float = 10.0
+    alpha: float = spec(0.1, minimum=0.0)
+    lambda_gp: float = spec(10.0, minimum=0.0)
     seed: int = 0
     out_dir: str | None = None
     log_path: str | None = None
 
     def __post_init__(self):
-        for field in ("phase1_epochs", "phase2_epochs", "phase3_epochs"):
-            if getattr(self, field) < 0:
-                raise ConfigError(field, "must be nonnegative")
+        check_fields(self)
         if self.phase1_epochs + self.phase2_epochs + self.phase3_epochs < 1:
-            raise ConfigError("phase1_epochs", "at least one phase needs epochs")
-        if self.lr_warmup <= 0 or self.lr_adversarial <= 0:
-            raise ConfigError("lr_warmup", "learning rates must be positive")
-        if self.alpha < 0:
-            raise ConfigError("alpha", "must be nonnegative")
-        if self.lambda_gp < 0:
-            raise ConfigError("lambda_gp", "must be nonnegative")
+            raise ConfigError("/phase1_epochs",
+                              "at least one phase needs epochs")
 
 
 # ------------------------------------------------------------- parameters

@@ -216,12 +216,65 @@ class TestExitCodes:
         assert payload["error"] == "format-mismatch"
         assert "'predict'" in payload["message"]
 
+    def test_bad_checkpoint_model_is_3(self, work, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt"
+        ckpt.mkdir()
+        for name in os.listdir(work.refine):
+            (ckpt / name).write_bytes((work.refine / name).read_bytes())
+        meta = json.loads((ckpt / "meta.json").read_text())
+        meta["extra"]["model"]["model_dim"] = 15  # not divisible by heads
+        (ckpt / "meta.json").write_text(json.dumps(meta))
+        rc = run_cli("reconstruct", "--input", work.data / "test",
+                     "--refine", ckpt, "--predict", work.predict,
+                     "--out", tmp_path / "r")
+        assert rc == 3
+        payload = stderr_payload(capsys)
+        assert payload["error"] == "format-mismatch"
+        assert "/model_dim" in payload["message"]
+
     def test_bad_solver_flag_is_2(self, work, tmp_path, capsys):
         rc = run_cli("reconstruct", "--input", work.data / "test",
                      "--refine", work.refine, "--predict", work.predict,
                      "--out", tmp_path / "r", "--solver", "ART")
         assert rc == 2
         assert stderr_payload(capsys)["path"] == "/recon/solver"
+
+    @pytest.mark.parametrize("flag, value, path", [
+        ("--alpha-rest", "nan", "/recon/alpha_rest"),
+        ("--beta-init", "inf", "/recon/beta_init"),
+        ("--init-mode", "fbp", "/recon/init_mode"),
+    ])
+    def test_bad_recon_flag_is_2(self, work, tmp_path, capsys, flag, value,
+                                 path):
+        rc = run_cli("reconstruct", "--input", work.data / "test",
+                     "--refine", work.refine, "--predict", work.predict,
+                     "--out", tmp_path / "r", flag, value)
+        assert rc == 2
+        payload = stderr_payload(capsys)
+        assert payload["error"] == "schema-violation"
+        assert payload["path"] == path
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("command, doc, path", [
+        ("gen-data", {"geometry": {"rotation_delta": float("nan")}},
+         "/geometry/rotation_delta"),
+        ("train-uar", {"train_uar": {"lr_warmup": 0}},
+         "/train_uar/lr_warmup"),
+        ("train-refine", {"train_refine": {"model": {"model_dim": 65}}},
+         "/train_refine/model/model_dim"),
+    ])
+    def test_config_error_path_is_2(self, work, tmp_path, capsys, command,
+                                    doc, path):
+        """NaN in a file, bounds the dataclass enforces, relational checks."""
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(doc))
+        argv = [command, "--config", cfg, "--out", tmp_path / "o"]
+        if command != "gen-data":
+            argv += ["--data", work.data / "train"]
+        assert run_cli(*argv) == 2
+        payload = stderr_payload(capsys)
+        assert payload["error"] == "schema-violation"
+        assert payload["path"] == path
 
     def test_bad_split_is_2(self, tmp_path, capsys):
         rc = run_cli("gen-data", "--out", tmp_path / "d",

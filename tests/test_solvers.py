@@ -288,3 +288,20 @@ def test_pdhg_validation():
     with pytest.raises(ValueError):
         l1_tv_tcr_pdhg(op, np.zeros(op.out_shape), np.zeros(op.in_shape),
                        alpha=0.0, beta=-0.1)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_weights_rejected(bad):
+    """A NaN weight passes `w < 0`; each solver must still refuse it."""
+    op = scalar_op()
+    psi, prior = np.array([1.0]), np.array([0.0])
+    with pytest.raises(ValueError, match="alpha"):
+        l2_tcr(op, psi, prior, alpha=bad)
+    with pytest.raises(ValueError, match="alpha"):
+        l1_tcr_fista(op, psi, prior, alpha=bad)
+    op2 = MatrixOperator(np.eye(4), in_shape=(2, 2))
+    psi2, prior2 = np.ones(4), np.zeros((2, 2))
+    with pytest.raises(ValueError, match="alpha"):
+        l1_tv_tcr_pdhg(op2, psi2, prior2, alpha=bad, beta=0.0)
+    with pytest.raises(ValueError, match="beta"):
+        l1_tv_tcr_pdhg(op2, psi2, prior2, alpha=0.0, beta=bad)
