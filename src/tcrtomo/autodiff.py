@@ -10,11 +10,11 @@ Payloads default to float32; explicit reductions (sum/mean/losses, norm
 statistics) accumulate in float64 before casting back.  float64 payloads are
 fully supported, which is what the finite-difference gradient checks use.
 
-Convolutions run as im2col matmuls; their input gradients are transposed
-convolutions (dilate by stride, pad, correlate with the flipped kernel), and
-conv_transpose2d/3d are also exposed as first-class differentiable ops so
-gradient-of-gradient constructions (e.g. a gradient-penalty graph) can be
-built explicitly on the tape.
+Convolutions are im2col matmuls.  col2im, the adjoint of im2col, scatters
+W^T g back onto the input windows: that is a conv's input gradient (skipped
+when the input needs none) and the forward pass of conv_transpose2d/3d,
+whose backward is a plain conv.  The transposes are first-class ops so
+gradient-of-gradient graphs (e.g. a gradient penalty) can be built on tape.
 """
 
 import contextlib
@@ -208,11 +208,14 @@ def _make(data, parents, backward):
     return out
 
 
+def _needs_grad(t):
+    return t.requires_grad or bool(t._parents)
+
+
 def _accum(t, g):
-    if not (t.requires_grad or t._parents):
-        return
-    g = np.asarray(g, dtype=t.data.dtype)
-    t.grad = g if t.grad is None else t.grad + g
+    if _needs_grad(t):
+        g = np.asarray(g, dtype=t.data.dtype)
+        t.grad = g if t.grad is None else t.grad + g
 
 
 def _unbroadcast(g, shape):
@@ -554,7 +557,7 @@ def _conv_forward(x, w, stride, pad):
     out = out.reshape((n,) + out_sp + (co,))
     nd = len(ksize)
     order = (0, nd + 1) + tuple(range(1, nd + 1))
-    return np.ascontiguousarray(out.transpose(order)), cols, out_sp
+    return np.ascontiguousarray(out.transpose(order)), cols
 
 
 def _conv_dw(cols, g, w_shape):
@@ -566,35 +569,27 @@ def _conv_dw(cols, g, w_shape):
     return dw.reshape(w_shape)
 
 
-def _dilate(g, stride):
-    if all(s == 1 for s in stride):
-        return g
-    sp = g.shape[2:]
-    new_sp = tuple((n - 1) * s + 1 for n, s in zip(sp, stride))
-    out = np.zeros(g.shape[:2] + new_sp, dtype=g.dtype)
-    sel = (slice(None), slice(None)) + tuple(slice(None, None, s) for s in stride)
-    out[sel] = g
-    return out
+def _col2im(g, w, stride, pad, in_sp):
+    """Scatter the columns W^T g back onto the padded input, then crop it.
 
-
-def _conv_input_grad(g, w, stride, pad, in_sp):
-    """Gradient w.r.t. the conv input == transposed convolution of g."""
-    ksize = w.shape[2:]
-    gd = _dilate(g, stride)
-    tpad = []
-    for n, k, s, p, dn in zip(in_sp, ksize, stride, pad, gd.shape[2:]):
-        before = k - 1 - p[0]
-        after = n + p[0] - dn
-        if before < 0 or after < 0:
-            raise ValueError(
-                f"padding {p} exceeds kernel {k}; transpose undefined")
-        tpad.append((before, after))
-    # flip spatially, swap in/out channels
-    nd = len(ksize)
-    wf = np.flip(w, axis=tuple(range(2, 2 + nd)))
-    wf = np.ascontiguousarray(np.swapaxes(wf, 0, 1))
-    out, _, _ = _conv_forward(gd, wf, (1,) * nd, tuple(tpad))
-    return out
+    The adjoint of _im2col followed by the weight matmul: the (C, *out, N)
+    block of W^T g for each kernel offset is added onto the strided window
+    that _im2col read for that offset.  One block at a time keeps the full
+    column matrix, k times the input's size, from being allocated; the
+    batch axis is innermost so that a window row is one contiguous run.
+    """
+    co, c = w.shape[:2]
+    gt = np.moveaxis(g, 0, -1).reshape(co, -1)
+    wt = np.ascontiguousarray(np.moveaxis(w, (0, 1), (-1, -2)))  # (*k, C, Co)
+    block = (c,) + g.shape[2:] + g.shape[:1]
+    padded = tuple(m + p[0] + p[1] for m, p in zip(in_sp, pad))
+    xp = np.zeros(block[:1] + padded + block[-1:], dtype=np.result_type(g, w))
+    for offset in np.ndindex(*w.shape[2:]):
+        win = tuple(slice(i, i + (o - 1) * s + 1, s)
+                    for i, o, s in zip(offset, g.shape[2:], stride))
+        xp[(slice(None),) + win] += (wt[offset] @ gt).reshape(block)
+    crop = tuple(slice(p[0], p[0] + m) for m, p in zip(in_sp, pad))
+    return np.ascontiguousarray(np.moveaxis(xp[(slice(None),) + crop], -1, 0))
 
 
 def _conv_nd(a, w, b, stride, pad, nd):
@@ -611,7 +606,7 @@ def _conv_nd(a, w, b, stride, pad, nd):
         raise ValueError(
             f"input channels {a.data.shape[1]} != weight channels {w.data.shape[1]}")
     stride, pad = _norm_stride_pad(stride, pad, nd)
-    out, cols, _ = _conv_forward(a.data, w.data, stride, pad)
+    out, cols = _conv_forward(a.data, w.data, stride, pad)
     parents = [a, w]
     if b is not None:
         b = _as_tensor(b, like=a)
@@ -621,13 +616,12 @@ def _conv_nd(a, w, b, stride, pad, nd):
         out = out + b.data.reshape((1, -1) + (1,) * nd)
         parents.append(b)
 
-    in_sp = a.data.shape[2:]
-
     def backward(g):
         if b is not None:
             _accum(b, g.sum(axis=(0,) + tuple(range(2, 2 + nd))))
         _accum(w, _conv_dw(cols, g, w.data.shape))
-        _accum(a, _conv_input_grad(g, w.data, stride, pad, in_sp))
+        if _needs_grad(a):
+            _accum(a, _col2im(g, w.data, stride, pad, a.data.shape[2:]))
 
     return _make(out, tuple(parents), backward)
 
@@ -651,28 +645,30 @@ def _conv_transpose_nd(a, w, stride, pad, nd, output_size):
         raise ValueError(
             f"input channels {a.data.shape[1]} != weight out-channels "
             f"{w.data.shape[0]}")
+    ksize, in_sp = w.data.shape[2:], a.data.shape[2:]
     if output_size is None:
-        output_size = tuple(
-            (n - 1) * s + k - p[0] - p[1]
-            for n, s, k, p in zip(a.data.shape[2:], stride, w.data.shape[2:], pad))
+        output_size = tuple((n - 1) * s + k - p[0] - p[1]
+                            for n, s, k, p in zip(in_sp, stride, ksize, pad))
     output_size = tuple(int(v) for v in output_size)
-    out = _conv_input_grad(a.data, w.data, stride, pad, output_size)
+    got = _conv_out_shape(output_size, ksize, stride, pad)
+    if min(output_size) < 1 or got != in_sp:
+        raise ValueError(
+            f"output size {output_size} does not fit input size {in_sp}: "
+            f"conv{nd}d with stride {stride}, padding {pad} maps it to {got}")
+    out = _col2im(a.data, w.data, stride, pad, output_size)
 
     def backward(g):
-        gp = _pad_input(g, pad)
-        cols, _ = _im2col(gp, w.data.shape[2:], stride)
+        ga, cols = _conv_forward(g, w.data, stride, pad)
         _accum(w, _conv_dw(cols, a.data, w.data.shape))
-        gcols = cols @ w.data.reshape(w.data.shape[0], -1).T
-        ga = gcols.reshape((g.shape[0],) + a.data.shape[2:] + (w.data.shape[0],))
-        order = (0, nd + 1) + tuple(range(1, nd + 1))
-        _accum(a, np.ascontiguousarray(ga.transpose(order)))
+        _accum(a, ga)
 
     return _make(out, (a, w), backward)
 
 
 def conv_transpose2d(a, w, stride=1, padding=((0, 0), (0, 0)),
                      output_size=None):
-    """Adjoint of conv2d w.r.t. its input, differentiable in a and w."""
+    """Adjoint of conv2d w.r.t. its input, differentiable in a and w.
+    output_size must be a size conv2d maps to a's (default: the smallest)."""
     return _conv_transpose_nd(a, w, stride, padding, 2, output_size)
 
 

@@ -37,7 +37,8 @@ __all__ = [
     "LOG_COLUMNS",
 ]
 
-LOG_COLUMNS = ("epoch", "split", "loss", "lr", "gt_ratio", "tf_ratio", "rollout")
+LOG_COLUMNS = ("epoch", "split", "loss", "lr", "gt_ratio", "tf_ratio", "rollout",
+               "skipped")
 
 
 @dataclass(frozen=True)
@@ -138,6 +139,14 @@ def _zero_grads(params):
         t.grad = None
 
 
+def _update(params, optimizer, loss, lr):
+    """Zero the grads of params, backpropagate loss, take one AdamW step;
+    return 1 if adamw_step refused it (a non-finite gradient), else 0."""
+    _zero_grads(params)
+    loss.backward()
+    return int(not adamw_step(params, optimizer, lr)["applied"])
+
+
 def write_log(path, rows):
     """Write training log rows as CSV.
 
@@ -206,7 +215,7 @@ def train_refinement(dataset, cfg, model_cfg=None, val_dataset=None):
                        cfg.hold_until)
         g_ratio = gt_ratio(e)
         order = rng.permutation(n)
-        total = 0.0
+        total, skipped = 0.0, 0
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             use_gt = rng.random(len(idx)) < g_ratio
@@ -214,12 +223,11 @@ def train_refinement(dataset, cfg, model_cfg=None, val_dataset=None):
             out = stt_apply(params, model_cfg, x.astype(np.float32))
             diff = tslice(out, (slice(None), slice(0, 2))) - Tensor(gt[idx])
             loss = scale(tsum(diff * diff), 0.5 / len(idx))
-            _zero_grads(params)
-            loss.backward()
-            adamw_step(params, optimizer, lr)
+            skipped += _update(params, optimizer, loss, lr)
             total += loss.item() * len(idx)
         log.append({"epoch": e, "split": "train", "loss": total / n, "lr": lr,
-                    "gt_ratio": g_ratio, "tf_ratio": "", "rollout": ""})
+                    "gt_ratio": g_ratio, "tf_ratio": "", "rollout": "",
+                    "skipped": skipped})
 
         if val_lw is not None:
             v_total = 0.0
@@ -291,7 +299,7 @@ def train_prediction(dataset, refine_params, refine_cfg, cfg, model_cfg=None,
         prob = rollout_prob(e)
         order = rng.permutation(n)
         total = 0.0
-        steps = 0
+        steps = skipped = 0
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             roll = np.where(rng.random(len(idx)) < prob, cap, 1)
@@ -306,9 +314,7 @@ def train_prediction(dataset, refine_params, refine_cfg, cfg, model_cfg=None,
                 target = gt[idx[active], t][:, None]
                 diff = pred - Tensor(target)
                 loss = scale(tsum(diff * diff), 1.0 / len(active))
-                _zero_grads(params)
-                loss.backward()
-                adamw_step(params, optimizer, lr)
+                skipped += _update(params, optimizer, loss, lr)
                 total += loss.item() * len(active)
                 steps += len(active)
 
@@ -327,7 +333,8 @@ def train_prediction(dataset, refine_params, refine_cfg, cfg, model_cfg=None,
                              "samples": [int(idx[a]) for a in active],
                              "sources": sources})
         log.append({"epoch": e, "split": "train", "loss": total / max(steps, 1),
-                    "lr": lr, "gt_ratio": "", "tf_ratio": tf, "rollout": cap})
+                    "lr": lr, "gt_ratio": "", "tf_ratio": tf, "rollout": cap,
+                    "skipped": skipped})
 
         if val_refined is not None:
             v_total = 0.0

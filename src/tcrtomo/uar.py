@@ -30,9 +30,9 @@ from .checkpoint import save_checkpoint
 from .errors import ConfigError
 from .geometry import fbp, operator_for_angles
 from .layers import add_conv2d, add_conv3d, add_linear
-from .optim import adamw_step, init_adamw
+from .optim import init_adamw
 from .spec import check_fields, fields_from_dict, fields_to_dict, spec
-from .training import _zero_grads, write_log
+from .training import _update, write_log
 
 __all__ = [
     "MODES",
@@ -530,7 +530,7 @@ def train_uar(dataset, mode, cfg=None, model_cfg=None, sampler_trace=None):
     log = []
     epoch = 0
     for _ in range(cfg.phase1_epochs):
-        losses, gps = [], []
+        losses, gps, skipped = [], [], 0
         for _ in range(n):
             i_gt = int(rng.integers(n))
             i_psi = int(rng.integers(n))
@@ -538,37 +538,34 @@ def train_uar(dataset, mode, cfg=None, model_cfg=None, sampler_trace=None):
             trace(1, i_gt, i_psi)
             psi, aop = psi_pool[i_psi]
             u = aop.fbp(psi).astype(np.float32)
-            _zero_grads(params)
             parts = {}
             loss = reg_loss(reg, gt_pool[i_gt], u, eps_mix, cfg.lambda_gp,
                             parts=parts)
-            loss.backward()
-            adamw_step(reg, opt_reg, cfg.lr_warmup)
+            skipped += _update(reg, opt_reg, loss, cfg.lr_warmup)
             losses.append(float(loss.data))
             gps.append(parts["gp"])
         log.append({"epoch": epoch, "split": "phase1",
                     "loss": float(np.mean(losses)), "lr": cfg.lr_warmup,
-                    "gp": float(np.mean(gps))})
+                    "skipped": skipped, "gp": float(np.mean(gps))})
         epoch += 1
     for _ in range(cfg.phase2_epochs):
-        losses, fits = [], []
+        losses, fits, skipped = [], [], 0
         for _ in range(n):
             i_psi = int(rng.integers(n))
             trace(2, -1, i_psi)
             psi, aop = psi_pool[i_psi]
-            _zero_grads(params)
             parts = {}
             loss = gen_loss(gen, reg, psi, aop, cfg.alpha, parts=parts)
-            loss.backward()
-            adamw_step(gen, opt_gen, cfg.lr_warmup)
+            skipped += _update(gen, opt_gen, loss, cfg.lr_warmup)
             losses.append(float(loss.data))
             fits.append(parts["datafit"])
         log.append({"epoch": epoch, "split": "phase2",
                     "loss": float(np.mean(losses)), "lr": cfg.lr_warmup,
-                    "datafit": float(np.mean(fits))})
+                    "skipped": skipped, "datafit": float(np.mean(fits))})
         epoch += 1
     for _ in range(cfg.phase3_epochs):
         reg_losses, gen_losses, fits, gps = [], [], [], []
+        skipped = 0
         for _ in range(n):
             i_gt = int(rng.integers(n))
             i_psi = int(rng.integers(n))
@@ -577,24 +574,20 @@ def train_uar(dataset, mode, cfg=None, model_cfg=None, sampler_trace=None):
             psi, aop = psi_pool[i_psi]
             with no_grad():
                 fake = uar_generator(gen, psi, aop).data.reshape(aop.image_shape)
-            _zero_grads(params)
             parts = {}
             r_loss = reg_loss(reg, gt_pool[i_gt], fake, eps_mix,
                               cfg.lambda_gp, parts=parts)
-            r_loss.backward()
-            adamw_step(reg, opt_reg, cfg.lr_adversarial)
+            skipped += _update(reg, opt_reg, r_loss, cfg.lr_adversarial)
             reg_losses.append(float(r_loss.data))
             gps.append(parts["gp"])
-            _zero_grads(params)
             parts = {}
             g_loss = gen_loss(gen, reg, psi, aop, cfg.alpha, parts=parts)
-            g_loss.backward()
-            adamw_step(gen, opt_gen, cfg.lr_adversarial)
+            skipped += _update(gen, opt_gen, g_loss, cfg.lr_adversarial)
             gen_losses.append(float(g_loss.data))
             fits.append(parts["datafit"])
         log.append({"epoch": epoch, "split": "phase3",
                     "loss": float(np.mean(gen_losses)),
-                    "lr": cfg.lr_adversarial,
+                    "lr": cfg.lr_adversarial, "skipped": skipped,
                     "loss_reg": float(np.mean(reg_losses)),
                     "datafit": float(np.mean(fits)),
                     "gp": float(np.mean(gps))})

@@ -186,13 +186,16 @@ def test_conv2d_matches_direct_loop():
     assert np.allclose(out, ref, atol=1e-10)
 
 
-def test_grad_conv2d():
+@pytest.mark.parametrize("stride, pad", [
+    ((2, 1), ((1, 0), (1, 1))),
+    ((1, 1), ((3, 3), (3, 3))),  # padding beyond k - 1
+], ids=["stride2", "pad3"])
+def test_grad_conv2d(stride, pad):
     x = t64(rand((2, 2, 5, 6), 24))
     w = t64(rand((3, 2, 3, 3), 25))
     b = t64(rand((3,), 26))
     ad.gradcheck(
-        lambda: ad.tsum(ad.conv2d(x, w, b, stride=(2, 1),
-                                  padding=((1, 0), (1, 1)))),
+        lambda: ad.tsum(ad.conv2d(x, w, b, stride=stride, padding=pad)),
         [x, w, b])
 
 
@@ -230,17 +233,37 @@ def test_grad_conv_transpose2d():
         [x, w])
 
 
-def test_conv_transpose_is_conv_adjoint():
+@pytest.mark.parametrize("x_shape, k, stride, pad", [
+    ((1, 2, 7, 8), (3, 3), (2, 2), ((1, 0), (1, 1))),
+    ((1, 2, 7, 8), (3, 3), (1, 1), ((3, 3), (3, 3))),  # padding beyond k - 1
+    ((2, 2, 4, 6, 5), (3, 3, 3), (1, 2, 2), ((2, 0), (1, 1), (1, 1))),
+], ids=["2d-stride2", "2d-pad3", "3d-causal"])
+def test_conv_transpose_is_conv_adjoint(x_shape, k, stride, pad):
     # <conv(x), y> == <x, convT(y)> for matching shapes
     rng = np.random.default_rng(33)
-    x = rng.standard_normal((1, 2, 7, 8))
-    w = rng.standard_normal((3, 2, 3, 3))
-    stride, pad = (2, 2), ((1, 0), (1, 1))
-    cx = ad.conv2d(Tensor(x), Tensor(w), stride=stride, padding=pad).data
+    x = rng.standard_normal(x_shape)
+    w = rng.standard_normal((3, x_shape[1]) + k)
+    conv, conv_t = ((ad.conv2d, ad.conv_transpose2d) if len(k) == 2
+                    else (ad.conv3d, ad.conv_transpose3d))
+    cx = conv(Tensor(x), Tensor(w), stride=stride, padding=pad).data
     y = rng.standard_normal(cx.shape)
-    ty = ad.conv_transpose2d(Tensor(y), Tensor(w), stride=stride, padding=pad,
-                             output_size=(7, 8)).data
+    ty = conv_t(Tensor(y), Tensor(w), stride=stride, padding=pad,
+                output_size=x_shape[2:]).data
     assert np.vdot(cx, y) == pytest.approx(np.vdot(x, ty), rel=1e-10)
+
+
+def test_conv_transpose_rejects_unreachable_output_size():
+    y, w = Tensor(np.ones((1, 1, 4, 4))), Tensor(np.ones((1, 1, 3, 3)))
+    opts = dict(stride=2, padding=((1, 1), (1, 1)))
+    # conv2d maps 7x7 and 8x8 back to 4x4, but 9x9 to 5x5
+    for size in ((7, 7), (8, 8)):
+        assert ad.conv_transpose2d(y, w, output_size=size, **opts).shape[2:] == size
+    with pytest.raises(ValueError, match=r"\(9, 9\).*\(4, 4\).*\(5, 5\)"):
+        ad.conv_transpose2d(y, w, output_size=(9, 9), **opts)
+    with pytest.raises(ValueError, match="output size"):
+        ad.conv_transpose3d(Tensor(np.ones((1, 1, 1, 1, 1))),
+                            Tensor(np.ones((1, 1, 1, 1, 1))),
+                            padding=((1, 1), (0, 0), (0, 0)))
 
 
 def test_grad_conv_transpose3d():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import tcrtomo.training as training
+from tcrtomo.autodiff import linear_map
 from tcrtomo.errors import ConfigError, DatasetFormatError
 from tcrtomo.geometry import ScanGeometry
 from tcrtomo.phantoms import generate_dataset
@@ -132,6 +133,26 @@ class TestRefinementLoop:
                                   val_dataset=val)
         splits = [r["split"] for r in log]
         assert splits == ["train", "val"]
+
+    def test_refused_update_is_counted(self, monkeypatch):
+        # one batch, whose gradient is NaN in every entry: adamw_step
+        # refuses the update, the log counts it, the weights stay at init
+        ds = _tiny_dataset()
+        cfg = TrainConfig(epochs=1, batch_size=4, seed=0)
+        _, clean = train_refinement(ds, cfg, model_cfg=TINY_MODEL)
+        real = training.stt_apply
+
+        def poisoned(params, model_cfg, x):
+            return linear_map(real(params, model_cfg, x), lambda v: v,
+                              lambda g: np.full_like(g, np.nan))
+
+        monkeypatch.setattr(training, "stt_apply", poisoned)
+        params, log = train_refinement(ds, cfg, model_cfg=TINY_MODEL)
+        assert clean[0]["skipped"] == 0
+        assert log[0]["skipped"] == 1
+        assert log[0]["loss"] == clean[0]["loss"]
+        init = init_stt_params(TINY_MODEL, seed=cfg.seed)
+        assert all(np.array_equal(params[k].data, init[k].data) for k in init)
 
     def test_size_mismatch_config_error(self):
         ds = _tiny_dataset()

@@ -378,6 +378,7 @@ class TestTraining:
         assert [row["split"] for row in log] == ["phase1", "phase2", "phase3"]
         assert [row["epoch"] for row in log] == [0, 1, 2]
         assert all(np.isfinite(row["loss"]) for row in log)
+        assert [row["skipped"] for row in log] == [0, 0, 0]
         assert all(np.isfinite(t.data).all() for t in params.values())
         tensors, extra, _ = load_checkpoint(str(out / "final"))
         assert sorted(tensors) == sorted(params)
