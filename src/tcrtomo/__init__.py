@@ -7,12 +7,12 @@ predicts each frame from the frames already reconstructed; the
 prediction enters the per-step variational problem as a proximity term.
 
 Submodules: geometry (scan model, discrete projector, FBP), phantoms
-(moving synthetic objects), datasets (on-disk formats), solvers
-(Landweber, FISTA, PDHG with a prior-coupling term), autodiff (reverse
-mode on numpy), stt (the causal spatial-temporal transformer), training
-(both model stages), pipeline (sequential reconstruction, evaluation),
-uar (adversarial unrolled baseline), metrics (PSNR/SSIM), spec + config +
-cli (experiment plumbing).
+(moving synthetic objects), artifacts + datasets (on-disk formats),
+solvers (Landweber, FISTA, PDHG with a prior-coupling term), autodiff
+(reverse mode on numpy), stt (the causal spatial-temporal transformer),
+training (both model stages), pipeline (sequential reconstruction,
+evaluation), uar (adversarial unrolled baseline), metrics (PSNR/SSIM),
+spec + config + cli (experiment plumbing).
 
 Attribute access is lazy so `import tcrtomo` stays cheap and thread-cap
 environment variables set by the CLI take effect before numpy binds its

@@ -497,10 +497,12 @@ def matmul(a, b):
     def backward(g):
         if b.data.ndim == 1:
             raise ValueError("matmul backward needs 2-D+ operands")
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        _accum(a, _unbroadcast(ga, a.data.shape))
-        _accum(b, _unbroadcast(gb, b.data.shape))
+        if _needs_grad(a):
+            ga = g @ np.swapaxes(b.data, -1, -2)
+            _accum(a, _unbroadcast(ga, a.data.shape))
+        if _needs_grad(b):
+            gb = np.swapaxes(a.data, -1, -2) @ g
+            _accum(b, _unbroadcast(gb, b.data.shape))
 
     return _make(out, (a, b), backward)
 
@@ -592,16 +594,18 @@ def _col2im(g, w, stride, pad, in_sp):
     return np.ascontiguousarray(np.moveaxis(xp[(slice(None),) + crop], -1, 0))
 
 
-def _conv_nd(a, w, b, stride, pad, nd):
+def _conv_operands(a, w, nd, op):
+    """a and w as Tensors, checked to have nd + 2 axes each."""
     a = _as_tensor(a)
     w = _as_tensor(w, like=a)
-    if a.data.ndim != nd + 2:
-        raise ValueError(
-            f"conv{nd}d input must have {nd + 2} axes (N, C, spatial), "
-            f"got shape {a.data.shape}")
-    if w.data.ndim != nd + 2:
-        raise ValueError(f"conv{nd}d weight must have {nd + 2} axes, "
-                         f"got shape {w.data.shape}")
+    if a.data.ndim != nd + 2 or w.data.ndim != nd + 2:
+        raise ValueError(f"{op} input and weight must have {nd + 2} axes, "
+                         f"got shapes {a.data.shape} and {w.data.shape}")
+    return a, w
+
+
+def _conv_nd(a, w, b, stride, pad, nd):
+    a, w = _conv_operands(a, w, nd, f"conv{nd}d")
     if a.data.shape[1] != w.data.shape[1]:
         raise ValueError(
             f"input channels {a.data.shape[1]} != weight channels {w.data.shape[1]}")
@@ -619,7 +623,8 @@ def _conv_nd(a, w, b, stride, pad, nd):
     def backward(g):
         if b is not None:
             _accum(b, g.sum(axis=(0,) + tuple(range(2, 2 + nd))))
-        _accum(w, _conv_dw(cols, g, w.data.shape))
+        if _needs_grad(w):
+            _accum(w, _conv_dw(cols, g, w.data.shape))
         if _needs_grad(a):
             _accum(a, _col2im(g, w.data, stride, pad, a.data.shape[2:]))
 
@@ -638,8 +643,7 @@ def conv3d(a, w, b=None, stride=1, padding=((0, 0), (0, 0), (0, 0))):
 
 
 def _conv_transpose_nd(a, w, stride, pad, nd, output_size):
-    a = _as_tensor(a)
-    w = _as_tensor(w, like=a)
+    a, w = _conv_operands(a, w, nd, f"conv_transpose{nd}d")
     stride, pad = _norm_stride_pad(stride, pad, nd)
     if a.data.shape[1] != w.data.shape[0]:
         raise ValueError(

@@ -12,25 +12,16 @@ from the same values is byte identical. `extra` carries JSON-serializable
 sidecar state (epoch counters, optimizer scalars, model config).
 """
 
-import json
 import os
 
 import numpy as np
 
+from .artifacts import (CHECKPOINT, check_f32, entries, read_f32, read_meta,
+                        write_f32, write_meta)
 from .autodiff import Tensor
-from .errors import DatasetFormatError, MissingArtifactError
+from .errors import DatasetFormatError
 
 __all__ = ["save_checkpoint", "load_checkpoint"]
-
-_FORMAT = "tcr-checkpoint-v1"
-
-
-def _named_arrays(tensors):
-    out = {}
-    for name, t in tensors.items():
-        arr = t.data if isinstance(t, Tensor) else np.asarray(t)
-        out[name] = np.ascontiguousarray(arr, dtype=np.float32)
-    return out
 
 
 def save_checkpoint(path, tensors, extra=None, optimizer=None):
@@ -41,13 +32,12 @@ def save_checkpoint(path, tensors, extra=None, optimizer=None):
     are stored as tensors under opt.m/<name> and opt.v/<name>, its
     scalars inside extra["optimizer"].
     """
-    arrays = _named_arrays(tensors)
+    arrays = {name: t.data if isinstance(t, Tensor) else np.asarray(t)
+              for name, t in tensors.items()}
     extra = dict(extra or {})
     if optimizer is not None:
-        arrays.update({f"opt.m/{k}": np.ascontiguousarray(v, dtype=np.float32)
-                       for k, v in optimizer["m"].items()})
-        arrays.update({f"opt.v/{k}": np.ascontiguousarray(v, dtype=np.float32)
-                       for k, v in optimizer["v"].items()})
+        arrays.update({f"opt.{s}/{k}": v for s in "mv"
+                       for k, v in optimizer[s].items()})
         extra["optimizer"] = {
             "betas": list(optimizer["betas"]),
             "eps": optimizer["eps"],
@@ -56,18 +46,16 @@ def save_checkpoint(path, tensors, extra=None, optimizer=None):
         }
 
     os.makedirs(path, exist_ok=True)
-    meta = {"format": _FORMAT, "tensors": {}, "extra": extra}
+    names = sorted(arrays)
+    meta = {"tensors": {}, "extra": extra}
     offset = 0
-    for name in sorted(arrays):
-        arr = arrays[name]
-        meta["tensors"][name] = {"shape": list(arr.shape), "offset": offset}
-        offset += arr.nbytes
-    with open(os.path.join(path, "weights.f32"), "wb") as fh:
-        for name in sorted(arrays):
-            fh.write(arrays[name].astype("<f4", copy=False).tobytes())
-    with open(os.path.join(path, "meta.json"), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    for name in names:
+        meta["tensors"][name] = {"shape": list(arrays[name].shape),
+                                 "offset": offset}
+        offset += 4 * arrays[name].size
+    write_f32(os.path.join(path, "weights.f32"),
+              *(arrays[name] for name in names))
+    write_meta(path, CHECKPOINT, meta)
 
 
 def load_checkpoint(path, requires_grad=True):
@@ -75,52 +63,35 @@ def load_checkpoint(path, requires_grad=True):
 
     Returns (tensors, extra, optimizer) where tensors maps name -> Tensor,
     extra is the stored sidecar dict, and optimizer is a reconstructed
-    AdamW state (or None if the checkpoint carried none).
+    AdamW state (or None if the checkpoint carried none).  The arrays are
+    views of the one blob, which they must tile in sorted-name order.
     """
-    meta_path = os.path.join(path, "meta.json")
+    meta = read_meta(path, CHECKPOINT)
     blob_path = os.path.join(path, "weights.f32")
-    if not os.path.exists(meta_path):
-        raise MissingArtifactError(f"checkpoint meta not found: {meta_path}")
-    if not os.path.exists(blob_path):
-        raise MissingArtifactError(f"checkpoint blob not found: {blob_path}")
-    with open(meta_path, encoding="utf-8") as fh:
-        meta = json.load(fh)
-    if meta.get("format") != _FORMAT:
-        raise DatasetFormatError(
-            f"unsupported checkpoint format {meta.get('format')!r}")
-    blob = np.fromfile(blob_path, dtype="<f4")
-
-    arrays = {}
-    for name, entry in meta["tensors"].items():
-        shape = tuple(int(s) for s in entry["shape"])
-        n = int(np.prod(shape)) if shape else 1
-        start = int(entry["offset"]) // 4
-        if entry["offset"] % 4 != 0 or start + n > blob.size:
-            raise DatasetFormatError(
-                f"checkpoint blob too short for tensor {name!r}: "
-                f"needs {n} values at offset {entry['offset']}")
-        arrays[name] = blob[start:start + n].reshape(shape).copy()
-
-    tensors = {}
-    moments_m, moments_v = {}, {}
-    for name, arr in arrays.items():
-        if name.startswith("opt.m/"):
-            moments_m[name[len("opt.m/"):]] = arr
-        elif name.startswith("opt.v/"):
-            moments_v[name[len("opt.v/"):]] = arr
-        else:
-            tensors[name] = Tensor(arr, requires_grad=requires_grad)
-
-    extra = dict(meta.get("extra", {}))
-    optimizer = None
-    opt_meta = extra.pop("optimizer", None)
-    if opt_meta is not None:
-        optimizer = {
-            "betas": tuple(opt_meta["betas"]),
-            "eps": float(opt_meta["eps"]),
-            "weight_decay": float(opt_meta["weight_decay"]),
-            "step": int(opt_meta["step"]),
-            "m": moments_m,
-            "v": moments_v,
-        }
+    blob = read_f32(blob_path)
+    tensors, moments = {}, {"m": {}, "v": {}}
+    start = 0
+    with entries(path):
+        for name in sorted(meta["tensors"]):
+            entry = meta["tensors"][name]
+            if entry["offset"] != 4 * start:
+                raise ValueError(f"tensor {name!r} at byte offset "
+                                 f"{entry['offset']}, expected {4 * start}")
+            n = int(np.prod(entry["shape"]))
+            arr = check_f32(blob[start:start + n], entry["shape"],
+                            f"{blob_path} tensor {name!r}")
+            start += n
+            if name[:6] in ("opt.m/", "opt.v/"):
+                moments[name[4]][name[6:]] = arr
+            else:
+                tensors[name] = Tensor(arr, requires_grad=requires_grad)
+        if start != blob.size:
+            raise DatasetFormatError(f"{blob_path}: holds {blob.size} float32 "
+                                     f"values, its tensors fill {start}")
+        extra = dict(meta.get("extra", {}))
+        opt = extra.pop("optimizer", None)
+        optimizer = None if opt is None else {
+            "betas": tuple(opt["betas"]), "eps": float(opt["eps"]),
+            "weight_decay": float(opt["weight_decay"]),
+            "step": int(opt["step"]), **moments}
     return tensors, extra, optimizer

@@ -67,41 +67,28 @@ def _resolve_config(args, extra=None):
 
 def _load_model(path, expect_kind):
     """Checkpoint -> (params, SttConfig), validating the stored metadata."""
+    from .artifacts import entries
     from .checkpoint import load_checkpoint
-    from .errors import ConfigError, DatasetFormatError
+    from .errors import DatasetFormatError
     from .stt import SttConfig
     params, extra, _ = load_checkpoint(path, requires_grad=False)
-    if "model" not in extra:
+    if extra.get("kind", expect_kind) != expect_kind:
         raise DatasetFormatError(
-            f"checkpoint {path} carries no model metadata")
-    kind = extra.get("kind")
-    if kind is not None and kind != expect_kind:
-        raise DatasetFormatError(
-            f"checkpoint {path} holds a {kind!r} model, expected "
+            f"checkpoint {path} holds a {extra['kind']!r} model, expected "
             f"{expect_kind!r}")
-    try:
+    with entries(path):
         return params, SttConfig.from_dict(extra["model"])
-    except ConfigError as exc:
-        raise DatasetFormatError(f"checkpoint {path} model {exc}") from None
 
 
 def _load_measurements(path):
     """Dataset or sinogram-set directory -> (sinograms, gt or None, size)."""
-    from .datasets import (_FORMAT_DATASET, _FORMAT_SINOGRAM,
-                           load_external_sinogram, read_dataset)
-    from .errors import DatasetFormatError, MissingArtifactError
-    meta_path = os.path.join(path, "meta.json")
-    if not os.path.isfile(meta_path):
-        raise MissingArtifactError(f"no meta.json under {path}")
-    with open(meta_path, "r", encoding="ascii") as fh:
-        fmt = json.load(fh).get("format")
-    if fmt == _FORMAT_DATASET:
+    from .artifacts import DATASET, SINOGRAM, read_meta
+    from .datasets import load_external_sinogram, read_dataset
+    if read_meta(path, DATASET, SINOGRAM)["format"] == DATASET:
         ds = read_dataset(path)
         return ds.sinograms, ds.gt, ds.geometry.image_size
-    if fmt == _FORMAT_SINOGRAM:
-        sinos, image_size = load_external_sinogram(path)
-        return sinos, None, image_size
-    raise DatasetFormatError(f"{path}: unrecognized format tag {fmt!r}")
+    sinos, image_size = load_external_sinogram(path)
+    return sinos, None, image_size
 
 
 def _result_items(path):
@@ -206,26 +193,28 @@ def cmd_gen_data(args):
     return 0
 
 
-def _trainer_configs(args, cfg, name, geometry):
-    """(SttConfig, TrainConfig) of trainer section `name`, errors under it."""
+def _trainer_inputs(args, cfg, name):
+    """(SttConfig, TrainConfig, dataset, val dataset or None) of trainer
+    section `name`.  The configs are built from the stored geometry
+    before any payload is read, and their errors carry the section's path."""
     from .config import stt_config_from, train_config_from
+    from .datasets import read_dataset, read_geometry
     from .spec import under
+    geometry = read_geometry(args.data)
     section = cfg[name]
     with under("/" + name):
         model_cfg = stt_config_from(section, geometry.image_size,
                                     max_context=max(64, geometry.n_steps + 1))
         tcfg = train_config_from(section, cfg["seed"], out_dir=args.out,
                                  log_path=os.path.join(args.out, "log.csv"))
-    return model_cfg, tcfg
+    ds = read_dataset(args.data)
+    return model_cfg, tcfg, ds, read_dataset(args.val) if args.val else None
 
 
 def cmd_train_refine(args):
-    from .datasets import read_dataset
     from .training import train_refinement
     cfg = _resolve_config(args)
-    ds = read_dataset(args.data)
-    val = read_dataset(args.val) if args.val else None
-    model_cfg, tcfg = _trainer_configs(args, cfg, "train_refine", ds.geometry)
+    model_cfg, tcfg, ds, val = _trainer_inputs(args, cfg, "train_refine")
     _, log = train_refinement(ds, tcfg, model_cfg, val_dataset=val)
     final = [r for r in log if r["split"] == "train"][-1]
     print(f"refinement model: {tcfg.epochs} epochs, final train loss "
@@ -234,14 +223,10 @@ def cmd_train_refine(args):
 
 
 def cmd_train_predict(args):
-    from .datasets import read_dataset
     from .training import train_prediction
     cfg = _resolve_config(args)
-    ds = read_dataset(args.data)
-    val = read_dataset(args.val) if args.val else None
+    model_cfg, tcfg, ds, val = _trainer_inputs(args, cfg, "train_predict")
     re_params, re_cfg = _load_model(args.refine, "refine")
-    model_cfg, tcfg = _trainer_configs(args, cfg, "train_predict",
-                                       ds.geometry)
     _, log = train_prediction(ds, re_params, re_cfg, tcfg, model_cfg,
                               val_dataset=val)
     final = [r for r in log if r["split"] == "train"][-1]
@@ -255,11 +240,11 @@ def cmd_train_uar(args):
     from .datasets import read_dataset
     from .uar import train_uar
     cfg = _resolve_config(args)
-    ds = read_dataset(args.data)
     mode, model_cfg, tcfg = uar_configs_from(
         cfg["train_uar"], cfg["seed"], out_dir=args.out,
         log_path=os.path.join(args.out, "log.csv"))
-    _, log = train_uar(ds, mode, cfg=tcfg, model_cfg=model_cfg)
+    _, log = train_uar(read_dataset(args.data), mode, cfg=tcfg,
+                       model_cfg=model_cfg)
     print(f"adversarial baseline ({mode}): {len(log)} epochs, final loss "
           f"{log[-1]['loss']:.6g}, checkpoint {os.path.join(args.out, 'final')}")
     return 0

@@ -1,28 +1,24 @@
-"""Dataset containers and the on-disk layout.
+"""Dataset containers and their on-disk layout.
 
-A dataset directory holds one meta.json plus raw little-endian float32
-payloads, one file per tensor:
+A dataset directory (artifacts.DATASET) holds one meta.json plus one
+float32 payload per tensor, as every artifact does:
 
     meta.json            geometry, counts, seeds, per-item file names
     gt_<i>.f32           ground-truth frames, T*H*W values, C order
     sino_<i>_t<t>.f32    measured sinogram of item i at step t, n_a(t)*n_off
 
-Raw f32 + explicit metadata keeps the format trivially parseable from any
-language and makes byte-identical regeneration easy to verify with cmp/sha.
-Sinogram sets reuse the same idea for measurement-only data (no gt), which is
-how externally acquired scans enter the pipeline.
+A sinogram set (artifacts.SINOGRAM) holds the same sinogram entries
+without ground truth: it is how externally acquired scans enter the
+pipeline.
 """
 
-import json
 import os
 
 import numpy as np
 
-from .errors import DatasetFormatError, MissingArtifactError
+from .artifacts import DATASET, SINOGRAM, entries, read_f32, read_meta
+from .artifacts import write_f32, write_meta
 from .geometry import ScanGeometry
-
-_FORMAT_DATASET = "tcr-dataset-v1"
-_FORMAT_SINOGRAM = "tcr-sinogram-v1"
 
 
 class Sinogram:
@@ -36,10 +32,11 @@ class Sinogram:
         self.angles = [np.asarray(a, dtype=np.float64) for a in angles]
         self.offsets = np.asarray(offsets, dtype=np.float64)
         for t, (f, a) in enumerate(zip(self.frames, self.angles)):
-            if f.shape != (a.size, self.offsets.size):
-                raise ValueError(
-                    f"step {t}: frame shape {f.shape} does not match "
-                    f"({a.size}, {self.offsets.size})")
+            if (a.ndim, self.offsets.ndim, f.shape) != (
+                    1, 1, (a.size, self.offsets.size)):
+                raise ValueError(f"step {t}: frame shape {f.shape} does not "
+                                 f"match angles {a.shape}, offsets "
+                                 f"{self.offsets.shape}")
 
     @property
     def n_steps(self):
@@ -66,35 +63,29 @@ class Dataset:
         return len(self.gt)
 
 
-def _write_f32(path, arr):
-    np.asarray(arr, dtype="<f4").tofile(path)
+def _write_sinos(path, i, sino):
+    """Write item i's sinogram payloads; return their meta.json entries."""
+    out = []
+    for t, (frame, ang) in enumerate(zip(sino.frames, sino.angles)):
+        fname = f"sino_{i}_t{t}.f32"
+        write_f32(os.path.join(path, fname), frame)
+        out.append({"file": fname, "shape": list(frame.shape),
+                    "angles": [float(a) for a in ang]})
+    return out
 
 
-def _read_f32(path, shape, name):
-    try:
-        raw = np.fromfile(path, dtype="<f4")
-    except FileNotFoundError:
-        raise MissingArtifactError(f"missing payload file for {name}: {path}")
-    expected = int(np.prod(shape))
-    if raw.size != expected:
-        raise DatasetFormatError(
-            f"tensor {name}: payload {path} holds {raw.size} float32 values, "
-            f"expected {expected} for shape {tuple(shape)}")
-    return raw.reshape(shape)
-
-
-def _dump_meta(path, meta):
-    # sort_keys + fixed separators so regeneration is byte-identical
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(meta, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-def _load_meta(path):
-    if not os.path.isfile(path):
-        raise MissingArtifactError(f"missing meta.json: {path}")
-    with open(path, "r", encoding="ascii") as fh:
-        return json.load(fh)
+def _read_sinos(path, sino_entries, offsets):
+    """Sinogram of one item; each payload is read at the shape
+    (number of angles, number of offsets) that its entry gives."""
+    frames, angles = [], []
+    for entry in sino_entries:
+        shape = [len(entry["angles"]), offsets.size]
+        if entry["shape"] != shape:
+            raise ValueError(f"{entry['file']}: shape {entry['shape']}, "
+                             f"its angles and offsets give {shape}")
+        frames.append(read_f32(os.path.join(path, entry["file"]), shape))
+        angles.append(np.asarray(entry["angles"], dtype=np.float64))
+    return Sinogram(frames, angles, offsets)
 
 
 def write_dataset(ds, path):
@@ -102,23 +93,11 @@ def write_dataset(ds, path):
     os.makedirs(path, exist_ok=True)
     items = []
     for i, (gt, sino) in enumerate(zip(ds.gt, ds.sinograms)):
-        gt_file = f"gt_{i}.f32"
-        _write_f32(os.path.join(path, gt_file), gt)
-        sino_files = []
-        for t, frame in enumerate(sino.frames):
-            fname = f"sino_{i}_t{t}.f32"
-            _write_f32(os.path.join(path, fname), frame)
-            sino_files.append(fname)
-        items.append({
-            "index": i,
-            "gt": {"file": gt_file, "shape": list(gt.shape)},
-            "sino": [{"file": f, "shape": list(fr.shape),
-                      "angles": [float(a) for a in ang]}
-                     for f, fr, ang in zip(sino_files, sino.frames,
-                                           sino.angles)],
-        })
+        write_f32(os.path.join(path, f"gt_{i}.f32"), gt)
+        items.append({"index": i,
+                      "gt": {"file": f"gt_{i}.f32", "shape": list(gt.shape)},
+                      "sino": _write_sinos(path, i, sino)})
     meta = {
-        "format": _FORMAT_DATASET,
         "endianness": "LE",
         "dtype": "float32",
         "geometry": ds.geometry.to_dict(),
@@ -130,57 +109,42 @@ def write_dataset(ds, path):
     }
     if ds.specs is not None:
         meta["phantoms"] = ds.specs
-    _dump_meta(os.path.join(path, "meta.json"), meta)
+    write_meta(path, DATASET, meta)
+
+
+def read_geometry(path):
+    """The ScanGeometry of a dataset directory, without reading payloads."""
+    with entries(path):
+        return ScanGeometry.from_dict(read_meta(path, DATASET)["geometry"])
 
 
 def read_dataset(path):
-    """Load a dataset directory, validating every payload size."""
-    meta = _load_meta(os.path.join(path, "meta.json"))
-    if meta.get("format") != _FORMAT_DATASET:
-        raise DatasetFormatError(
-            f"{path}: format {meta.get('format')!r}, expected {_FORMAT_DATASET!r}")
-    geom = ScanGeometry.from_dict(meta["geometry"])
-    gt, sinos = [], []
-    for item in meta["items"]:
-        i = item["index"]
-        gt.append(_read_f32(os.path.join(path, item["gt"]["file"]),
-                            item["gt"]["shape"], f"gt_{i}"))
-        frames, angles = [], []
-        for t, entry in enumerate(item["sino"]):
-            frames.append(_read_f32(os.path.join(path, entry["file"]),
-                                    entry["shape"], f"sino_{i}_t{t}"))
-            angles.append(np.asarray(entry["angles"], dtype=np.float64))
-        sinos.append(Sinogram(frames, angles, geom.offsets))
-    return Dataset(geom, gt, sinos, seed=meta["seed"], split=meta["split"],
-                   noise_level=meta["noise_level"],
-                   specs=meta.get("phantoms"))
+    """Load a dataset directory, checking its entries and every payload."""
+    meta = read_meta(path, DATASET)
+    with entries(path):
+        geom = ScanGeometry.from_dict(meta["geometry"])
+        gt = [read_f32(os.path.join(path, item["gt"]["file"]),
+                       item["gt"]["shape"]) for item in meta["items"]]
+        sinos = [_read_sinos(path, item["sino"], geom.offsets)
+                 for item in meta["items"]]
+        return Dataset(geom, gt, sinos, seed=meta["seed"],
+                       split=meta["split"], noise_level=meta["noise_level"],
+                       specs=meta.get("phantoms"))
 
 
 def write_sinogram_set(sinograms, image_size, path):
     """Measurement-only directory: meta.json + sino_<i>_t<t>.f32 files."""
     os.makedirs(path, exist_ok=True)
-    items = []
-    offsets = None
-    for i, sino in enumerate(sinograms):
-        if offsets is None:
-            offsets = sino.offsets
-        entry = []
-        for t, frame in enumerate(sino.frames):
-            fname = f"sino_{i}_t{t}.f32"
-            _write_f32(os.path.join(path, fname), frame)
-            entry.append({"file": fname, "shape": list(frame.shape),
-                          "angles": [float(a) for a in sino.angles[t]]})
-        items.append({"index": i, "sino": entry})
     meta = {
-        "format": _FORMAT_SINOGRAM,
         "endianness": "LE",
         "dtype": "float32",
         "image_size": int(image_size),
-        "offsets": [float(o) for o in offsets],
+        "offsets": [float(o) for o in sinograms[0].offsets],
         "n_items": len(sinograms),
-        "items": items,
+        "items": [{"index": i, "sino": _write_sinos(path, i, sino)}
+                  for i, sino in enumerate(sinograms)],
     }
-    _dump_meta(os.path.join(path, "meta.json"), meta)
+    write_meta(path, SINOGRAM, meta)
 
 
 def load_external_sinogram(path):
@@ -190,27 +154,9 @@ def load_external_sinogram(path):
     the metadata, so scans acquired elsewhere only need meta.json + raw f32
     payloads to be reconstructable.
     """
-    meta = _load_meta(os.path.join(path, "meta.json"))
-    if meta.get("format") != _FORMAT_SINOGRAM:
-        raise DatasetFormatError(
-            f"{path}: format {meta.get('format')!r}, expected {_FORMAT_SINOGRAM!r}")
-    offsets = np.asarray(meta["offsets"], dtype=np.float64)
-    sinos = []
-    for item in meta["items"]:
-        i = item["index"]
-        frames, angles = [], []
-        for t, entry in enumerate(item["sino"]):
-            shape = entry["shape"]
-            if len(shape) != 2 or shape[1] != offsets.size:
-                raise DatasetFormatError(
-                    f"sino_{i}_t{t}: shape {shape} does not match "
-                    f"{offsets.size} offsets")
-            frames.append(_read_f32(os.path.join(path, entry["file"]),
-                                    shape, f"sino_{i}_t{t}"))
-            ang = np.asarray(entry["angles"], dtype=np.float64)
-            if ang.size != shape[0]:
-                raise DatasetFormatError(
-                    f"sino_{i}_t{t}: {ang.size} angles for {shape[0]} rows")
-            angles.append(ang)
-        sinos.append(Sinogram(frames, angles, offsets))
-    return sinos, int(meta["image_size"])
+    meta = read_meta(path, SINOGRAM)
+    with entries(path):
+        offsets = np.asarray(meta["offsets"], dtype=np.float64)
+        sinos = [_read_sinos(path, item["sino"], offsets)
+                 for item in meta["items"]]
+        return sinos, int(meta["image_size"])

@@ -20,7 +20,10 @@ class ConfigError(ValueError):
 
 
 class DatasetFormatError(ValueError):
-    """On-disk dataset or checkpoint payload does not match its metadata."""
+    """A dataset, sinogram set, checkpoint or result on disk is malformed:
+    meta.json is not a JSON object, has the wrong format tag or a missing
+    or mistyped entry, or a payload has the wrong size or a non-finite
+    value.  The message names the file."""
 
 
 class MissingArtifactError(FileNotFoundError):

@@ -14,8 +14,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .datasets import _dump_meta, _load_meta, _read_f32, _write_f32
-from .errors import ConfigError, DatasetFormatError, NumericalError
+from .artifacts import RESULT, entries, read_f32, read_meta, write_f32
+from .artifacts import write_meta
+from .errors import ConfigError, NumericalError
 from .geometry import operator_for_angles
 from .metrics import psnr, ssim
 from .solvers import l1_tcr_fista, l1_tv_tcr_pdhg, l2_tcr
@@ -305,43 +306,36 @@ def aggregate_metrics(tables):
 
 # ------------------------------------------------------- persistence
 
+_RESULT_PAYLOADS = ("recon", "priors", "refined", "initial")
+
+
 def save_result(path, result, extra=None):
     """Write a reconstruction result directory (.f32 frames + meta.json)."""
     os.makedirs(path, exist_ok=True)
     t, h, w = result.reconstructions.shape
     meta = {
-        "format": "tcr-result-v1",
         "n_frames": t,
         "image_size": h,
         "extra": dict(extra or {}),
         "metrics": result.metrics,
         "stop_reasons": [r["report"].stop_reason for r in result.reports],
     }
-    _dump_meta(os.path.join(path, "meta.json"), meta)
-    _write_f32(os.path.join(path, "recon.f32"),
-               result.reconstructions.astype(np.float32))
-    _write_f32(os.path.join(path, "priors.f32"), result.predictions)
-    _write_f32(os.path.join(path, "refined.f32"), result.refined)
-    _write_f32(os.path.join(path, "initial.f32"),
-               result.initial.astype(np.float32))
+    write_meta(path, RESULT, meta)
+    for name, arr in zip(_RESULT_PAYLOADS, (
+            result.reconstructions, result.predictions, result.refined,
+            result.initial)):
+        write_f32(os.path.join(path, name + ".f32"), arr)
 
 
 def load_result(path):
     """Read back a result directory written by save_result."""
-    meta = _load_meta(os.path.join(path, "meta.json"))
-    if meta.get("format") != "tcr-result-v1":
-        raise DatasetFormatError(f"not a reconstruction result: {path}")
-    t = int(meta["n_frames"])
-    size = int(meta["image_size"])
-    recon = _read_f32(os.path.join(path, "recon.f32"), (t, size, size),
-                      "recon")
-    priors = _read_f32(os.path.join(path, "priors.f32"),
-                       (t - 1, size, size), "priors")
-    refined = _read_f32(os.path.join(path, "refined.f32"), (2, size, size),
-                        "refined")
-    initial = _read_f32(os.path.join(path, "initial.f32"), (2, size, size),
-                        "initial")
-    result = ReconResult(reconstructions=recon.astype(np.float64),
-                         predictions=priors, refined=refined,
-                         initial=initial, metrics=meta.get("metrics", []))
+    meta = read_meta(path, RESULT)
+    with entries(path):
+        t, size = int(meta["n_frames"]), int(meta["image_size"])
+        recon, priors, refined, initial = (
+            read_f32(os.path.join(path, name + ".f32"), (n, size, size))
+            for name, n in zip(_RESULT_PAYLOADS, (t, t - 1, 2, 2)))
+        result = ReconResult(reconstructions=recon.astype(np.float64),
+                             predictions=priors, refined=refined,
+                             initial=initial, metrics=meta.get("metrics", []))
     return result, meta

@@ -14,14 +14,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import Tensor, no_grad, scale, tslice, tsum
+from .autodiff import Tensor, scale, tslice, tsum
 from .checkpoint import save_checkpoint
 from .errors import ConfigError, DatasetFormatError
 from .geometry import operator_for_angles
 from .optim import adamw_step, init_adamw, lr_cosine
 from .solvers import l2_tcr
 from .spec import check_fields, spec
-from .stt import SttConfig, init_stt_params, refine, stt_apply
+from .stt import SttConfig, init_stt_params, refine, rollout, stt_apply
 
 __all__ = [
     "TrainConfig",
@@ -339,16 +339,12 @@ def train_prediction(dataset, refine_params, refine_cfg, cfg, model_cfg=None,
         if val_refined is not None:
             v_total = 0.0
             v_steps = 0
-            with no_grad():
-                for i in range(val_refined.shape[0]):
-                    frames = list(val_refined[i])
-                    for t in range(2, val_gt.shape[1]):
-                        out = stt_apply(params, model_cfg,
-                                        np.stack(frames)[None]).data[0]
-                        pred_frame = out[t]
-                        v_total += float(np.sum((pred_frame - val_gt[i, t]) ** 2))
-                        v_steps += 1
-                        frames.append(pred_frame.astype(np.float32))
+            for i in range(val_refined.shape[0]):
+                frames = rollout(params, model_cfg, val_refined[i],
+                                 val_gt.shape[1] - 2)
+                for t in range(2, val_gt.shape[1]):
+                    v_total += float(np.sum((frames[t] - val_gt[i, t]) ** 2))
+                    v_steps += 1
             log.append({"epoch": e, "split": "val",
                         "loss": v_total / max(v_steps, 1), "lr": lr,
                         "gt_ratio": "", "tf_ratio": tf, "rollout": cap})

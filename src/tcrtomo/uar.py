@@ -518,6 +518,8 @@ def train_uar(dataset, mode, cfg=None, model_cfg=None, sampler_trace=None):
     params = init_uar_params(mode, model_cfg, seed=cfg.seed)
     gen = generator_params(params)
     reg = critic_params(params)
+    # the critic's arrays without gradient: generator updates fill no .grad
+    critic = {k: Tensor(t.data) for k, t in reg.items()}
     opt_reg = init_adamw(reg, betas=cfg.betas, eps=cfg.adam_eps,
                          weight_decay=0.0)
     opt_gen = init_adamw(gen, betas=cfg.betas, eps=cfg.adam_eps,
@@ -555,7 +557,7 @@ def train_uar(dataset, mode, cfg=None, model_cfg=None, sampler_trace=None):
             trace(2, -1, i_psi)
             psi, aop = psi_pool[i_psi]
             parts = {}
-            loss = gen_loss(gen, reg, psi, aop, cfg.alpha, parts=parts)
+            loss = gen_loss(gen, critic, psi, aop, cfg.alpha, parts=parts)
             skipped += _update(gen, opt_gen, loss, cfg.lr_warmup)
             losses.append(float(loss.data))
             fits.append(parts["datafit"])
@@ -581,7 +583,7 @@ def train_uar(dataset, mode, cfg=None, model_cfg=None, sampler_trace=None):
             reg_losses.append(float(r_loss.data))
             gps.append(parts["gp"])
             parts = {}
-            g_loss = gen_loss(gen, reg, psi, aop, cfg.alpha, parts=parts)
+            g_loss = gen_loss(gen, critic, psi, aop, cfg.alpha, parts=parts)
             skipped += _update(gen, opt_gen, g_loss, cfg.lr_adversarial)
             gen_losses.append(float(g_loss.data))
             fits.append(parts["datafit"])

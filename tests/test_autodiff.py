@@ -266,6 +266,37 @@ def test_conv_transpose_rejects_unreachable_output_size():
                             padding=((1, 1), (0, 0), (0, 0)))
 
 
+@pytest.mark.parametrize("op, nd", [(ad.conv_transpose2d, 2),
+                                   (ad.conv_transpose3d, 3),
+                                   (ad.conv2d, 2), (ad.conv3d, 3)])
+def test_conv_rejects_wrong_rank(op, nd):
+    """Input and weight must both have nd + 2 axes."""
+    x, w = np.ones((1, 1) + (4,) * nd), np.ones((1, 1) + (3,) * nd)
+    for bad_x, bad_w in ((x[..., 0], w), (x[..., None], w),
+                         (x, w[..., 0]), (x, w[..., None])):
+        with pytest.raises(ValueError, match=f"{nd + 2} axes"):
+            op(Tensor(bad_x), Tensor(bad_w))
+
+
+def test_backward_skips_operands_without_grad(monkeypatch):
+    """matmul and conv compute no gradient for an operand needing none."""
+    a = Tensor(rand((3, 4), 5), requires_grad=True)
+    b = Tensor(rand((4, 2), 6))
+    ad.tsum(ad.matmul(a, b)).backward()
+    assert a.grad is not None and b.grad is None
+    weight_grads = []
+    conv_dw = ad._conv_dw
+    monkeypatch.setattr(ad, "_conv_dw",
+                        lambda *args: weight_grads.append(1) or conv_dw(*args))
+    x = Tensor(rand((1, 2, 5, 5), 7), requires_grad=True)
+    w = Tensor(rand((3, 2, 3, 3), 8))
+    ad.tsum(ad.conv2d(x, w)).backward()
+    assert x.grad is not None and w.grad is None and not weight_grads
+    w.requires_grad = True
+    ad.tsum(ad.conv2d(x, w)).backward()
+    assert w.grad is not None and weight_grads == [1]
+
+
 def test_grad_conv_transpose3d():
     x = t64(rand((1, 2, 3, 3, 3), 34))
     w = t64(rand((2, 2, 2, 3, 3), 35))

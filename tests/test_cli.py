@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -68,6 +69,12 @@ def work(tmp_path_factory):
     return SimpleNamespace(root=root, cfg=cfg_path, data=data,
                            refine=refine / "final",
                            predict=predict / "final", results=results)
+
+
+def copy_tree(src, dst):
+    """Copy of an artifact directory, to break without touching src."""
+    shutil.copytree(src, dst)
+    return dst
 
 
 def tree_bytes(path):
@@ -207,6 +214,41 @@ class TestExitCodes:
         assert rc == 3
         assert stderr_payload(capsys)["error"] == "missing-artifact"
 
+    @pytest.mark.parametrize("command, target, edit, named", [
+        ("train-refine", "data", lambda m: m.pop("geometry"), "meta.json"),
+        ("train-refine", "data", "{not json", "meta.json"),
+        ("train-refine", "data",
+         lambda m: m["items"][0]["sino"][2]["angles"].pop(), "meta.json"),
+        ("train-predict", "refine", lambda m: m.pop("tensors"), "meta.json"),
+        ("train-predict", "refine", "nan", "weights.f32"),
+    ], ids=["no-geometry", "not-json", "angle-count", "no-tensors",
+            "nan-weight"])
+    def test_bad_artifact_is_3(self, work, tmp_path, capsys, command,
+                               target, edit, named):
+        """A broken dataset or checkpoint exits 3 and names the file."""
+        src = work.data / "train" if target == "data" else work.refine
+        broken = copy_tree(src, tmp_path / target)
+        if edit == "nan":
+            meta = json.loads((broken / "meta.json").read_text())
+            with open(broken / named, "r+b") as fh:
+                fh.seek(meta["tensors"]["head.w"]["offset"])
+                fh.write(np.float32(np.nan).tobytes())
+        elif isinstance(edit, str):
+            (broken / named).write_text(edit)
+        else:
+            meta = json.loads((broken / named).read_text())
+            edit(meta)
+            (broken / named).write_text(json.dumps(meta))
+        data = broken if target == "data" else work.data / "train"
+        argv = [command, "--config", work.cfg, "--data", data,
+                "--out", tmp_path / "o"]
+        if command == "train-predict":
+            argv += ["--refine", broken]
+        assert run_cli(*argv) == 3
+        payload = stderr_payload(capsys)
+        assert payload["error"] == "format-mismatch"
+        assert str(broken / named) in payload["message"]
+
     def test_wrong_checkpoint_kind_is_3(self, work, tmp_path, capsys):
         rc = run_cli("reconstruct", "--input", work.data / "test",
                      "--refine", work.predict, "--predict", work.predict,
@@ -262,15 +304,25 @@ class TestExitCodes:
          "/train_uar/lr_warmup"),
         ("train-refine", {"train_refine": {"model": {"model_dim": 65}}},
          "/train_refine/model/model_dim"),
+        ("train-predict", {"train_predict": {"model": {"heads": 3}}},
+         "/train_predict/model/model_dim"),
     ])
     def test_config_error_path_is_2(self, work, tmp_path, capsys, command,
                                     doc, path):
-        """NaN in a file, bounds the dataclass enforces, relational checks."""
+        """NaN in a file, bounds the dataclass enforces, relational checks.
+
+        The trainers get a dataset with a truncated payload: a config
+        error must surface before any payload is read."""
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(doc))
         argv = [command, "--config", cfg, "--out", tmp_path / "o"]
         if command != "gen-data":
-            argv += ["--data", work.data / "train"]
+            data = copy_tree(work.data / "train", tmp_path / "data")
+            blob = data / "gt_0.f32"
+            blob.write_bytes(blob.read_bytes()[:-4])
+            argv += ["--data", data]
+        if command == "train-predict":
+            argv += ["--refine", work.refine]
         assert run_cli(*argv) == 2
         payload = stderr_payload(capsys)
         assert payload["error"] == "schema-violation"

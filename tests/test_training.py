@@ -9,7 +9,7 @@ from tcrtomo.autodiff import linear_map
 from tcrtomo.errors import ConfigError, DatasetFormatError
 from tcrtomo.geometry import ScanGeometry
 from tcrtomo.phantoms import generate_dataset
-from tcrtomo.stt import SttConfig, init_stt_params, refine
+from tcrtomo.stt import SttConfig, init_stt_params, refine, stt_forward
 from tcrtomo.training import (TrainConfig, gt_ratio, landweber_pairs,
                               max_rollout, prediction_train_config,
                               rollout_prob, teacher_forcing_ratio,
@@ -234,6 +234,25 @@ class TestPredictionLoop:
         _, log1 = train_prediction(ds, re_params, TINY_MODEL, cfg)
         _, log2 = train_prediction(ds, re_params, TINY_MODEL, cfg)
         assert log1 == log2
+
+    def test_val_loss_is_the_rollout_error(self):
+        """Validation rolls the model out from the refined pair and sums
+        the squared error of every predicted frame, frame by frame."""
+        ds, re_params = self._refined_setup(n_steps=5)
+        val = _tiny_dataset(n_items=2, n_steps=5, seed=99)
+        cfg = prediction_train_config(epochs=1, batch_size=4, seed=0)
+        params, log = train_prediction(ds, re_params, TINY_MODEL, cfg,
+                                       val_dataset=val)
+        lw = landweber_pairs(val, max_iter=cfg.landweber_iters)
+        total = 0.0
+        for i, gt in enumerate(val.gt):
+            frames = list(refine(re_params, TINY_MODEL, lw[i]))
+            for t in range(2, 5):
+                pred = stt_forward(params, TINY_MODEL, np.stack(frames))[t]
+                total += float(np.sum((pred - gt[t]) ** 2))
+                frames.append(pred)
+        assert log[-1]["split"] == "val"
+        assert log[-1]["loss"] == total / 6
 
     def test_loss_decreases(self):
         ds, re_params = self._refined_setup(n_items=6, n_steps=4)

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from tcrtomo import uar
 from tcrtomo.autodiff import Tensor, gradcheck, no_grad
 from tcrtomo.checkpoint import load_checkpoint
 from tcrtomo.datasets import Dataset
@@ -434,6 +435,35 @@ class TestTraining:
                              seed=12)
         p1, log1 = train_uar(tiny_dataset, "static2d", cfg, TINY)
         p2, log2 = train_uar(tiny_dataset, "static2d", cfg, TINY)
+        assert log1 == log2
+        assert all(np.array_equal(p1[k].data, p2[k].data) for k in p1)
+
+    def test_generator_update_fills_no_critic_grad(self, tiny_dataset):
+        cfg = UarTrainConfig(phase1_epochs=0, phase2_epochs=1,
+                             phase3_epochs=0, seed=2)
+        params, _ = train_uar(tiny_dataset, "static2d", cfg, TINY)
+        assert all(t.grad is None for t in critic_params(params).values())
+        assert any(t.grad is not None
+                   for t in generator_params(params).values())
+
+    @pytest.mark.parametrize("mode", ["static2d", "dynamic3d"])
+    def test_frozen_critic_matches_live_critic(self, tiny_dataset,
+                                               monkeypatch, mode):
+        """Generator updates scored by a critic that needs no gradient
+        train bitwise the same as with the trainable critic Tensors."""
+        cfg = UarTrainConfig(phase1_epochs=1, phase2_epochs=1,
+                             phase3_epochs=2, seed=4)
+        ds = Dataset(tiny_dataset.geometry, tiny_dataset.gt[:2],
+                     tiny_dataset.sinograms[:2])
+        p1, log1 = train_uar(ds, mode, cfg, TINY)
+
+        def live_critic_loss(params, critic, *args, **kwargs):
+            live = {k: Tensor(t.data, requires_grad=True)
+                    for k, t in critic.items()}
+            return gen_loss(params, live, *args, **kwargs)
+
+        monkeypatch.setattr(uar, "gen_loss", live_critic_loss)
+        p2, log2 = train_uar(ds, mode, cfg, TINY)
         assert log1 == log2
         assert all(np.array_equal(p1[k].data, p2[k].data) for k in p1)
 
