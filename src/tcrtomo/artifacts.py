@@ -5,8 +5,8 @@ below, shapes and provenance, and payload files of little-endian float32
 values in C order, which any language can parse and cmp can compare.
 This is the only module that reads or writes either part.  A load checks
 the tag, the entries it reads (through `entries`), and each payload's
-size and finiteness; a failure is a DatasetFormatError naming the file,
-an absent file a MissingArtifactError.
+size and finiteness; a failure, or a file that cannot be read, is a
+DatasetFormatError naming the file, an absent file a MissingArtifactError.
 """
 
 import contextlib
@@ -41,6 +41,9 @@ def read_meta(path, *formats):
             meta = json.loads(fh.read())
     except FileNotFoundError:
         raise MissingArtifactError(f"missing meta.json: {meta_path}") from None
+    except OSError as exc:  # a directory in its place, or unreadable
+        raise DatasetFormatError(
+            f"{meta_path}: cannot read: {exc.strerror or exc}") from None
     except ValueError as exc:  # not JSON, or not UTF-8 text
         raise DatasetFormatError(f"{meta_path}: not JSON: {exc}") from None
     fmt = meta.get("format") if isinstance(meta, dict) else None
@@ -83,6 +86,9 @@ def read_f32(path, shape=None):
         values = np.fromfile(path, dtype="<f4")
     except FileNotFoundError:
         raise MissingArtifactError(f"missing payload: {path}") from None
+    except OSError as exc:
+        raise DatasetFormatError(
+            f"{path}: cannot read: {exc.strerror or exc}") from None
     return values if shape is None else check_f32(values, shape, path)
 
 

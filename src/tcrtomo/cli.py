@@ -100,11 +100,11 @@ def _result_items(path):
     for name in sorted(os.listdir(path)):
         m = re.fullmatch(r"item_(\d+)", name)
         child = os.path.join(path, name)
-        if m and os.path.isfile(os.path.join(child, "meta.json")):
+        if m and os.path.exists(os.path.join(child, "meta.json")):
             items.append((int(m.group(1)), child))
     if items:
         return items
-    if os.path.isfile(os.path.join(path, "meta.json")):
+    if os.path.exists(os.path.join(path, "meta.json")):
         return [(None, path)]
     raise MissingArtifactError(f"no reconstruction results under {path}")
 

@@ -182,6 +182,9 @@ def load_config(path=None, preset=None, overrides=None):
                 doc = json.load(fh)
         except FileNotFoundError:
             raise MissingArtifactError(f"config file not found: {path}")
+        except OSError as exc:  # a directory, or unreadable
+            raise MissingArtifactError(
+                f"config file cannot be read: {path}: {exc.strerror or exc}")
         except json.JSONDecodeError as exc:
             raise ConfigError("/", f"config file is not valid JSON: {exc}")
         validate_config(doc)

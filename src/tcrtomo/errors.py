@@ -21,13 +21,15 @@ class ConfigError(ValueError):
 
 class DatasetFormatError(ValueError):
     """A dataset, sinogram set, checkpoint or result on disk is malformed:
+    a file of it cannot be read (say, a directory stands in its place),
     meta.json is not a JSON object, has the wrong format tag or a missing
     or mistyped entry, or a payload has the wrong size or a non-finite
     value.  The message names the file."""
 
 
 class MissingArtifactError(FileNotFoundError):
-    """A required input file (dataset, checkpoint, results dir) is absent."""
+    """A required input file (dataset, checkpoint, results dir) is absent,
+    or a config file cannot be read."""
 
 
 class NumericalError(RuntimeError):

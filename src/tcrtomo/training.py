@@ -163,18 +163,66 @@ def write_log(path, rows):
         writer.writerows(rows)
 
 
-def _checkpoint(cfg, params, optimizer, model_cfg, kind, epoch, final=False):
-    if cfg.out_dir is None:
-        return
-    want_cadence = cfg.checkpoint_every > 0 and (epoch + 1) % cfg.checkpoint_every == 0
-    if final:
-        path = os.path.join(cfg.out_dir, "final")
-    elif want_cadence:
-        path = os.path.join(cfg.out_dir, f"epoch_{epoch + 1:03d}")
-    else:
-        return
-    extra = {"epoch": epoch + 1, "kind": kind, "model": model_cfg.to_dict()}
-    save_checkpoint(path, params, extra=extra, optimizer=optimizer)
+# ------------------------------------------------------- shared epoch loop
+
+_NO_SCHEDULE = dict.fromkeys(("gt_ratio", "tf_ratio", "rollout"), "")
+
+
+def _fit(dataset, val_dataset, cfg, model_cfg, kind, salt, prepare, batch,
+         val_loss, val_columns):
+    """Epoch loop of both STT trainers; returns (params, log_rows).
+
+    prepare(dataset) turns a dataset into arrays with one row per item.
+    batch(params, optimizer, rng, data, idx, e, lr) trains on the items
+    idx and returns ([(loss, count), ...], refused updates, schedule
+    columns); val_loss(params, val_data) gives the validation loss. The
+    val row repeats the schedule columns named in val_columns.
+    """
+    size = dataset.geometry.image_size
+    if model_cfg.image_size != size:
+        raise ConfigError("model.image_size",
+                          f"{model_cfg.image_size} does not match dataset {size}")
+    data = prepare(dataset)
+    val = prepare(val_dataset) if val_dataset is not None else None
+    n = len(dataset)
+
+    params = init_stt_params(model_cfg, seed=cfg.seed)
+    optimizer = init_adamw(params, betas=cfg.betas, eps=cfg.adam_eps,
+                           weight_decay=cfg.weight_decay)
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, salt]))
+
+    log = []
+    for e in range(cfg.epochs):
+        lr = lr_cosine(e, cfg.warmup, cfg.epochs, cfg.min_lr, cfg.max_lr,
+                       cfg.hold_until)
+        order = rng.permutation(n)
+        total, steps, skipped = 0.0, 0, 0
+        for start in range(0, n, cfg.batch_size):
+            losses, refused, cols = batch(params, optimizer, rng, data,
+                                          order[start:start + cfg.batch_size],
+                                          e, lr)
+            skipped += refused
+            for loss, count in losses:
+                total += loss * count
+                steps += count
+        rows = [("train", total / max(steps, 1), {**cols, "skipped": skipped})]
+        if val is not None:
+            rows.append(("val", val_loss(params, val),
+                         {k: cols[k] for k in val_columns}))
+        log += [{"epoch": e, "split": split, "loss": loss, "lr": lr,
+                 **_NO_SCHEDULE, **rest} for split, loss, rest in rows]
+
+        last = e == cfg.epochs - 1
+        due = cfg.checkpoint_every > 0 and (e + 1) % cfg.checkpoint_every == 0
+        if cfg.out_dir is not None and (last or due):
+            name = "final" if last else f"epoch_{e + 1:03d}"
+            extra = {"epoch": e + 1, "kind": kind, "model": model_cfg.to_dict()}
+            save_checkpoint(os.path.join(cfg.out_dir, name), params,
+                            extra=extra, optimizer=optimizer)
+
+    if cfg.log_path:
+        write_log(cfg.log_path, log)
+    return params, log
 
 
 # ------------------------------------------------------ refinement training
@@ -189,60 +237,34 @@ def train_refinement(dataset, cfg, model_cfg=None, val_dataset=None):
 
     Returns (params, log_rows); writes CSV/checkpoints per cfg.
     """
-    size = dataset.geometry.image_size
     if model_cfg is None:
-        model_cfg = SttConfig(image_size=size)
-    if model_cfg.image_size != size:
-        raise ConfigError("model.image_size",
-                          f"{model_cfg.image_size} does not match dataset {size}")
+        model_cfg = SttConfig(image_size=dataset.geometry.image_size)
 
-    lw = landweber_pairs(dataset, max_iter=cfg.landweber_iters)
-    gt = np.stack([g[:2] for g in dataset.gt]).astype(np.float32)
-    n = gt.shape[0]
-    val_lw = val_gt = None
-    if val_dataset is not None:
-        val_lw = landweber_pairs(val_dataset, max_iter=cfg.landweber_iters)
-        val_gt = np.stack([g[:2] for g in val_dataset.gt]).astype(np.float32)
+    def prepare(ds):
+        return (landweber_pairs(ds, max_iter=cfg.landweber_iters),
+                np.stack([g[:2] for g in ds.gt]).astype(np.float32))
 
-    params = init_stt_params(model_cfg, seed=cfg.seed)
-    optimizer = init_adamw(params, betas=cfg.betas, eps=cfg.adam_eps,
-                           weight_decay=cfg.weight_decay)
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 101]))
-
-    log = []
-    for e in range(cfg.epochs):
-        lr = lr_cosine(e, cfg.warmup, cfg.epochs, cfg.min_lr, cfg.max_lr,
-                       cfg.hold_until)
+    def batch(params, optimizer, rng, data, idx, e, lr):
+        lw, gt = data
         g_ratio = gt_ratio(e)
-        order = rng.permutation(n)
-        total, skipped = 0.0, 0
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            use_gt = rng.random(len(idx)) < g_ratio
-            x = np.where(use_gt[:, None, None, None], gt[idx], lw[idx])
-            out = stt_apply(params, model_cfg, x.astype(np.float32))
-            diff = tslice(out, (slice(None), slice(0, 2))) - Tensor(gt[idx])
-            loss = scale(tsum(diff * diff), 0.5 / len(idx))
-            skipped += _update(params, optimizer, loss, lr)
-            total += loss.item() * len(idx)
-        log.append({"epoch": e, "split": "train", "loss": total / n, "lr": lr,
-                    "gt_ratio": g_ratio, "tf_ratio": "", "rollout": "",
-                    "skipped": skipped})
+        use_gt = rng.random(len(idx)) < g_ratio
+        x = np.where(use_gt[:, None, None, None], gt[idx], lw[idx])
+        out = stt_apply(params, model_cfg, x.astype(np.float32))
+        diff = tslice(out, (slice(None), slice(0, 2))) - Tensor(gt[idx])
+        loss = scale(tsum(diff * diff), 0.5 / len(idx))
+        refused = _update(params, optimizer, loss, lr)
+        return [(loss.item(), len(idx))], refused, {"gt_ratio": g_ratio}
 
-        if val_lw is not None:
-            v_total = 0.0
-            for i in range(val_lw.shape[0]):
-                ref = refine(params, model_cfg, val_lw[i])
-                v_total += 0.5 * float(np.sum((ref - val_gt[i]) ** 2))
-            log.append({"epoch": e, "split": "val",
-                        "loss": v_total / val_lw.shape[0], "lr": lr,
-                        "gt_ratio": "", "tf_ratio": "", "rollout": ""})
-        _checkpoint(cfg, params, optimizer, model_cfg, "refine", e,
-                    final=e == cfg.epochs - 1)
+    def val_loss(params, data):
+        lw, gt = data
+        total = 0.0
+        for i in range(lw.shape[0]):
+            ref = refine(params, model_cfg, lw[i])
+            total += 0.5 * float(np.sum((ref - gt[i]) ** 2))
+        return total / lw.shape[0]
 
-    if cfg.log_path:
-        write_log(cfg.log_path, log)
-    return params, log
+    return _fit(dataset, val_dataset, cfg, model_cfg, "refine", 101, prepare,
+                batch, val_loss, val_columns=())
 
 
 # ------------------------------------------------------ prediction training
@@ -263,94 +285,63 @@ def train_prediction(dataset, refine_params, refine_cfg, cfg, model_cfg=None,
 
     Returns (params, log_rows); writes CSV/checkpoints per cfg.
     """
-    size = dataset.geometry.image_size
     if model_cfg is None:
         model_cfg = refine_cfg
-    if model_cfg.image_size != size:
-        raise ConfigError("model.image_size",
-                          f"{model_cfg.image_size} does not match dataset {size}")
-    gt = np.stack(dataset.gt).astype(np.float32)
-    n, n_frames = gt.shape[0], gt.shape[1]
-    if n_frames < 3:
-        raise ConfigError("dataset",
-                          "prediction training needs at least 3 frames per item")
 
-    lw = landweber_pairs(dataset, max_iter=cfg.landweber_iters)
-    refined = np.stack([refine(refine_params, refine_cfg, lw[i])
-                        for i in range(n)]).astype(np.float32)
-    val_refined = val_gt = None
-    if val_dataset is not None:
-        val_lw = landweber_pairs(val_dataset, max_iter=cfg.landweber_iters)
-        val_refined = np.stack([refine(refine_params, refine_cfg, val_lw[i])
-                                for i in range(val_lw.shape[0])]).astype(np.float32)
-        val_gt = np.stack(val_dataset.gt).astype(np.float32)
+    def prepare(ds):
+        gt = np.stack(ds.gt).astype(np.float32)
+        if gt.shape[1] < 3:
+            raise ConfigError("dataset",
+                              "prediction training needs at least 3 frames per item")
+        lw = landweber_pairs(ds, max_iter=cfg.landweber_iters)
+        refined = np.stack([refine(refine_params, refine_cfg, pair)
+                            for pair in lw]).astype(np.float32)
+        return refined, gt
 
-    params = init_stt_params(model_cfg, seed=cfg.seed)
-    optimizer = init_adamw(params, betas=cfg.betas, eps=cfg.adam_eps,
-                           weight_decay=cfg.weight_decay)
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 202]))
+    def batch(params, optimizer, rng, data, idx, e, lr):
+        refined, gt = data
+        tf, cap = teacher_forcing_ratio(e), max_rollout(e)
+        roll = np.where(rng.random(len(idx)) < rollout_prob(e), cap, 1)
+        roll = np.minimum(roll, gt.shape[1] - 2)
+        history = [list(refined[i]) for i in idx]
+        losses, refused = [], 0
+        for s in range(int(roll.max())):
+            t = s + 2
+            active = [j for j in range(len(idx)) if roll[j] > s]
+            x = np.stack([np.stack(history[j]) for j in active])
+            out = stt_apply(params, model_cfg, x)
+            pred = tslice(out, (slice(None), slice(t, t + 1)))
+            target = gt[idx[active], t][:, None]
+            diff = pred - Tensor(target)
+            loss = scale(tsum(diff * diff), 1.0 / len(active))
+            refused += _update(params, optimizer, loss, lr)
+            losses.append((loss.item(), len(active)))
 
-    log = []
-    for e in range(cfg.epochs):
-        lr = lr_cosine(e, cfg.warmup, cfg.epochs, cfg.min_lr, cfg.max_lr,
-                       cfg.hold_until)
-        tf = teacher_forcing_ratio(e)
-        cap = max_rollout(e)
-        prob = rollout_prob(e)
-        order = rng.permutation(n)
-        total = 0.0
-        steps = skipped = 0
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            roll = np.where(rng.random(len(idx)) < prob, cap, 1)
-            roll = np.minimum(roll, n_frames - 2)
-            history = [list(refined[i]) for i in idx]
-            for s in range(int(roll.max())):
-                t = s + 2
-                active = [j for j in range(len(idx)) if roll[j] > s]
-                x = np.stack([np.stack(history[j]) for j in active])
-                out = stt_apply(params, model_cfg, x)
-                pred = tslice(out, (slice(None), slice(t, t + 1)))
-                target = gt[idx[active], t][:, None]
-                diff = pred - Tensor(target)
-                loss = scale(tsum(diff * diff), 1.0 / len(active))
-                skipped += _update(params, optimizer, loss, lr)
-                total += loss.item() * len(active)
-                steps += len(active)
+            use_gt = rng.random(len(active)) < tf
+            pred_np = pred.data[:, 0]
+            sources = []
+            for j, a in enumerate(active):
+                if use_gt[j]:
+                    history[a].append(gt[idx[a], t])
+                    sources.append("gt")
+                else:
+                    history[a].append(pred_np[j].astype(np.float32))
+                    sources.append("pred")
+            if on_step is not None:
+                on_step({"epoch": e, "target": t,
+                         "samples": [int(idx[a]) for a in active],
+                         "sources": sources})
+        return losses, refused, {"tf_ratio": tf, "rollout": cap}
 
-                use_gt = rng.random(len(active)) < tf
-                pred_np = pred.data[:, 0]
-                sources = []
-                for j, a in enumerate(active):
-                    if use_gt[j]:
-                        history[a].append(gt[idx[a], t])
-                        sources.append("gt")
-                    else:
-                        history[a].append(pred_np[j].astype(np.float32))
-                        sources.append("pred")
-                if on_step is not None:
-                    on_step({"epoch": e, "target": t,
-                             "samples": [int(idx[a]) for a in active],
-                             "sources": sources})
-        log.append({"epoch": e, "split": "train", "loss": total / max(steps, 1),
-                    "lr": lr, "gt_ratio": "", "tf_ratio": tf, "rollout": cap,
-                    "skipped": skipped})
+    def val_loss(params, data):
+        refined, gt = data
+        total, steps = 0.0, 0
+        for i in range(refined.shape[0]):
+            frames = rollout(params, model_cfg, refined[i], gt.shape[1] - 2)
+            for t in range(2, gt.shape[1]):
+                total += float(np.sum((frames[t] - gt[i, t]) ** 2))
+                steps += 1
+        return total / max(steps, 1)
 
-        if val_refined is not None:
-            v_total = 0.0
-            v_steps = 0
-            for i in range(val_refined.shape[0]):
-                frames = rollout(params, model_cfg, val_refined[i],
-                                 val_gt.shape[1] - 2)
-                for t in range(2, val_gt.shape[1]):
-                    v_total += float(np.sum((frames[t] - val_gt[i, t]) ** 2))
-                    v_steps += 1
-            log.append({"epoch": e, "split": "val",
-                        "loss": v_total / max(v_steps, 1), "lr": lr,
-                        "gt_ratio": "", "tf_ratio": tf, "rollout": cap})
-        _checkpoint(cfg, params, optimizer, model_cfg, "predict", e,
-                    final=e == cfg.epochs - 1)
-
-    if cfg.log_path:
-        write_log(cfg.log_path, log)
-    return params, log
+    return _fit(dataset, val_dataset, cfg, model_cfg, "predict", 202, prepare,
+                batch, val_loss, val_columns=("tf_ratio", "rollout"))

@@ -525,75 +525,45 @@ def train_uar(dataset, mode, cfg=None, model_cfg=None, sampler_trace=None):
     opt_gen = init_adamw(gen, betas=cfg.betas, eps=cfg.adam_eps,
                          weight_decay=0.0)
 
-    def trace(phase, i_gt, i_psi):
-        if sampler_trace is not None:
-            sampler_trace.append((phase, i_gt, i_psi))
-
+    schedule = ([(1, cfg.lr_warmup)] * cfg.phase1_epochs
+                + [(2, cfg.lr_warmup)] * cfg.phase2_epochs
+                + [(3, cfg.lr_adversarial)] * cfg.phase3_epochs)
     log = []
-    epoch = 0
-    for _ in range(cfg.phase1_epochs):
-        losses, gps, skipped = [], [], 0
+    for epoch, (phase, lr) in enumerate(schedule):
+        reg_losses, gen_losses, fits, gps, skipped = [], [], [], [], 0
         for _ in range(n):
-            i_gt = int(rng.integers(n))
+            # phase 2 trains the generator alone and draws no gt sample
+            i_gt = -1 if phase == 2 else int(rng.integers(n))
             i_psi = int(rng.integers(n))
-            eps_mix = float(rng.random())
-            trace(1, i_gt, i_psi)
-            psi, aop = psi_pool[i_psi]
-            u = aop.fbp(psi).astype(np.float32)
-            parts = {}
-            loss = reg_loss(reg, gt_pool[i_gt], u, eps_mix, cfg.lambda_gp,
-                            parts=parts)
-            skipped += _update(reg, opt_reg, loss, cfg.lr_warmup)
-            losses.append(float(loss.data))
-            gps.append(parts["gp"])
-        log.append({"epoch": epoch, "split": "phase1",
-                    "loss": float(np.mean(losses)), "lr": cfg.lr_warmup,
-                    "skipped": skipped, "gp": float(np.mean(gps))})
-        epoch += 1
-    for _ in range(cfg.phase2_epochs):
-        losses, fits, skipped = [], [], 0
-        for _ in range(n):
-            i_psi = int(rng.integers(n))
-            trace(2, -1, i_psi)
+            if sampler_trace is not None:
+                sampler_trace.append((phase, i_gt, i_psi))
             psi, aop = psi_pool[i_psi]
             parts = {}
-            loss = gen_loss(gen, critic, psi, aop, cfg.alpha, parts=parts)
-            skipped += _update(gen, opt_gen, loss, cfg.lr_warmup)
-            losses.append(float(loss.data))
-            fits.append(parts["datafit"])
-        log.append({"epoch": epoch, "split": "phase2",
-                    "loss": float(np.mean(losses)), "lr": cfg.lr_warmup,
-                    "skipped": skipped, "datafit": float(np.mean(fits))})
-        epoch += 1
-    for _ in range(cfg.phase3_epochs):
-        reg_losses, gen_losses, fits, gps = [], [], [], []
-        skipped = 0
-        for _ in range(n):
-            i_gt = int(rng.integers(n))
-            i_psi = int(rng.integers(n))
-            eps_mix = float(rng.random())
-            trace(3, i_gt, i_psi)
-            psi, aop = psi_pool[i_psi]
-            with no_grad():
-                fake = uar_generator(gen, psi, aop).data.reshape(aop.image_shape)
-            parts = {}
-            r_loss = reg_loss(reg, gt_pool[i_gt], fake, eps_mix,
-                              cfg.lambda_gp, parts=parts)
-            skipped += _update(reg, opt_reg, r_loss, cfg.lr_adversarial)
-            reg_losses.append(float(r_loss.data))
-            gps.append(parts["gp"])
-            parts = {}
-            g_loss = gen_loss(gen, critic, psi, aop, cfg.alpha, parts=parts)
-            skipped += _update(gen, opt_gen, g_loss, cfg.lr_adversarial)
-            gen_losses.append(float(g_loss.data))
-            fits.append(parts["datafit"])
-        log.append({"epoch": epoch, "split": "phase3",
-                    "loss": float(np.mean(gen_losses)),
-                    "lr": cfg.lr_adversarial, "skipped": skipped,
-                    "loss_reg": float(np.mean(reg_losses)),
-                    "datafit": float(np.mean(fits)),
-                    "gp": float(np.mean(gps))})
-        epoch += 1
+            if phase != 2:
+                eps_mix = float(rng.random())
+                fake = (aop.fbp(psi).astype(np.float32) if phase == 1
+                        else uar_reconstruct(gen, psi, aop))
+                loss = reg_loss(reg, gt_pool[i_gt], fake, eps_mix,
+                                cfg.lambda_gp, parts=parts)
+                skipped += _update(reg, opt_reg, loss, lr)
+                reg_losses.append(float(loss.data))
+                gps.append(parts["gp"])
+            if phase != 1:
+                loss = gen_loss(gen, critic, psi, aop, cfg.alpha, parts=parts)
+                skipped += _update(gen, opt_gen, loss, lr)
+                gen_losses.append(float(loss.data))
+                fits.append(parts["datafit"])
+        # loss is the generator's where it trains, else the critic's
+        row = {"epoch": epoch, "split": f"phase{phase}",
+               "loss": float(np.mean(gen_losses or reg_losses)), "lr": lr,
+               "skipped": skipped}
+        if phase == 3:
+            row["loss_reg"] = float(np.mean(reg_losses))
+        if fits:
+            row["datafit"] = float(np.mean(fits))
+        if gps:
+            row["gp"] = float(np.mean(gps))
+        log.append(row)
     if cfg.out_dir is not None:
         extra = {"kind": "uar", "mode": mode, "model": model_cfg.to_dict()}
         save_checkpoint(os.path.join(cfg.out_dir, "final"), params, extra=extra)

@@ -3,9 +3,10 @@
 Every artifact is a directory with one meta.json and raw little-endian
 float32 payloads.  The four reference writers below are the layout as it
 was first defined; the package's writers must reproduce their bytes.
-The corpus then breaks each format in every way a file can be broken and
-checks that loading raises DatasetFormatError naming the file, and that
-the CLI turns it into exit 3 format-mismatch.
+The corpus then breaks each format in every way a file can be broken,
+a directory standing in for a file included, and checks that loading
+raises DatasetFormatError naming the file, and that the CLI turns it
+into exit 3 format-mismatch.
 """
 
 import ast
@@ -273,6 +274,15 @@ def payload(name, edit):
     return mutate
 
 
+def as_directory(name):
+    """Put an empty directory where file `name` was."""
+    def mutate(d):
+        os.remove(d / name)
+        (d / name).mkdir()
+        return [str(d / name)]
+    return mutate
+
+
 def blob(edit, pick):
     """Edit weights.f32; the message must also name the tensor that pick
     (min or max by offset) chooses."""
@@ -343,6 +353,7 @@ COMMON = [
     ("not-json", meta_text("{not json")),
     ("not-object", meta_text("[1, 2]")),
     ("wrong-tag", meta_edit(_set("tcr-other-v1", "format"))),
+    ("meta-a-directory", as_directory("meta.json")),
 ]
 
 CORPUS = {
@@ -353,6 +364,7 @@ CORPUS = {
         ("geometry-not-a-dict", meta_edit(_set([16], "geometry"))),
         ("geometry-out-of-bounds",
          meta_edit(_set(1, "geometry", "n_offsets"))),
+        ("payload-a-directory", as_directory("gt_0.f32")),
         ("truncated", payload("gt_0.f32", truncate)),
         ("overlong", payload("sino_1_t2.f32", extend)),
         ("nan", payload("gt_1.f32", first_to(np.nan))),
@@ -370,6 +382,7 @@ CORPUS = {
         ("offset-count", meta_edit(lambda m: m["offsets"].append(1.5))),
         ("offsets-a-number", meta_edit(_set(0.5, "offsets"))),
         ("angles-nested", meta_edit(_nest_angles)),
+        ("payload-a-directory", as_directory("sino_0_t1.f32")),
         ("truncated", payload("sino_0_t1.f32", truncate)),
         ("overlong", payload("sino_1_t0.f32", extend)),
         ("nan", payload("sino_0_t3.f32", first_to(np.nan))),
@@ -389,6 +402,7 @@ CORPUS = {
         ("step-a-string", meta_edit(_set("x", "extra", "optimizer",
                                          "step"))),
         ("shape-mismatch", meta_edit(_first_tensor(_grow_first_axis))),
+        ("payload-a-directory", as_directory("weights.f32")),
         ("truncated", blob(truncate, max)),
         ("overlong", payload("weights.f32", extend)),
         ("nan", blob(first_to(np.nan), min)),
@@ -399,6 +413,7 @@ CORPUS = {
         ("n-frames-null", meta_edit(_set(None, "n_frames"))),
         ("image-size-a-word", meta_edit(_set("sixteen", "image_size"))),
         ("frame-count", meta_edit(_set(5, "n_frames"), named="recon.f32")),
+        ("payload-a-directory", as_directory("recon.f32")),
         ("truncated", payload("recon.f32", truncate)),
         ("overlong", payload("priors.f32", extend)),
         ("nan", payload("refined.f32", first_to(np.nan))),

@@ -249,6 +249,30 @@ class TestExitCodes:
         assert payload["error"] == "format-mismatch"
         assert str(broken / named) in payload["message"]
 
+    @pytest.mark.parametrize("case", ["meta-json", "payload", "config"])
+    def test_unreadable_file_is_3(self, work, tmp_path, capsys, case):
+        """A directory where a file belongs exits 3 and names it."""
+        data = copy_tree(work.data / "train", tmp_path / "data")
+        cfg = work.cfg
+        if case == "meta-json":
+            victim = data / "meta.json"
+            argv = ["train-refine", "--data", data]
+        elif case == "payload":
+            victim = data / "gt_0.f32"
+            argv = ["reconstruct", "--input", data, "--refine", work.refine,
+                    "--predict", work.predict]
+        else:
+            victim = cfg = tmp_path / "cfg"
+            argv = ["train-refine", "--data", data]
+        if case != "config":
+            victim.unlink()
+        victim.mkdir()
+        assert run_cli(*argv, "--config", cfg, "--out", tmp_path / "o") == 3
+        payload = stderr_payload(capsys)
+        assert payload["error"] == ("missing-artifact" if case == "config"
+                                    else "format-mismatch")
+        assert str(victim) in payload["message"]
+
     def test_wrong_checkpoint_kind_is_3(self, work, tmp_path, capsys):
         rc = run_cli("reconstruct", "--input", work.data / "test",
                      "--refine", work.predict, "--predict", work.predict,
