@@ -40,10 +40,6 @@ def no_grad():
         _grad_enabled = prev
 
 
-def is_grad_enabled():
-    return _grad_enabled
-
-
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents",
                  "_released")
@@ -83,9 +79,6 @@ class Tensor:
 
     def detach(self):
         return Tensor(self.data, requires_grad=False)
-
-    def zero_grad(self):
-        self.grad = None
 
     def item(self):
         return float(self.data)

@@ -16,7 +16,8 @@ those inputs, so any run can be reproduced from its command line.
 
 Exit codes: 0 success; 2 config/schema violation (stderr carries a
 one-line JSON payload with a JSON-pointer path); 3 missing or malformed
-artifact; 4 numerical failure with step context.
+artifact, or an output path that cannot be written; 4 numerical failure
+with step context.
 
 The numeric stack is imported lazily: `TCR_THREADS` caps the BLAS/OpenMP
 worker threads and `--deterministic` forces a single thread, and both
@@ -84,10 +85,11 @@ def _load_measurements(path):
     """Dataset or sinogram-set directory -> (sinograms, gt or None, size)."""
     from .artifacts import DATASET, SINOGRAM, read_meta
     from .datasets import load_external_sinogram, read_dataset
-    if read_meta(path, DATASET, SINOGRAM)["format"] == DATASET:
-        ds = read_dataset(path)
+    meta = read_meta(path, DATASET, SINOGRAM)
+    if meta["format"] == DATASET:
+        ds = read_dataset(path, meta)
         return ds.sinograms, ds.gt, ds.geometry.image_size
-    sinos, image_size = load_external_sinogram(path)
+    sinos, image_size = load_external_sinogram(path, meta)
     return sinos, None, image_size
 
 
@@ -197,17 +199,21 @@ def _trainer_inputs(args, cfg, name):
     """(SttConfig, TrainConfig, dataset, val dataset or None) of trainer
     section `name`.  The configs are built from the stored geometry
     before any payload is read, and their errors carry the section's path."""
+    from .artifacts import DATASET, entries, read_meta
     from .config import stt_config_from, train_config_from
-    from .datasets import read_dataset, read_geometry
+    from .datasets import read_dataset
+    from .geometry import ScanGeometry
     from .spec import under
-    geometry = read_geometry(args.data)
+    meta = read_meta(args.data, DATASET)
+    with entries(args.data):
+        geometry = ScanGeometry.from_dict(meta["geometry"])
     section = cfg[name]
     with under("/" + name):
         model_cfg = stt_config_from(section, geometry.image_size,
                                     max_context=max(64, geometry.n_steps + 1))
         tcfg = train_config_from(section, cfg["seed"], out_dir=args.out,
                                  log_path=os.path.join(args.out, "log.csv"))
-    ds = read_dataset(args.data)
+    ds = read_dataset(args.data, meta)
     return model_cfg, tcfg, ds, read_dataset(args.val) if args.val else None
 
 
@@ -253,6 +259,8 @@ def cmd_train_uar(args):
 def cmd_reconstruct(args):
     from .config import recon_config_from
     from .pipeline import save_result, tcr_reconstruct
+    if args.items is not None and args.items < 1:
+        raise ValueError(f"--items must be >= 1, got {args.items}")
     # each flag overrides recon.<same name>
     recon_over = {key: getattr(args, key)
                   for key in ("solver", "alpha_init", "alpha_rest",
@@ -478,6 +486,8 @@ def main(argv=None):
         return _fail(3, {"error": "missing-artifact", "message": str(exc)})
     except FileNotFoundError as exc:
         return _fail(3, {"error": "missing-artifact", "message": str(exc)})
+    except OSError as exc:  # e.g. an output path that cannot be created
+        return _fail(3, {"error": "io-error", "message": str(exc)})
     except NumericalError as exc:
         return _fail(4, {"error": "numerical-failure", "message": str(exc)})
     except ValueError as exc:

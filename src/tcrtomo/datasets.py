@@ -112,15 +112,13 @@ def write_dataset(ds, path):
     write_meta(path, DATASET, meta)
 
 
-def read_geometry(path):
-    """The ScanGeometry of a dataset directory, without reading payloads."""
-    with entries(path):
-        return ScanGeometry.from_dict(read_meta(path, DATASET)["geometry"])
+def read_dataset(path, meta=None):
+    """Load a dataset directory, checking its entries and every payload.
 
-
-def read_dataset(path):
-    """Load a dataset directory, checking its entries and every payload."""
-    meta = read_meta(path, DATASET)
+    meta is the directory's meta.json if the caller has already read it.
+    """
+    if meta is None:
+        meta = read_meta(path, DATASET)
     with entries(path):
         geom = ScanGeometry.from_dict(meta["geometry"])
         gt = [read_f32(os.path.join(path, item["gt"]["file"]),
@@ -147,14 +145,16 @@ def write_sinogram_set(sinograms, image_size, path):
     write_meta(path, SINOGRAM, meta)
 
 
-def load_external_sinogram(path):
+def load_external_sinogram(path, meta=None):
     """Load a sinogram set directory -> (list of Sinogram, image_size).
 
     Angle counts may vary arbitrarily per step; geometry comes entirely from
     the metadata, so scans acquired elsewhere only need meta.json + raw f32
-    payloads to be reconstructable.
+    payloads to be reconstructable.  meta is the directory's meta.json if
+    the caller has already read it.
     """
-    meta = read_meta(path, SINOGRAM)
+    if meta is None:
+        meta = read_meta(path, SINOGRAM)
     with entries(path):
         offsets = np.asarray(meta["offsets"], dtype=np.float64)
         sinos = [_read_sinos(path, item["sino"], offsets)

@@ -11,11 +11,11 @@ All of them return (solution, SolveReport).  Operators follow the
 forward/adjoint protocol of geometry.LinearOperator; images may have any
 shape as long as it matches the operator.
 
-All three share one preamble (checks, float64 casts, the x0 copy) and
-project each kept iterate once: its residual A x - psi gives both the
-discrepancy and the data term of the objective, and l2_tcr reuses it in
-the next gradient.  Each trace entry is the value a separate projection
-of that iterate would give.
+All three run one loop, _iterate.  A solver supplies its preamble
+(_prepare, step sizes) and a step(x, r) -> x_new closure that holds its
+own state.  The loop projects each kept iterate once: r = A x - psi gives
+the discrepancy, the objective's data term and the next step's r.  Each
+trace entry is the value a separate projection of that iterate would give.
 """
 
 from dataclasses import dataclass, field
@@ -83,25 +83,43 @@ def _prepare(op, psi, prior, x0, max_iter, **weights):
     return psi, prior, x
 
 
-def _residual(op, x, psi, l1=None, tv=None):
-    """Residual r = A x - psi of iterate x, its norm, and the objective.
+def _iterate(op, psi, x, max_iter, step, l1=None, tv=None, monotone=False):
+    """x <- step(x, r), r = A x - psi, max_iter times -> (x, SolveReport).
 
-    The discrepancy ||r|| and the data term 1/2 ||r||^2 come from the one
-    projection.  l1 = (alpha, prior) adds alpha ||x - prior||_1 and
-    tv = beta adds beta ||grad x||_1; the objective sums data, TV, then L1,
-    left to right, and is None when neither term is given.
+    Traces ||r|| of each kept iterate and, given l1 = (alpha, prior) or
+    tv = beta, the objective 1/2 ||r||^2 + beta ||grad x||_1 +
+    alpha ||x - prior||_1 summed left to right.  monotone drops an iterate
+    whose discrepancy would increase and stops the run there.
     """
+    report = SolveReport()
+
+    def keep(x, r, d):
+        report.discrepancies.append(d)
+        if l1 is not None or tv is not None:
+            obj = 0.5 * float(np.sum(r ** 2))
+            if tv is not None:
+                gr, gc = grad2d(x)
+                obj += tv * float(np.sum(np.abs(gr)) + np.sum(np.abs(gc)))
+            if l1 is not None:
+                alpha, prior = l1
+                obj += alpha * float(np.sum(np.abs(x - prior)))
+            report.objectives.append(obj)
+            report.objective = obj
+
     r = op.forward(x) - psi
-    obj = None
-    if l1 is not None or tv is not None:
-        obj = 0.5 * float(np.sum(r ** 2))
-        if tv is not None:
-            gr, gc = grad2d(x)
-            obj += tv * float(np.sum(np.abs(gr)) + np.sum(np.abs(gc)))
-        if l1 is not None:
-            alpha, prior = l1
-            obj += alpha * float(np.sum(np.abs(x - prior)))
-    return r, float(np.linalg.norm(r.ravel())), obj
+    d = float(np.linalg.norm(r.ravel()))
+    keep(x, r, d)
+    for _ in range(max_iter):
+        x_new = step(x, r)
+        r_new = op.forward(x_new) - psi
+        d_new = float(np.linalg.norm(r_new.ravel()))
+        if monotone and d_new > d:
+            report.stop_reason = "discrepancy_increase"
+            break
+        x, r, d = x_new, r_new, d_new
+        keep(x, r, d)
+        report.iterations += 1
+    return x, report
 
 
 def l2_tcr(op, psi, prior, alpha, x0=None, max_iter=19, tau=None):
@@ -116,20 +134,14 @@ def l2_tcr(op, psi, prior, alpha, x0=None, max_iter=19, tau=None):
     if tau is None:
         tau = 1.0 / (1.01 * op.norm_ata())
 
-    r, d, _ = _residual(op, x, psi)
-    report = SolveReport(discrepancies=[d])
-    for _ in range(max_iter):
+    def step(x, r):
         grad = op.adjoint(r)
         if alpha > 0:
             grad = grad + alpha * (x - prior)
-        x_new = x - tau * grad
-        r_new, d_new, _ = _residual(op, x_new, psi)
-        if d_new > d:
-            report.stop_reason = "discrepancy_increase"
-            break
-        x, r, d = x_new, r_new, d_new
-        report.discrepancies.append(d)
-        report.iterations += 1
+        return x - tau * grad
+
+    x, report = _iterate(op, psi, x, max_iter, step, monotone=True)
+    d = report.discrepancies[-1]
     report.objective = 0.5 * d * d
     if alpha > 0:
         report.objective += 0.5 * alpha * float(np.sum((x - prior) ** 2))
@@ -144,27 +156,20 @@ def l1_tcr_fista(op, psi, prior, alpha, x0=None, max_iter=200):
     y_{k+1} = x_k + (h_k - 1)/h_{k+1} * (x_k - x_{k-1}).
     """
     psi, prior, x = _prepare(op, psi, prior, x0, max_iter, alpha=alpha)
-    step = 1.0 / (1.01 * op.norm_ata())
-    lam = alpha * step
-
-    _, d, obj = _residual(op, x, psi, l1=(alpha, prior))
-    report = SolveReport(discrepancies=[d], objectives=[obj])
-    x_prev = x
+    tau = 1.0 / (1.01 * op.norm_ata())
     y = x
     h = 1.0
-    for _ in range(max_iter):
+
+    def step(x, r):
+        nonlocal y, h
         grad = op.adjoint(op.forward(y) - psi)
-        x = prox_shifted_l1(y - step * grad, lam, prior)
+        x_new = prox_shifted_l1(y - tau * grad, tau * alpha, prior)
         h_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * h * h))
-        y = x + ((h - 1.0) / h_new) * (x - x_prev)
-        x_prev = x
+        y = x_new + ((h - 1.0) / h_new) * (x_new - x)
         h = h_new
-        _, d, obj = _residual(op, x, psi, l1=(alpha, prior))
-        report.discrepancies.append(d)
-        report.objectives.append(obj)
-        report.iterations += 1
-    report.objective = report.objectives[-1]
-    return x, report
+        return x_new
+
+    return _iterate(op, psi, x, max_iter, step, l1=(alpha, prior))
 
 
 def grad2d(x):
@@ -216,9 +221,8 @@ def l1_tv_tcr_pdhg(op, psi, prior, alpha, beta, x0=None, max_iter=400):
     y2r = np.zeros(op.in_shape)
     y2c = np.zeros(op.in_shape)
 
-    _, d, obj = _residual(op, x, psi, l1=(alpha, prior), tv=beta)
-    report = SolveReport(discrepancies=[d], objectives=[obj])
-    for _ in range(max_iter):
+    def step(x, r):
+        nonlocal xbar, y1, y2r, y2c
         y1 = (y1 + sigma * (op.forward(xbar) - psi)) / (1.0 + sigma)
         gr, gc = grad2d(xbar)
         y2r = np.clip(y2r + sigma * gr, -beta, beta)
@@ -226,10 +230,6 @@ def l1_tv_tcr_pdhg(op, psi, prior, alpha, beta, x0=None, max_iter=400):
         x_new = prox_shifted_l1(
             x - tau * (op.adjoint(y1) - div2d(y2r, y2c)), tau * alpha, prior)
         xbar = 2.0 * x_new - x
-        x = x_new
-        _, d, obj = _residual(op, x, psi, l1=(alpha, prior), tv=beta)
-        report.discrepancies.append(d)
-        report.objectives.append(obj)
-        report.iterations += 1
-    report.objective = report.objectives[-1]
-    return x, report
+        return x_new
+
+    return _iterate(op, psi, x, max_iter, step, l1=(alpha, prior), tv=beta)

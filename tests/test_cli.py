@@ -374,6 +374,41 @@ class TestExitCodes:
         assert payload["error"] == "numerical-failure"
         assert "step 0" in payload["message"]
 
+    @pytest.mark.parametrize("command", ["gen-data", "reconstruct"])
+    def test_uncreatable_output_is_3(self, work, tmp_path, capsys, command):
+        """An --out that is a regular file exits 3 and names the path."""
+        out = tmp_path / "file"
+        out.write_text("")
+        argv = [command, "--config", work.cfg, "--out", out]
+        if command == "gen-data":
+            argv += ["--splits", "val"]
+        else:
+            argv += ["--input", work.data / "test", "--refine", work.refine,
+                     "--predict", work.predict, "--items", 1]
+        assert run_cli(*argv) == 3
+        payload = stderr_payload(capsys)
+        assert payload["error"] == "io-error"
+        assert str(out) in payload["message"]
+
+    @pytest.mark.parametrize("items", [0, -1])
+    def test_items_below_one_is_2(self, work, tmp_path, capsys, monkeypatch,
+                                  items):
+        """Rejected before any checkpoint is loaded or output written."""
+        def no_load(*args):
+            raise AssertionError("checkpoint loaded")
+
+        monkeypatch.setattr(cli, "_load_model", no_load)
+        out = tmp_path / "r"
+        rc = run_cli("reconstruct", "--config", work.cfg, "--input",
+                     work.data / "test", "--refine", work.refine,
+                     "--predict", work.predict, "--out", out,
+                     "--items", items)
+        assert rc == 2
+        payload = stderr_payload(capsys)
+        assert payload["error"] == "invalid-value"
+        assert "--items" in payload["message"]
+        assert not out.exists()
+
     def test_missing_dataset_is_3(self, work, tmp_path, capsys):
         rc = run_cli("evaluate", "--results", work.results,
                      "--data", tmp_path / "missing", "--out",
@@ -515,6 +550,56 @@ class TestReconstructCli:
             assert proc.returncode == 0, proc.stderr
             outs.append(out)
         assert tree_bytes(outs[0]) == tree_bytes(outs[1])
+
+
+def count_meta_reads(monkeypatch):
+    """List of the directories whose meta.json is read from now on.
+
+    artifacts.read_meta is replaced in every module that imports it."""
+    from tcrtomo import artifacts, checkpoint, datasets, pipeline
+    real, reads = artifacts.read_meta, []
+
+    def counting(path, *formats):
+        reads.append(os.path.abspath(path))
+        return real(path, *formats)
+
+    for module in (artifacts, checkpoint, datasets, pipeline):
+        monkeypatch.setattr(module, "read_meta", counting)
+    return reads
+
+
+class TestMetaReadOnce:
+    """A command parses each input directory's meta.json once."""
+
+    @pytest.mark.parametrize("kind", ["dataset", "sinogram-set"])
+    def test_reconstruct(self, work, tmp_path, monkeypatch, kind):
+        src = work.data / "test"
+        if kind == "sinogram-set":
+            src = tmp_path / "scans"
+            write_sinogram_set(read_dataset(work.data / "test").sinograms,
+                               16, src)
+        reads = count_meta_reads(monkeypatch)
+        assert run_cli("reconstruct", "--config", work.cfg, "--input", src,
+                       "--refine", work.refine, "--predict", work.predict,
+                       "--out", tmp_path / "r", "--items", 1) == 0
+        assert reads.count(os.path.abspath(src)) == 1
+
+    def test_train_refine(self, work, tmp_path, monkeypatch):
+        import tcrtomo.training as training
+        seen = []
+
+        def fake_train(ds, tcfg, model_cfg, val_dataset=None):
+            seen.append((len(ds), len(val_dataset)))
+            return None, [{"split": "train", "loss": 0.0}]
+
+        monkeypatch.setattr(training, "train_refinement", fake_train)
+        reads = count_meta_reads(monkeypatch)
+        train, val = work.data / "train", work.data / "val"
+        assert run_cli("train-refine", "--config", work.cfg, "--data", train,
+                       "--val", val, "--out", tmp_path / "o") == 0
+        assert seen == [(3, 2)]
+        assert sorted(reads) == sorted([os.path.abspath(train),
+                                        os.path.abspath(val)])
 
 
 class TestEvaluateCli:
