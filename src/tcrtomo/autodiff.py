@@ -77,9 +77,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def detach(self):
-        return Tensor(self.data, requires_grad=False)
-
     def item(self):
         return float(self.data)
 
@@ -277,16 +274,6 @@ def sqrt(a):
     return _make(root, (a,), backward)
 
 
-def relu(a):
-    a = _as_tensor(a)
-    mask = a.data > 0
-
-    def backward(g):
-        _accum(a, g * mask)
-
-    return _make(a.data * mask, (a,), backward)
-
-
 def leaky_relu(a, slope=0.1):
     a = _as_tensor(a)
     factor = np.where(a.data > 0, 1.0, slope).astype(a.data.dtype)
@@ -425,18 +412,6 @@ def mse_loss(a, b):
         _accum(b, -gd)
 
     return _make(out, (a, b), backward)
-
-
-def l2_loss(a):
-    """Sum of squares over all elements (no 1/2 factor)."""
-    a = _as_tensor(a)
-    out = np.asarray(np.sum(a.data * a.data, dtype=np.float64),
-                     dtype=a.data.dtype)
-
-    def backward(g):
-        _accum(a, 2.0 * g * a.data)
-
-    return _make(out, (a,), backward)
 
 
 def softmax_lastaxis(a):

@@ -175,6 +175,8 @@ def cmd_gen_data(args):
     from .phantoms import generate_dataset
     cfg = _resolve_config(args)
     wanted = [s.strip() for s in args.splits.split(",") if s.strip()]
+    if not wanted:
+        raise ConfigError("/splits", f"names no split, have {_SPLIT_ORDER}")
     for split in wanted:
         if split not in _SPLIT_ORDER:
             raise ConfigError("/splits",

@@ -72,7 +72,7 @@ class _Unowned:
     n_test: int = spec(20, minimum=0)
     noise_level: float = spec(0.0, minimum=0.0)
     mode: str = spec("static2d", choices=MODES)
-    data_range: float = spec(1.0, minimum=0.0)
+    data_range: float = spec(1.0, above=0.0)
 
 
 _TRAIN = ("epochs", "batch_size", "warmup", "hold_until", "min_lr", "max_lr",

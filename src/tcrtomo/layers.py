@@ -14,12 +14,10 @@ __all__ = [
     "trunc_normal",
     "kaiming_conv",
     "add_linear",
-    "add_conv2d",
-    "add_conv3d",
+    "add_conv",
     "add_layer_norm",
     "linear",
     "param_count",
-    "param_vector",
 ]
 
 
@@ -51,27 +49,17 @@ def _store(params, name, array):
     params[name] = Tensor(array, requires_grad=True)
 
 
-def add_linear(params, rng, name, in_dim, out_dim, bias=True, std=0.02):
-    """Register weight (in, out) and optional bias for a dense layer."""
-    _store(params, name + ".w", trunc_normal(rng, (in_dim, out_dim), std))
-    if bias:
-        _store(params, name + ".b", np.zeros(out_dim, dtype=np.float32))
+def add_linear(params, rng, name, in_dim, out_dim):
+    """Register weight (in, out) and bias for a dense layer."""
+    _store(params, name + ".w", trunc_normal(rng, (in_dim, out_dim)))
+    _store(params, name + ".b", np.zeros(out_dim, dtype=np.float32))
 
 
-def add_conv2d(params, rng, name, in_channels, out_channels, kernel, bias=True):
-    if isinstance(kernel, int):
-        kernel = (kernel, kernel)
+def add_conv(params, rng, name, in_channels, out_channels, kernel):
+    """Register weight (out, in, *kernel) and bias for a conv layer; the
+    length of the kernel tuple gives the rank."""
     _store(params, name + ".w", kaiming_conv(rng, out_channels, in_channels, kernel))
-    if bias:
-        _store(params, name + ".b", np.zeros(out_channels, dtype=np.float32))
-
-
-def add_conv3d(params, rng, name, in_channels, out_channels, kernel, bias=True):
-    if isinstance(kernel, int):
-        kernel = (kernel, kernel, kernel)
-    _store(params, name + ".w", kaiming_conv(rng, out_channels, in_channels, kernel))
-    if bias:
-        _store(params, name + ".b", np.zeros(out_channels, dtype=np.float32))
+    _store(params, name + ".b", np.zeros(out_channels, dtype=np.float32))
 
 
 def add_layer_norm(params, name, dim):
@@ -81,21 +69,9 @@ def add_layer_norm(params, name, dim):
 
 def linear(x, params, name):
     """Apply a dense layer to the last axis of x."""
-    w = params[name + ".w"]
-    y = matmul(x, w)
-    bname = name + ".b"
-    if bname in params:
-        y = add(y, params[bname])
-    return y
+    return add(matmul(x, params[name + ".w"]), params[name + ".b"])
 
 
 def param_count(params):
     return int(sum(int(np.prod(t.shape)) for t in params.values()))
 
-
-def param_vector(params):
-    """Concatenate all parameter values into one float32 vector (sorted names)."""
-    parts = [params[k].data.reshape(-1) for k in sorted(params)]
-    if not parts:
-        return np.zeros(0, dtype=np.float32)
-    return np.concatenate(parts).astype(np.float32)

@@ -3,10 +3,13 @@ next-frame prediction and per-step variational solving.
 
 The sequence structure is strictly causal. Frames 0 and 1 are densely
 sampled: they get a plain algebraic initialization, a learned refinement,
-and a variational solve against the refined prior. Every later frame t
-gets its prior predicted by the transformer from the already-computed
-reconstructions 0..t-1 (never from the model's own rollout), then a
-variational solve against that prior on the step's own sparse data.
+and a variational solve against the refined prior. Then each frame
+t = 1, 2, ... gets its prior predicted by the transformer from the
+already-computed reconstructions 0..t-1 (never from the model's own
+rollout), then a variational solve against that prior on the step's own
+data. For t = 1 the history is frame 0 alone, and this solve replaces
+the one against the refined prior; the prediction model is trained on
+histories of two or more frames only.
 """
 
 import os

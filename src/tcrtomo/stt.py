@@ -24,8 +24,7 @@ from .autodiff import (Tensor, add, causal_attention, concat, conv2d, conv3d,
                        gelu, layer_norm, no_grad, reshape, rope_apply,
                        transpose, tslice, upsample2x)
 from .errors import ConfigError
-from .layers import (add_conv2d, add_conv3d, add_layer_norm, add_linear,
-                     linear)
+from .layers import add_conv, add_layer_norm, add_linear, linear
 from .spec import check_fields, fields_from_dict, fields_to_dict, spec
 
 __all__ = [
@@ -79,10 +78,10 @@ def init_stt_params(cfg, seed=0):
     c0, c1, c2 = cfg.enc_channels
     d = cfg.model_dim
     params = {}
-    add_conv3d(params, rng, "enc0", 1, c0, (3, 3, 3))
-    add_conv3d(params, rng, "enc1", c0, c1, (3, 3, 3))
-    add_conv3d(params, rng, "enc2", c1, c2, (3, 3, 3))
-    add_conv3d(params, rng, "embed", c2, d, (1, 1, 1))
+    add_conv(params, rng, "enc0", 1, c0, (3, 3, 3))
+    add_conv(params, rng, "enc1", c0, c1, (3, 3, 3))
+    add_conv(params, rng, "enc2", c1, c2, (3, 3, 3))
+    add_conv(params, rng, "embed", c2, d, (1, 1, 1))
     for i in range(cfg.layers):
         add_layer_norm(params, f"blk{i}.ln1", d)
         add_linear(params, rng, f"blk{i}.qkv", d, 3 * d)
@@ -91,12 +90,12 @@ def init_stt_params(cfg, seed=0):
         add_linear(params, rng, f"blk{i}.mlp1", d, 4 * d)
         add_linear(params, rng, f"blk{i}.mlp2", 4 * d, d)
     add_layer_norm(params, "final_ln", d)
-    add_conv2d(params, rng, "dec0", d, c2, (3, 3))
-    add_conv2d(params, rng, "skip1", d, c1, (1, 1))
-    add_conv2d(params, rng, "dec1", c2 + c1, c1, (3, 3))
-    add_conv2d(params, rng, "skip2", d, c0, (1, 1))
-    add_conv2d(params, rng, "dec2", c1 + c0, c0, (3, 3))
-    add_conv2d(params, rng, "head", c0 + 1, 1, (1, 1))
+    add_conv(params, rng, "dec0", d, c2, (3, 3))
+    add_conv(params, rng, "skip1", d, c1, (1, 1))
+    add_conv(params, rng, "dec1", c2 + c1, c1, (3, 3))
+    add_conv(params, rng, "skip2", d, c0, (1, 1))
+    add_conv(params, rng, "dec2", c1 + c0, c0, (3, 3))
+    add_conv(params, rng, "head", c0 + 1, 1, (1, 1))
     return params
 
 

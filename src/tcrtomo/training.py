@@ -62,6 +62,8 @@ class TrainConfig:
 
     def __post_init__(self):
         check_fields(self)
+        if self.min_lr > self.max_lr:
+            raise ConfigError("/min_lr", "must not exceed max_lr")
 
 
 def prediction_train_config(**overrides):
@@ -178,10 +180,11 @@ def _fit(dataset, val_dataset, cfg, model_cfg, kind, salt, prepare, batch,
     columns); val_loss(params, val_data) gives the validation loss. The
     val row repeats the schedule columns named in val_columns.
     """
-    size = dataset.geometry.image_size
-    if model_cfg.image_size != size:
-        raise ConfigError("model.image_size",
-                          f"{model_cfg.image_size} does not match dataset {size}")
+    for label, ds in (("dataset", dataset), ("val dataset", val_dataset)):
+        if ds is not None and ds.geometry.image_size != model_cfg.image_size:
+            raise ConfigError("model.image_size",
+                              f"{model_cfg.image_size} does not match "
+                              f"{label} {ds.geometry.image_size}")
     data = prepare(dataset)
     val = prepare(val_dataset) if val_dataset is not None else None
     n = len(dataset)
@@ -287,6 +290,10 @@ def train_prediction(dataset, refine_params, refine_cfg, cfg, model_cfg=None,
     """
     if model_cfg is None:
         model_cfg = refine_cfg
+    size = dataset.geometry.image_size
+    if refine_cfg.image_size != size:
+        raise ConfigError("refine.image_size",
+                          f"{refine_cfg.image_size} does not match dataset {size}")
 
     def prepare(ds):
         gt = np.stack(ds.gt).astype(np.float32)

@@ -29,7 +29,7 @@ from .autodiff import (Tensor, add, broadcast_to, concat, conv2d, conv3d,
 from .checkpoint import save_checkpoint
 from .errors import ConfigError
 from .geometry import fbp, operator_for_angles
-from .layers import add_conv2d, add_conv3d, add_linear
+from .layers import add_conv, add_linear, linear
 from .optim import init_adamw
 from .spec import check_fields, fields_from_dict, fields_to_dict, spec
 from .training import _update, write_log
@@ -123,23 +123,23 @@ def init_uar_params(mode, cfg=None, seed=0):
     _check_mode(mode)
     cfg = cfg if cfg is not None else UarConfig()
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 404]))
-    add_conv = add_conv2d if mode == "static2d" else add_conv3d
+    kernel = (3,) * (2 if mode == "static2d" else 3)
     params = {}
     gc = cfg.gamma_channels
     for layer in range(cfg.unroll):
-        add_conv(params, rng, f"gen.d{layer}.c0", 4, gc, 3)
-        add_conv(params, rng, f"gen.d{layer}.c1", gc, gc, 3)
-        add_conv(params, rng, f"gen.d{layer}.c2", gc, 1, 3)
-        add_conv(params, rng, f"gen.p{layer}.c0", 3, gc, 3)
-        add_conv(params, rng, f"gen.p{layer}.c1", gc, gc, 3)
-        add_conv(params, rng, f"gen.p{layer}.c2", gc, 1, 3)
+        add_conv(params, rng, f"gen.d{layer}.c0", 4, gc, kernel)
+        add_conv(params, rng, f"gen.d{layer}.c1", gc, gc, kernel)
+        add_conv(params, rng, f"gen.d{layer}.c2", gc, 1, kernel)
+        add_conv(params, rng, f"gen.p{layer}.c0", 3, gc, kernel)
+        add_conv(params, rng, f"gen.p{layer}.c1", gc, gc, kernel)
+        add_conv(params, rng, f"gen.p{layer}.c2", gc, 1, kernel)
         params[f"gen.sigma{layer}"] = Tensor(
             np.full((1,), cfg.step_init, dtype=np.float32), requires_grad=True)
         params[f"gen.tau{layer}"] = Tensor(
             np.full((1,), cfg.step_init, dtype=np.float32), requires_grad=True)
     in_ch = 1
     for j, ch in enumerate(cfg.critic_channels):
-        add_conv(params, rng, f"reg.c{j}", in_ch, ch, 3)
+        add_conv(params, rng, f"reg.c{j}", in_ch, ch, kernel)
         in_ch = ch
     add_linear(params, rng, "reg.fc1", in_ch, cfg.critic_hidden)
     add_linear(params, rng, "reg.fc2", cfg.critic_hidden, 1)
@@ -171,18 +171,18 @@ def _same_pads(w):
     return tuple((k // 2, (k - 1) // 2) for k in w.data.shape[2:])
 
 
-def _conv_same(x, w, b, nd):
-    op = conv2d if nd == 2 else conv3d
+def _conv_same(x, w, b):
+    op = conv2d if w.data.ndim == 4 else conv3d
     return op(x, w, b, stride=1, padding=_same_pads(w))
 
 
-def _gamma_apply(params, prefix, x, nd):
+def _gamma_apply(params, prefix, x):
     """3-conv net with leaky rectifiers between layers, linear output."""
     h = leaky_relu(_conv_same(x, params[f"{prefix}.c0.w"],
-                              params[f"{prefix}.c0.b"], nd), LEAKY_SLOPE)
+                              params[f"{prefix}.c0.b"]), LEAKY_SLOPE)
     h = leaky_relu(_conv_same(h, params[f"{prefix}.c1.w"],
-                              params[f"{prefix}.c1.b"], nd), LEAKY_SLOPE)
-    return _conv_same(h, params[f"{prefix}.c2.w"], params[f"{prefix}.c2.b"], nd)
+                              params[f"{prefix}.c1.b"]), LEAKY_SLOPE)
+    return _conv_same(h, params[f"{prefix}.c2.w"], params[f"{prefix}.c2.b"])
 
 
 # -------------------------------------------------------- scan operators
@@ -323,8 +323,8 @@ def uar_generator(params, psi, aop):
         tau = _const_channel(params[f"gen.tau{layer}"], aop.image_shape)
         dual_in = concat([dual, sigma, projected, data], axis=1)
         primal_in = concat([theta, tau, backprojected], axis=1)
-        new_dual = add(dual, _gamma_apply(params, f"gen.d{layer}", dual_in, nd))
-        theta = add(theta, _gamma_apply(params, f"gen.p{layer}", primal_in, nd))
+        new_dual = add(dual, _gamma_apply(params, f"gen.d{layer}", dual_in))
+        theta = add(theta, _gamma_apply(params, f"gen.p{layer}", primal_in))
         dual = new_dual
     return theta
 
@@ -338,7 +338,8 @@ def uar_reconstruct(params, psi, aop):
 
 # ---------------------------------------------------------------- critic
 
-def _critic_input(params, x, nd):
+def _critic_input(params, x):
+    nd = _conv_ndim(params, "reg.c0.w")
     if isinstance(x, Tensor):
         t = x
     else:
@@ -353,18 +354,23 @@ def _critic_input(params, x, nd):
     return t
 
 
+def _critic_layers(params, a):
+    """Pre-activations of the 6 convs and, after the global mean pool,
+    the first dense layer; each layer takes the one before leaky-rectified."""
+    pre = []
+    for j in range(6):
+        pre.append(_conv_same(a, params[f"reg.c{j}.w"], params[f"reg.c{j}.b"]))
+        a = leaky_relu(pre[-1], LEAKY_SLOPE)
+    pooled = tmean(a, axis=tuple(range(2, a.data.ndim)))
+    pre.append(linear(pooled, params, "reg.fc1"))
+    return pre
+
+
 def critic_value(params, x):
     """Critic score: 6 leaky-rectified convs, global mean pool, 2 dense."""
-    nd = _conv_ndim(params, "reg.c0.w")
-    a = _critic_input(params, x, nd)
-    for j in range(6):
-        a = leaky_relu(_conv_same(a, params[f"reg.c{j}.w"],
-                                  params[f"reg.c{j}.b"], nd), LEAKY_SLOPE)
-    pooled = tmean(a, axis=tuple(range(2, 2 + nd)))
-    hidden = leaky_relu(add(matmul(pooled, params["reg.fc1.w"]),
-                            params["reg.fc1.b"]), LEAKY_SLOPE)
-    out = add(matmul(hidden, params["reg.fc2.w"]), params["reg.fc2.b"])
-    return reshape(out, ())
+    pre = _critic_layers(params, _critic_input(params, x))
+    hidden = leaky_relu(pre[-1], LEAKY_SLOPE)
+    return reshape(linear(hidden, params, "reg.fc2"), ())
 
 
 def _critic_input_grad_norm(params, x):
@@ -376,34 +382,27 @@ def _critic_input_grad_norm(params, x):
     the dense layers, the mean pool, and transposed convolutions.  The
     result stays differentiable with respect to the critic parameters.
     """
-    nd = _conv_ndim(params, "reg.c0.w")
     dtype = params["reg.c0.w"].data.dtype
-    x = np.asarray(x, dtype=dtype)[None, None]
-    masks = []
     with no_grad():
-        a = Tensor(x)
-        for j in range(6):
-            pre = _conv_same(a, params[f"reg.c{j}.w"], params[f"reg.c{j}.b"], nd)
-            masks.append(np.where(pre.data > 0, 1.0, LEAKY_SLOPE).astype(dtype))
-            a = leaky_relu(pre, LEAKY_SLOPE)
-        pooled = tmean(a, axis=tuple(range(2, 2 + nd)))
-        fc_pre = add(matmul(pooled, params["reg.fc1.w"]), params["reg.fc1.b"])
-        fc_mask = np.where(fc_pre.data > 0, 1.0, LEAKY_SLOPE).astype(dtype)
-    spatial = x.shape[2:]
-    n_cells = int(np.prod(spatial))
+        a = _critic_input(params, x)
+        masks = [Tensor(np.where(p.data > 0, 1.0, LEAKY_SLOPE).astype(dtype))
+                 for p in _critic_layers(params, a)]
+    spatial = a.data.shape[2:]
+    nd = len(spatial)
     conv_t = conv_transpose2d if nd == 2 else conv_transpose3d
     # output scalar -> dense layers
     g = transpose(params["reg.fc2.w"], (1, 0))
-    g = mul(g, Tensor(fc_mask))
+    g = mul(g, masks[6])
     g = matmul(g, transpose(params["reg.fc1.w"], (1, 0)))
     # mean pool spreads the channel gradient evenly over the cells
     channels = g.data.shape[1]
     g = reshape(g, (1, channels) + (1,) * nd)
-    g = scale(broadcast_to(g, (1, channels) + spatial), 1.0 / n_cells)
+    g = scale(broadcast_to(g, (1, channels) + spatial),
+              1.0 / int(np.prod(spatial)))
     # conv stack, output side back to the input image
     for j in range(5, -1, -1):
         w = params[f"reg.c{j}.w"]
-        g = mul(g, Tensor(masks[j]))
+        g = mul(g, masks[j])
         g = conv_t(g, w, stride=1, padding=_same_pads(w))
     return sqrt(add(tsum(mul(g, g)), _GRAD_NORM_EPS))
 

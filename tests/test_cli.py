@@ -11,7 +11,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from tcrtomo import cli
+from tcrtomo import cli, training
+from tcrtomo.checkpoint import save_checkpoint
 from tcrtomo.cli import main, write_pgm
 from tcrtomo.config import (default_config, geometry_from, load_config,
                             merge_config, recon_config_from, stt_config_from,
@@ -24,6 +25,7 @@ from tcrtomo.errors import (ConfigError, DatasetFormatError,
 from tcrtomo.geometry import operator_for_angles
 from tcrtomo.pipeline import ReconResult, load_result, save_result
 from tcrtomo.solvers import l1_tcr_fista
+from tcrtomo.stt import SttConfig, init_stt_params
 
 TINY_CONFIG = {
     "geometry": {"image_size": 16, "n_steps": 4, "n_angles_init": 6,
@@ -330,6 +332,8 @@ class TestExitCodes:
          "/train_refine/model/model_dim"),
         ("train-predict", {"train_predict": {"model": {"heads": 3}}},
          "/train_predict/model/model_dim"),
+        ("train-refine", {"train_refine": {"max_lr": 1e-7}},
+         "/train_refine/min_lr"),
     ])
     def test_config_error_path_is_2(self, work, tmp_path, capsys, command,
                                     doc, path):
@@ -357,6 +361,56 @@ class TestExitCodes:
                      "--splits", "train,holdout")
         assert rc == 2
         assert stderr_payload(capsys)["path"] == "/splits"
+
+    def test_empty_split_list_is_2(self, tmp_path, capsys):
+        rc = run_cli("gen-data", "--out", tmp_path / "d", "--splits", ",")
+        assert rc == 2
+        assert stderr_payload(capsys)["path"] == "/splits"
+        assert not (tmp_path / "d").exists()
+
+    def test_zero_data_range_is_2(self, work, tmp_path, capsys):
+        """Rejected with the config, before any result is loaded."""
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"eval": {"data_range": 0}}))
+        out = tmp_path / "m.csv"
+        rc = run_cli("evaluate", "--config", cfg, "--results", work.results,
+                     "--data", work.data / "test", "--out", out)
+        assert rc == 2
+        payload = stderr_payload(capsys)
+        assert payload["error"] == "schema-violation"
+        assert payload["path"] == "/eval/data_range"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, path", [
+        ("train-refine", "model.image_size"),
+        ("train-predict", "refine.image_size"),
+    ])
+    def test_image_size_mismatch_is_2(self, work, tmp_path, capsys,
+                                      monkeypatch, command, path):
+        """A 24 px val set or refinement checkpoint next to 16 px training
+        data is rejected before any Landweber pair is computed."""
+        def no_pairs(*args, **kwargs):
+            raise AssertionError("Landweber pairs computed")
+
+        monkeypatch.setattr(training, "landweber_pairs", no_pairs)
+        argv = [command, "--config", work.cfg, "--data", work.data / "train",
+                "--out", tmp_path / "o"]
+        if command == "train-refine":
+            big = tmp_path / "big.json"
+            big.write_text(json.dumps(merge_config(
+                TINY_CONFIG, {"geometry": {"image_size": 24}})))
+            assert run_cli("gen-data", "--config", big, "--splits", "val",
+                           "--out", tmp_path / "d") == 0
+            argv += ["--val", tmp_path / "d" / "val"]
+        else:
+            model = SttConfig(model_dim=16, heads=2, layers=1, image_size=24)
+            save_checkpoint(tmp_path / "refine", init_stt_params(model),
+                            extra={"kind": "refine", "model": model.to_dict()})
+            argv += ["--refine", tmp_path / "refine"]
+        assert run_cli(*argv) == 2
+        payload = stderr_payload(capsys)
+        assert payload["error"] == "schema-violation"
+        assert payload["path"] == path
 
     def test_numerical_failure_is_4(self, work, tmp_path, capsys,
                                     monkeypatch):

@@ -3,9 +3,10 @@
 DEFAULTS and SCHEMA used to be written out by hand in config.py.  They are
 now derived from the dataclass fields; the literal tables are kept here
 as the reference.  The derived validator must accept and reject exactly
-what the literal one did, at the same JSON pointer, except for two
-deliberate changes: non-finite numbers are rejected, and the UAR learning
-rates must be > 0 (the dataclass always required that).
+what the literal one did, at the same JSON pointer, except for three
+deliberate changes: non-finite numbers are rejected, the UAR learning
+rates must be > 0 (the dataclass always required that), and so must
+eval.data_range (psnr and ssim reject 0 once the results are loaded).
 """
 
 import json
@@ -225,8 +226,10 @@ def literal_validate(doc, schema=LITERAL_SCHEMA, path=""):
 
 # ------------------------------------------------------------ the corpus
 
-# the UAR learning rates: >= 0 in the literal schema, > 0 in the dataclass
-STRICTLY_POSITIVE = {"/train_uar/lr_warmup", "/train_uar/lr_adversarial"}
+# >= 0 in the literal schema, > 0 in the dataclasses: the UAR learning
+# rates, and the data range, which psnr and ssim require to be > 0
+STRICTLY_POSITIVE = {"/train_uar/lr_warmup", "/train_uar/lr_adversarial",
+                     "/eval/data_range"}
 
 
 def _leaves(schema, path=""):
