@@ -459,7 +459,26 @@ def layer_norm(a, gamma, beta, eps=1e-5):
 # ------------------------------------------------------------------ matmul
 
 def matmul(a, b):
+    """a @ b with numpy's broadcasting rules.
+
+    When a has 3 or more axes and b is 2-D (a dense layer applied to a
+    batch of sequences), a's leading axes fold into the rows of one GEMM,
+    forward and backward, instead of one GEMM per leading index that
+    re-reads b each time.
+    """
     a, b = _pair(a, b)
+    if a.data.ndim >= 3 and b.data.ndim == 2:
+        a2 = a.data.reshape(-1, a.data.shape[-1])
+        out = (a2 @ b.data).reshape(a.data.shape[:-1] + b.data.shape[1:])
+
+        def backward(g):
+            g2 = g.reshape(-1, g.shape[-1])
+            if _needs_grad(a):
+                _accum(a, (g2 @ b.data.T).reshape(a.data.shape))
+            if _needs_grad(b):
+                _accum(b, a2.T @ g2)
+
+        return _make(out, (a, b), backward)
     out = a.data @ b.data
 
     def backward(g):
@@ -726,12 +745,19 @@ def rope_apply(a, positions, base=10000.0):
     return _make(out, (a,), backward)
 
 
-def causal_mask(seq, window=None, dtype=np.float32):
-    """Additive mask: 0 where key <= query (within window), -inf elsewhere."""
+def causal_mask(seq, window=None, dtype=np.float32, keys=None):
+    """Additive mask: 0 where key <= query (within window), -inf elsewhere.
+
+    seq queries sit at the last positions of keys consecutive key
+    positions (default: keys = seq, queries and keys at the same slots).
+    """
     if window is not None and window < 1:
         raise ValueError(f"attention window must be >= 1, got {window}")
-    i = np.arange(seq)[:, None]
-    j = np.arange(seq)[None, :]
+    keys = seq if keys is None else keys
+    if keys < seq:
+        raise ValueError(f"{seq} queries need at least as many keys, got {keys}")
+    i = np.arange(keys - seq, keys)[:, None]
+    j = np.arange(keys)[None, :]
     allowed = j <= i
     if window is not None:
         allowed &= j > i - window
@@ -742,16 +768,22 @@ def causal_mask(seq, window=None, dtype=np.float32):
 def causal_attention(q, k, v, window=None):
     """softmax(mask(q k^T / sqrt(d))) v over (..., seq, heads, d_head).
 
-    The mask zeroes attention weights exactly, so outputs at sequence slot i
-    are bitwise independent of slots > i.
+    k and v may hold more slots than q: the queries are then the last
+    slots of the key sequence, and the earlier keys (say, a cache of
+    slots already seen) are attended to under the same causal mask.
+    The mask zeroes attention weights exactly, so outputs at sequence slot
+    i are bitwise independent of slots > i.
     """
     q = _as_tensor(q)
     k = _as_tensor(k, like=q)
     v = _as_tensor(v, like=q)
-    if q.data.shape != k.data.shape or q.data.shape != v.data.shape:
+    qs, ks = q.data.shape, k.data.shape
+    if (ks != v.data.shape or qs[:-3] != ks[:-3] or qs[-2:] != ks[-2:]
+            or qs[-3] > ks[-3]):
         raise ValueError(
-            f"q/k/v shapes differ: {q.data.shape} {k.data.shape} {v.data.shape}")
-    seq, heads, d = q.data.shape[-3:]
+            f"q/k/v shapes do not fit: {qs} {ks} {v.data.shape}; k and v "
+            "must match q except for holding at least as many slots")
+    seq, heads, d = qs[-3:]
     nd = q.data.ndim
     perm = tuple(range(nd - 3)) + (nd - 2, nd - 3, nd - 1)  # seq<->heads
     qh = transpose(q, perm)
@@ -759,7 +791,7 @@ def causal_attention(q, k, v, window=None):
     vh = transpose(v, perm)
     logits = scale(matmul(qh, transpose(kh, tuple(range(nd - 2)) + (nd - 1, nd - 2))),
                    1.0 / math.sqrt(d))
-    mask = causal_mask(seq, window, dtype=q.data.dtype)
+    mask = causal_mask(seq, window, dtype=q.data.dtype, keys=ks[-3])
     att = softmax_lastaxis(add(logits, Tensor(mask, dtype=q.data.dtype)))
     out = matmul(att, vh)
     return transpose(out, perm)

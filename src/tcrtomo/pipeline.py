@@ -10,6 +10,11 @@ rollout), then a variational solve against that prior on the step's own
 data. For t = 1 the history is frame 0 alone, and this solve replaces
 the one against the refined prior; the prediction model is trained on
 histories of two or more frames only.
+
+The predictions stream: one stt.Predictor per sequence receives frame
+t-1 once it is solved, and keeps each attention block's keys and values
+of the frames before it (the last `window` of them when the model sets
+one). So a step's predictor cost does not grow with t.
 """
 
 import os
@@ -24,7 +29,7 @@ from .geometry import operator_for_angles
 from .metrics import psnr, ssim
 from .solvers import l1_tcr_fista, l1_tv_tcr_pdhg, l2_tcr
 from .spec import check_fields, spec
-from .stt import predict_next, refine
+from .stt import Predictor, check_stt_params, refine
 
 __all__ = [
     "ReconConfig",
@@ -119,10 +124,7 @@ def _check_models(cfg, n_frames, refine_model, predict_model):
             raise ConfigError(f"{label}.image_size",
                               f"checkpoint is {mcfg.image_size}, "
                               f"reconstruction needs {cfg.image_size}")
-        missing = [k for k in ("head.w", "final_ln.g") if k not in params]
-        if missing:
-            raise ConfigError(f"{label}.params",
-                              f"checkpoint lacks tensors {missing}")
+        check_stt_params(params, mcfg, label)
     _, pcfg = predict_model
     if pcfg.max_context < n_frames - 1:
         raise ConfigError("predict.max_context",
@@ -189,10 +191,10 @@ def tcr_reconstruct(sino, cfg, refine_model, predict_model, gt=None,
         reports.append({"step": t, "phase": "init", "report": rep})
 
     predictions = np.zeros((n_frames - 1, size, size), dtype=np.float32)
+    predictor = Predictor(pre_params, pre_cfg)
     for t in range(1, n_frames):
         emit("predict", t, tuple(range(t)))
-        prior = predict_next(pre_params, pre_cfg,
-                             recon[:t].astype(np.float32))
+        prior = predictor.push(recon[t - 1].astype(np.float32))
         predictions[t - 1] = prior
         x, rep = solve(t, "loop", prior.astype(np.float64))
         recon[t] = x

@@ -13,7 +13,15 @@ dimension, per-patch temporal attention (spatial patches ride the batch
 axis) with rotary position embeddings and a causal mask, and a per-slot
 2-D conv decoder whose skip connections all consume 1x1 projections of
 the final transformer feature map, plus the raw input frame at full
-resolution.
+resolution. The three stages are _encode, _blocks and _decode.
+
+Two paths run them. stt_apply (taped, batched) runs every stage over all
+T+1 slots; training uses it, and stt_forward / predict_next are the
+reference for the other path. Predictor streams one sequence frame by
+frame, as the reconstruction pipeline and rollout do: it caches each
+block's keys and values of the real slots, so a step feeds only the two
+new slots through the blocks and decodes only the last one; its cost no
+longer grows with the history, and cfg.window bounds the cache.
 """
 
 from dataclasses import dataclass
@@ -30,8 +38,11 @@ from .spec import check_fields, fields_from_dict, fields_to_dict, spec
 __all__ = [
     "SttConfig",
     "init_stt_params",
+    "stt_param_shapes",
     "stt_param_count",
+    "check_stt_params",
     "stt_apply",
+    "Predictor",
     "stt_forward",
     "refine",
     "predict_next",
@@ -99,59 +110,94 @@ def init_stt_params(cfg, seed=0):
     return params
 
 
-def stt_param_count(cfg):
-    """Closed-form number of scalars in init_stt_params(cfg)."""
+def stt_param_shapes(cfg):
+    """Name -> shape of every tensor init_stt_params(cfg) makes, in its
+    order, without drawing any weights."""
     c0, c1, c2 = cfg.enc_channels
     d = cfg.model_dim
-    n = c0 * 27 + c0 + c1 * c0 * 27 + c1 + c2 * c1 * 27 + c2
-    n += d * c2 + d
-    per_block = (2 * d) + (d * 3 * d + 3 * d) + (d * d + d) \
-        + (2 * d) + (4 * d * d + 4 * d) + (4 * d * d + d)
-    n += cfg.layers * per_block + 2 * d
-    n += c2 * d * 9 + c2
-    n += c1 * d + c1
-    n += c1 * (c2 + c1) * 9 + c1
-    n += c0 * d + c0
-    n += c0 * (c1 + c0) * 9 + c0
-    n += 1 * (c0 + 1) + 1
-    return n
+    shapes = {}
+
+    def conv(name, in_channels, out_channels, kernel):
+        shapes[name + ".w"] = (out_channels, in_channels) + kernel
+        shapes[name + ".b"] = (out_channels,)
+
+    def dense(name, in_dim, out_dim):
+        shapes[name + ".w"] = (in_dim, out_dim)
+        shapes[name + ".b"] = (out_dim,)
+
+    def norm(name):
+        shapes[name + ".g"] = shapes[name + ".b"] = (d,)
+
+    conv("enc0", 1, c0, (3, 3, 3))
+    conv("enc1", c0, c1, (3, 3, 3))
+    conv("enc2", c1, c2, (3, 3, 3))
+    conv("embed", c2, d, (1, 1, 1))
+    for i in range(cfg.layers):
+        norm(f"blk{i}.ln1")
+        dense(f"blk{i}.qkv", d, 3 * d)
+        dense(f"blk{i}.proj", d, d)
+        norm(f"blk{i}.ln2")
+        dense(f"blk{i}.mlp1", d, 4 * d)
+        dense(f"blk{i}.mlp2", 4 * d, d)
+    norm("final_ln")
+    conv("dec0", d, c2, (3, 3))
+    conv("skip1", d, c1, (1, 1))
+    conv("dec1", c2 + c1, c1, (3, 3))
+    conv("skip2", d, c0, (1, 1))
+    conv("dec2", c1 + c0, c0, (3, 3))
+    conv("head", c0 + 1, 1, (1, 1))
+    return shapes
 
 
+def stt_param_count(cfg):
+    """Number of scalars in init_stt_params(cfg)."""
+    return sum(int(np.prod(shape)) for shape in stt_param_shapes(cfg).values())
+
+
+def check_stt_params(params, cfg, label):
+    """Raise ConfigError at `<label>.params/<name>` unless params holds
+    exactly the tensors of stt_param_shapes(cfg), each of its shape."""
+    shapes = stt_param_shapes(cfg)
+    for name, shape in shapes.items():
+        if name not in params:
+            raise ConfigError(f"{label}.params/{name}",
+                              "checkpoint lacks this tensor")
+        if tuple(params[name].shape) != shape:
+            raise ConfigError(f"{label}.params/{name}",
+                              f"checkpoint has shape {tuple(params[name].shape)}, "
+                              f"the model needs {shape}")
+    extra = sorted(set(params) - set(shapes))
+    if extra:
+        raise ConfigError(f"{label}.params/{extra[0]}",
+                          "checkpoint has a tensor the model does not use")
+
+
+# Temporal kernel 3, left-padded, in each of the three encoder convs: the
+# tokens of a slot depend on it and the 6 slots before it.
 _CAUSAL_PAD = ((2, 0), (1, 1), (1, 1))
+_ENCODER_REACH = 6
 _SAME_PAD = ((1, 1), (1, 1))
 
 
-def stt_apply(params, cfg, frames):
-    """Differentiable batched forward pass.
-
-    frames: Tensor or array of shape (B, T, H, W). Returns a Tensor of
-    shape (B, T+1, H, W). Used directly by the training loops; the public
-    single-sequence wrappers below run it without taping.
-    """
-    if not isinstance(frames, Tensor):
-        frames = Tensor(np.asarray(frames, dtype=np.float32))
-    if frames.ndim != 4:
-        raise ValueError(f"expected (B, T, H, W) input, got shape {frames.shape}")
-    b, t, h, w = frames.shape
-    if t < 1:
-        raise ValueError("need at least one input frame")
-    if t > cfg.max_context:
-        raise ValueError(f"sequence length {t} exceeds max context {cfg.max_context}")
+def _check_frames(cfg, frames, history):
+    """stt_apply's input checks on (B, n, H, W) frames that take the
+    history to `history` frames."""
+    h, w = frames.shape[-2:]
+    if history > cfg.max_context:
+        raise ValueError(
+            f"sequence length {history} exceeds max context {cfg.max_context}")
     if h != cfg.image_size or w != cfg.image_size:
         raise ValueError(
             f"frame size {h}x{w} does not match configured {cfg.image_size}")
-    if not np.all(np.isfinite(frames.data)):
+    if not np.all(np.isfinite(frames)):
         raise ValueError("non-finite values in input frames")
 
-    d = cfg.model_dim
-    heads = cfg.heads
-    dk = d // heads
+
+def _encode(params, cfg, seq):
+    """Causal conv encoder plus embedding: slot frames (B, s, H, W) ->
+    tokens (B*g*g, s, d), one sequence of s slots per spatial patch."""
+    b, s, h, w = seq.shape
     g = cfg.grid
-    s = t + 1
-
-    query = tslice(frames, (slice(None), slice(t - 1, t)))
-    seq = concat([frames, query], axis=1)
-
     v = reshape(seq, (b, 1, s, h, w))
     v = gelu(conv3d(v, params["enc0.w"], params["enc0.b"],
                     stride=(1, 2, 2), padding=_CAUSAL_PAD))
@@ -160,30 +206,48 @@ def stt_apply(params, cfg, frames):
     v = gelu(conv3d(v, params["enc2.w"], params["enc2.b"],
                     stride=(1, 2, 2), padding=_CAUSAL_PAD))
     v = conv3d(v, params["embed.w"], params["embed.b"])
-
     tok = transpose(v, (0, 3, 4, 2, 1))
-    tok = reshape(tok, (b * g * g, s, d))
+    return reshape(tok, (b * g * g, s, cfg.model_dim))
 
-    positions = list(range(s))
+
+def _blocks(params, cfg, tok, positions, cache=None):
+    """Attention blocks on tokens (N, s, d) at the given slot positions.
+
+    cache, if given, holds one (k, v) pair per block: the roped keys and
+    values (N, c, heads, d/heads) of the c slots right before
+    positions[0], which the new slots attend to as well. Returns the
+    tokens and the new slots' (k, v) pair of each block.
+    """
+    n, s, d = tok.shape
+    heads = cfg.heads
+    kv = []
     for i in range(cfg.layers):
         hn = layer_norm(tok, params[f"blk{i}.ln1.g"], params[f"blk{i}.ln1.b"])
         qkv = linear(hn, params, f"blk{i}.qkv")
-        q = reshape(tslice(qkv, (slice(None), slice(None), slice(0, d))),
-                    (b * g * g, s, heads, dk))
-        k = reshape(tslice(qkv, (slice(None), slice(None), slice(d, 2 * d))),
-                    (b * g * g, s, heads, dk))
-        va = reshape(tslice(qkv, (slice(None), slice(None), slice(2 * d, 3 * d))),
-                     (b * g * g, s, heads, dk))
+        q, k, va = (reshape(tslice(qkv, (slice(None), slice(None),
+                                         slice(j * d, (j + 1) * d))),
+                            (n, s, heads, d // heads)) for j in range(3))
         q = rope_apply(q, positions)
         k = rope_apply(k, positions)
+        kv.append((k, va))
+        if cache is not None:
+            k = concat([cache[i][0], k], axis=1)
+            va = concat([cache[i][1], va], axis=1)
         att = causal_attention(q, k, va, window=cfg.window)
-        att = reshape(att, (b * g * g, s, d))
+        att = reshape(att, (n, s, d))
         tok = add(tok, linear(att, params, f"blk{i}.proj"))
         hn = layer_norm(tok, params[f"blk{i}.ln2.g"], params[f"blk{i}.ln2.b"])
         hn = linear(gelu(linear(hn, params, f"blk{i}.mlp1")), params, f"blk{i}.mlp2")
         tok = add(tok, hn)
-    tok = layer_norm(tok, params["final_ln.g"], params["final_ln.b"])
+    return tok, kv
 
+
+def _decode(params, cfg, tok, seq):
+    """Per-slot decoder: tokens (B*g*g, s, d) and the slot frames
+    (B, s, H, W), whose raw pixels feed the head -> frames (B, s, H, W)."""
+    b, s, h, w = seq.shape
+    g, d = cfg.grid, cfg.model_dim
+    tok = layer_norm(tok, params["final_ln.g"], params["final_ln.b"])
     z = reshape(tok, (b, g, g, s, d))
     z = transpose(z, (0, 3, 4, 1, 2))
     z = reshape(z, (b * s, d, g, g))
@@ -202,6 +266,87 @@ def stt_apply(params, cfg, frames):
     raw = reshape(seq, (b * s, 1, h, w))
     out = conv2d(concat([u, raw], axis=1), params["head.w"], params["head.b"])
     return reshape(out, (b, s, h, w))
+
+
+def stt_apply(params, cfg, frames):
+    """Differentiable batched forward pass.
+
+    frames: Tensor or array of shape (B, T, H, W). Returns a Tensor of
+    shape (B, T+1, H, W). Used directly by the training loops and, through
+    stt_forward, as the reference for the streaming Predictor.
+    """
+    if not isinstance(frames, Tensor):
+        frames = Tensor(np.asarray(frames, dtype=np.float32))
+    if frames.ndim != 4:
+        raise ValueError(f"expected (B, T, H, W) input, got shape {frames.shape}")
+    t = frames.shape[1]
+    if t < 1:
+        raise ValueError("need at least one input frame")
+    _check_frames(cfg, frames.data, t)
+
+    query = tslice(frames, (slice(None), slice(t - 1, t)))
+    seq = concat([frames, query], axis=1)
+    tok, _ = _blocks(params, cfg, _encode(params, cfg, seq), np.arange(t + 1))
+    return _decode(params, cfg, tok, seq)
+
+
+class Predictor:
+    """Streaming next-frame prediction along one sequence.
+
+    push(frames) appends one frame (H, W), or several (n, H, W), to the
+    history and returns the prediction of the next frame: slot T of
+    stt_forward on the whole history, up to float32 rounding. Appending
+    frames leaves every earlier slot's keys and values unchanged (the
+    mask is causal), so each block's roped K/V of the real slots is
+    cached, and a push runs only the new slots through the blocks: the
+    old query slot, now a real frame, and the new query slot. The
+    encoder reruns over the new slots and the _ENCODER_REACH slots before
+    them, which is all their tokens depend on; only the last slot is
+    decoded. With cfg.window set the cache keeps the last `window` slots.
+    """
+
+    def __init__(self, params, cfg):
+        self.params = params
+        self.cfg = cfg
+        self.length = 0
+        self._recent = np.zeros((0, cfg.image_size, cfg.image_size),
+                                dtype=np.float32)
+        g, heads = cfg.grid, cfg.heads
+        empty = np.zeros((g * g, 0, heads, cfg.model_dim // heads),
+                         dtype=np.float32)
+        self._cache = [(empty, empty)] * cfg.layers
+
+    def push(self, frames):
+        frames = np.asarray(frames, dtype=np.float32)
+        if frames.ndim == 2:
+            frames = frames[None]
+        if frames.ndim != 3 or frames.shape[0] < 1:
+            raise ValueError(f"expected (H, W) or (n, H, W) frames, "
+                             f"got shape {frames.shape}")
+        n = frames.shape[0]
+        t = self.length + n
+        _check_frames(self.cfg, frames, t)
+
+        real = np.concatenate([self._recent, frames])
+        seq = Tensor(np.concatenate([real, frames[-1:]])[None])
+        with no_grad():
+            tok = _encode(self.params, self.cfg, seq)
+            tok = tslice(tok, (slice(None), slice(-(n + 1), None)))
+            tok, kv = _blocks(self.params, self.cfg, tok,
+                              np.arange(self.length, t + 1), self._cache)
+            last = tslice(tok, (slice(None), slice(-1, None)))
+            out = _decode(self.params, self.cfg, last,
+                          tslice(seq, (slice(None), slice(-1, None))))
+
+        keep = slice(None if self.cfg.window is None else -self.cfg.window,
+                     None)
+        self._cache = [
+            (np.concatenate([ck, k.data[:, :n]], axis=1)[:, keep],
+             np.concatenate([cv, v.data[:, :n]], axis=1)[:, keep])
+            for (ck, cv), (k, v) in zip(self._cache, kv)]
+        self._recent = real[-_ENCODER_REACH:]
+        self.length = t
+        return out.data[0, 0]
 
 
 def stt_forward(params, cfg, frames):
@@ -223,7 +368,8 @@ def refine(params, cfg, noisy_pair):
 
 
 def predict_next(params, cfg, history):
-    """Next-frame estimate from the reconstruction history (slot T)."""
+    """Next-frame estimate from the reconstruction history (slot T), run
+    over the whole history; the reference for Predictor.push."""
     history = np.asarray(history, dtype=np.float32)
     if history.ndim != 3 or history.shape[0] < 1:
         raise ValueError("history must contain at least one frame")
@@ -231,12 +377,17 @@ def predict_next(params, cfg, history):
 
 
 def rollout(params, cfg, init_frames, n_steps):
-    """Autoregressive continuation: append n_steps predicted frames."""
+    """Autoregressive continuation: append n_steps predicted frames,
+    streamed through one Predictor (the first step runs the same stages
+    over the same slots as predict_next on init_frames)."""
     frames = [np.asarray(f, dtype=np.float32) for f in init_frames]
     if not frames:
         raise ValueError("need at least one initial frame")
+    predictor = Predictor(params, cfg)
+    new = np.stack(frames)
     for _ in range(int(n_steps)):
-        frames.append(predict_next(params, cfg, np.stack(frames)))
+        new = predictor.push(new)
+        frames.append(new)
     return np.stack(frames)
 
 

@@ -21,7 +21,8 @@ from .geometry import operator_for_angles
 from .optim import adamw_step, init_adamw, lr_cosine
 from .solvers import l2_tcr
 from .spec import check_fields, spec
-from .stt import SttConfig, init_stt_params, refine, rollout, stt_apply
+from .stt import (SttConfig, check_stt_params, init_stt_params, refine,
+                  rollout, stt_apply)
 
 __all__ = [
     "TrainConfig",
@@ -294,6 +295,7 @@ def train_prediction(dataset, refine_params, refine_cfg, cfg, model_cfg=None,
     if refine_cfg.image_size != size:
         raise ConfigError("refine.image_size",
                           f"{refine_cfg.image_size} does not match dataset {size}")
+    check_stt_params(refine_params, refine_cfg, "refine")
 
     def prepare(ds):
         gt = np.stack(ds.gt).astype(np.float32)

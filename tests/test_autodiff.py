@@ -379,6 +379,22 @@ def test_causal_attention_rejects_bad_window():
         ad.causal_attention(x, x, x, window=0)
 
 
+@pytest.mark.parametrize("window", [None, 1, 2, 3])
+def test_causal_attention_queries_at_last_key_slots(window):
+    """Two queries against six keys are the last two rows of the full
+    six-slot attention; the mask is the matching tail of the full one."""
+    rng = np.random.default_rng(50)
+    q, k, v = (t64(rng.standard_normal((3, 6, 2, 4))) for _ in range(3))
+    full = ad.causal_attention(q, k, v, window=window).data
+    last2 = (slice(None), slice(4, 6))
+    tail = ad.causal_attention(ad.tslice(q, last2), k, v, window=window).data
+    assert np.allclose(tail, full[:, 4:], rtol=1e-12, atol=1e-12)
+    assert np.array_equal(ad.causal_mask(2, window, keys=6),
+                          ad.causal_mask(6, window)[4:])
+    with pytest.raises(ValueError):  # more queries than keys
+        ad.causal_attention(q, ad.tslice(k, last2), ad.tslice(v, last2))
+
+
 def test_grad_causal_attention():
     q = t64(rand((2, 4, 2, 4), 46, 0.5))
     k = t64(rand((2, 4, 2, 4), 47, 0.5))
@@ -387,3 +403,6 @@ def test_grad_causal_attention():
     q2 = t64(rand((2, 4, 2, 4), 49, 0.5))
     ad.gradcheck(lambda: ad.tsum(ad.causal_attention(q2, k, v, window=2)),
                  [q2])
+    q3 = t64(rand((2, 2, 2, 4), 50, 0.5))
+    ad.gradcheck(lambda: ad.tsum(ad.causal_attention(q3, k, v, window=3)),
+                 [q3, k, v])

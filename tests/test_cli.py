@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from tcrtomo import cli, training
-from tcrtomo.checkpoint import save_checkpoint
+from tcrtomo.checkpoint import load_checkpoint, save_checkpoint
 from tcrtomo.cli import main, write_pgm
 from tcrtomo.config import (default_config, geometry_from, load_config,
                             merge_config, recon_config_from, stt_config_from,
@@ -411,6 +411,37 @@ class TestExitCodes:
         payload = stderr_payload(capsys)
         assert payload["error"] == "schema-violation"
         assert payload["path"] == path
+
+    @pytest.mark.parametrize("command", ["reconstruct", "train-predict"])
+    @pytest.mark.parametrize("name, shape", [
+        ("blk0.qkv.b", None),
+        ("blk0.mlp1.w", (16, 32)),
+    ], ids=["missing", "wrong-shape"])
+    def test_incomplete_checkpoint_is_2(self, work, tmp_path, capsys,
+                                        monkeypatch, command, name, shape):
+        """A refinement checkpoint that lacks a tensor or holds one of the
+        wrong shape exits 2 naming it, before any Landweber pair."""
+        def no_pairs(*args, **kwargs):
+            raise AssertionError("Landweber pairs computed")
+
+        monkeypatch.setattr(training, "landweber_pairs", no_pairs)
+        params, extra, _ = load_checkpoint(work.refine)
+        if shape is None:
+            del params[name]
+        else:
+            params[name] = np.zeros(shape, dtype=np.float32)
+        save_checkpoint(tmp_path / "refine", params, extra=extra)
+        argv = [command, "--config", work.cfg, "--refine", tmp_path / "refine",
+                "--out", tmp_path / "o"]
+        if command == "reconstruct":
+            argv += ["--input", work.data / "test", "--predict", work.predict,
+                     "--items", 1]
+        else:
+            argv += ["--data", work.data / "train"]
+        assert run_cli(*argv) == 2
+        payload = stderr_payload(capsys)
+        assert payload["error"] == "schema-violation"
+        assert payload["path"] == f"refine.params/{name}"
 
     def test_numerical_failure_is_4(self, work, tmp_path, capsys,
                                     monkeypatch):

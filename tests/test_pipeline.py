@@ -9,7 +9,7 @@ from tcrtomo.pipeline import (ReconConfig, aggregate_metrics,
                               save_result, select_alphas, solve_step,
                               tcr_reconstruct)
 from tcrtomo.solvers import l1_tcr_fista, l1_tv_tcr_pdhg, l2_tcr
-from tcrtomo.stt import SttConfig, init_stt_params
+from tcrtomo.stt import SttConfig, init_stt_params, predict_next
 
 MODEL_CFG = SttConfig(model_dim=16, heads=2, layers=1, image_size=16,
                       enc_channels=(2, 3, 4))
@@ -68,6 +68,43 @@ class TestStructure:
         for i, e in enumerate(order):
             if e[0] == "predict":
                 assert order[i + 1] == ("solve", e[1], "loop")
+
+    def test_predictor_work_per_step_is_constant(self, setup, monkeypatch):
+        """Each step feeds two slots of tokens through every dense layer
+        and decodes one slot, whatever the history length, and its prior
+        is predict_next on the history within float32 rounding."""
+        import tcrtomo.stt as stt
+        _, ds, rm, pm = setup
+        step, rows, decoded = [None], {}, {}
+        real_linear, real_conv2d = stt.linear, stt.conv2d
+
+        def linear(x, params, name):
+            if step[0] is not None:
+                rows.setdefault(step[0], []).append(
+                    int(np.prod(x.shape[:-1])))
+            return real_linear(x, params, name)
+
+        def conv2d(x, *args, **kwargs):
+            if step[0] is not None:
+                decoded.setdefault(step[0], set()).add(x.shape[0])
+            return real_conv2d(x, *args, **kwargs)
+
+        def trace(event):
+            step[0] = event[1] if event[0] == "predict" else None
+
+        monkeypatch.setattr(stt, "linear", linear)
+        monkeypatch.setattr(stt, "conv2d", conv2d)
+        res = tcr_reconstruct(ds.sinograms[0], _cfg(), rm, pm, trace=trace)
+        per_step = [2 * MODEL_CFG.grid ** 2] * (4 * MODEL_CFG.layers)
+        assert rows == {t: per_step for t in range(1, 10)}
+        assert decoded == {t: {1} for t in range(1, 10)}
+
+        monkeypatch.undo()
+        for t in range(1, 10):
+            want = predict_next(pm[0], pm[1],
+                                res.reconstructions[:t].astype(np.float32))
+            got = res.predictions[t - 1]
+            assert np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want))
 
     def test_future_measurement_perturbation_cannot_reach_past(self, setup):
         _, ds, rm, pm = setup

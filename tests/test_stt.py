@@ -5,9 +5,10 @@ from tcrtomo.autodiff import (Tensor, causal_attention, conv3d, gelu,
                               gradcheck, layer_norm, matmul, mse_loss,
                               reshape, rope_apply, transpose, tslice, tsum)
 from tcrtomo.layers import param_count
-from tcrtomo.stt import (SttConfig, bochner_distance, init_stt_params,
-                         predict_next, refine, rollout, stt_apply,
-                         stt_forward, stt_param_count)
+from tcrtomo.stt import (Predictor, SttConfig, bochner_distance,
+                         init_stt_params, predict_next, refine, rollout,
+                         stt_apply, stt_forward, stt_param_count,
+                         stt_param_shapes)
 
 DESK = SttConfig(model_dim=64, heads=4, layers=2, image_size=32)
 
@@ -71,6 +72,18 @@ class TestShapes:
                     SttConfig(model_dim=96, heads=8, layers=3, image_size=32)):
             params = init_stt_params(cfg)
             assert param_count(params) == stt_param_count(cfg)
+
+    @pytest.mark.parametrize("cfg", [
+        SttConfig(model_dim=16, heads=2, layers=1, image_size=16,
+                  enc_channels=(2, 3, 4)),
+        DESK,
+        SttConfig(model_dim=512, heads=8, layers=6, image_size=64),
+    ], ids=["tiny", "desk", "paper"])
+    def test_shape_table_matches_init(self, cfg):
+        params = init_stt_params(cfg)
+        shapes = stt_param_shapes(cfg)
+        assert list(shapes) == list(params)
+        assert shapes == {k: v.shape for k, v in params.items()}
 
     def test_forward_stays_float32(self):
         params = init_stt_params(DESK, seed=3)
@@ -222,6 +235,58 @@ class TestWrappers:
         assert seq.shape == (6, 32, 32)
         assert np.array_equal(seq[:2], init)
         assert np.array_equal(seq[2], predict_next(params, DESK, init))
+
+
+class TestPredictor:
+    """Streaming oracle: every push equals predict_next on the same
+    history within float32 rounding."""
+
+    @pytest.mark.parametrize("window", [None, 2, 3])
+    def test_push_matches_predict_next(self, window):
+        cfg = SttConfig(model_dim=64, heads=4, layers=2, image_size=32,
+                        max_context=10, window=window)
+        params = init_stt_params(cfg, seed=14)
+        x = np.random.default_rng(13).normal(size=(10, 32, 32)).astype(
+            np.float32)
+        predictor = Predictor(params, cfg)
+        for t in range(1, cfg.max_context + 1):
+            got = predictor.push(x[t - 1])
+            want = predict_next(params, cfg, x[:t])
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want))
+            cached = {k.shape[1] for pair in predictor._cache for k in pair}
+            assert cached == {t if window is None else min(t, window)}
+
+    def test_push_several_frames_then_one(self):
+        params = init_stt_params(DESK, seed=15)
+        x = np.random.default_rng(14).normal(size=(5, 32, 32)).astype(
+            np.float32)
+        predictor = Predictor(params, DESK)
+        assert np.array_equal(predictor.push(x[:4]),
+                              predict_next(params, DESK, x[:4]))
+        got = predictor.push(x[4])
+        want = predict_next(params, DESK, x)
+        assert np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want))
+
+    def test_input_checks(self):
+        cfg = SttConfig(model_dim=16, heads=2, layers=1, image_size=16,
+                        max_context=3, enc_channels=(2, 3, 4))
+        predictor = Predictor(init_stt_params(cfg), cfg)
+        frame = np.zeros((16, 16), dtype=np.float32)
+        bad = frame.copy()
+        bad[3, 3] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            predictor.push(bad)
+        with pytest.raises(ValueError, match="frame size"):
+            predictor.push(np.zeros((8, 8), dtype=np.float32))
+        with pytest.raises(ValueError):
+            predictor.push(np.zeros((0, 16, 16), dtype=np.float32))
+        predictor.push(np.stack([frame, frame]))
+        predictor.push(frame)
+        with pytest.raises(ValueError, match="context"):
+            predictor.push(frame)
+        # a rejected push leaves the stream where it was
+        assert predictor.length == 3
 
 
 class TestBochner:
