@@ -11,7 +11,9 @@ interpolated image along p(w), discretized with a fixed step of half a pixel
 width.  Each projection value is therefore a fixed linear combination of
 pixel values, so the whole transform for one time step is a sparse matrix;
 the adjoint is its exact transpose, which makes <Ax, y> == <x, A^T y> hold to
-rounding error by construction.
+rounding error by construction.  Each operator keeps the transpose as a
+second CSR matrix, built once, so an adjoint is a row-wise product like a
+forward projection rather than a scatter through a CSC view.
 
 Angle schedules are time dependent: a base fan of n_a(t) angles equispaced in
 [0, pi) rotates by t * delta between frames (modulo pi), which models a
@@ -19,6 +21,7 @@ scanner that keeps acquiring while the object moves.
 """
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,6 +203,8 @@ class RadonOperator(LinearOperator):
         self.in_shape = (self.image_size, self.image_size)
         self.out_shape = (self.angles.size, self.offsets.size)
         self.matrix = _system_matrix(self.angles, self.offsets, self.image_size)
+        # same entries, same summation order as matrix.T @ y: bitwise equal
+        self.matrix_t = self.matrix.T.tocsr()
 
     def forward(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -213,17 +218,22 @@ class RadonOperator(LinearOperator):
         if y.shape != self.out_shape:
             raise ValueError(
                 f"sinogram shape {y.shape} does not match operator {self.out_shape}")
-        return (self.matrix.T @ y.ravel()).reshape(self.in_shape)
+        return (self.matrix_t @ y.ravel()).reshape(self.in_shape)
 
 
-_OP_CACHE = {}
+# Least recently used operators beyond this many are dropped.  A whole test
+# session in one process holds about 150 and a reconstruction one per angle
+# set, so nothing the package runs is evicted.
+_OP_CACHE_SIZE = 256
+_OP_CACHE = OrderedDict()
 
 
 def operator_for_angles(angles, offsets, image_size):
     """RadonOperator for an explicit angle list, cached per sampling.
 
     Every projector of the package, radon_forward, radon_adjoint and fbp
-    included, comes from this cache.
+    included, comes from this cache.  It holds at most _OP_CACHE_SIZE
+    operators and drops the least recently used one beyond that.
     """
     angles = np.asarray(angles, dtype=np.float64)
     offsets = np.asarray(offsets, dtype=np.float64)
@@ -233,6 +243,10 @@ def operator_for_angles(angles, offsets, image_size):
     if op is None:
         op = RadonOperator(angles, offsets, image_size)
         _OP_CACHE[key] = op
+        if len(_OP_CACHE) > _OP_CACHE_SIZE:
+            _OP_CACHE.popitem(last=False)
+    else:
+        _OP_CACHE.move_to_end(key)
     return op
 
 

@@ -16,6 +16,15 @@ All three run one loop, _iterate.  A solver supplies its preamble
 own state.  The loop projects each kept iterate once: r = A x - psi gives
 the discrepancy, the objective's data term and the next step's r.  Each
 trace entry is the value a separate projection of that iterate would give.
+
+FISTA and PDHG step from an extrapolated point (FISTA's y, PDHG's xbar),
+an affine combination of the last two kept iterates.  Its residual follows
+by linearity from theirs, r + m (r - r_prev) and 2 r - r_prev, so every
+iteration costs one forward and one adjoint projection.  The derived
+residual is rebuilt from two fresh projections each time, so rounding does
+not accumulate; it differs from a direct projection only in the last bits.
+The adjoint multiplies by the operator's cached transpose (see geometry).
+A run whose final iterate or discrepancy is not finite raises ValueError.
 """
 
 from dataclasses import dataclass, field
@@ -89,7 +98,8 @@ def _iterate(op, psi, x, max_iter, step, l1=None, tv=None, monotone=False):
     Traces ||r|| of each kept iterate and, given l1 = (alpha, prior) or
     tv = beta, the objective 1/2 ||r||^2 + beta ||grad x||_1 +
     alpha ||x - prior||_1 summed left to right.  monotone drops an iterate
-    whose discrepancy would increase and stops the run there.
+    whose discrepancy would increase and stops the run there.  Raises
+    ValueError if the returned iterate or its discrepancy is not finite.
     """
     report = SolveReport()
 
@@ -119,6 +129,9 @@ def _iterate(op, psi, x, max_iter, step, l1=None, tv=None, monotone=False):
         x, r, d = x_new, r_new, d_new
         keep(x, r, d)
         report.iterations += 1
+    if not (np.isfinite(d) and np.isfinite(x).all()):
+        raise ValueError(f"non-finite iterate after {report.iterations} "
+                         f"iterations (discrepancy {d})")
     return x, report
 
 
@@ -153,20 +166,25 @@ def l1_tcr_fista(op, psi, prior, alpha, x0=None, max_iter=200):
 
     Fixed iteration budget, step 1 / (1.01 * ||A^T A||), momentum
     h_1 = 1, h_{k+1} = (1 + sqrt(1 + 4 h_k^2)) / 2,
-    y_{k+1} = x_k + (h_k - 1)/h_{k+1} * (x_k - x_{k-1}).
+    y_{k+1} = x_k + m_k (x_k - x_{k-1}),  m_k = (h_k - 1)/h_{k+1},
+    whose residual A y_{k+1} - psi = r_k + m_k (r_k - r_{k-1}) needs no
+    projection of its own.
     """
     psi, prior, x = _prepare(op, psi, prior, x0, max_iter, alpha=alpha)
     tau = 1.0 / (1.01 * op.norm_ata())
     y = x
     h = 1.0
+    m = r_prev = None  # y = x on the first step, so A y - psi = r
 
     def step(x, r):
-        nonlocal y, h
-        grad = op.adjoint(op.forward(y) - psi)
-        x_new = prox_shifted_l1(y - tau * grad, tau * alpha, prior)
+        nonlocal y, h, m, r_prev
+        r_y = r if r_prev is None else r + m * (r - r_prev)
+        x_new = prox_shifted_l1(y - tau * op.adjoint(r_y), tau * alpha, prior)
         h_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * h * h))
-        y = x_new + ((h - 1.0) / h_new) * (x_new - x)
+        m = (h - 1.0) / h_new
+        y = x_new + m * (x_new - x)
         h = h_new
+        r_prev = r
         return x_new
 
     return _iterate(op, psi, x, max_iter, step, l1=(alpha, prior))
@@ -208,7 +226,7 @@ def l1_tv_tcr_pdhg(op, psi, prior, alpha, beta, x0=None, max_iter=400):
       y1 <- (y1 + sigma (A xbar - psi)) / (1 + sigma)       data dual
       y2 <- clip(y2 + sigma grad xbar, -beta, beta)         TV dual
       x  <- prox_shifted_l1(x - tau (A^T y1 - div y2), tau alpha, prior)
-      xbar = 2 x_new - x
+      xbar = 2 x_new - x,  so  A xbar - psi = 2 r_new - r
     with tau = sigma = 0.99 / ||K||, ||K||^2 <= 1.01 ||A^T A|| + 8.
     """
     psi, prior, x = _prepare(op, psi, prior, x0, max_iter, alpha=alpha,
@@ -220,16 +238,19 @@ def l1_tv_tcr_pdhg(op, psi, prior, alpha, beta, x0=None, max_iter=400):
     y1 = np.zeros(op.out_shape)
     y2r = np.zeros(op.in_shape)
     y2c = np.zeros(op.in_shape)
+    r_prev = None
 
     def step(x, r):
-        nonlocal xbar, y1, y2r, y2c
-        y1 = (y1 + sigma * (op.forward(xbar) - psi)) / (1.0 + sigma)
+        nonlocal xbar, y1, y2r, y2c, r_prev
+        r_bar = r if r_prev is None else 2.0 * r - r_prev
+        y1 = (y1 + sigma * r_bar) / (1.0 + sigma)
         gr, gc = grad2d(xbar)
         y2r = np.clip(y2r + sigma * gr, -beta, beta)
         y2c = np.clip(y2c + sigma * gc, -beta, beta)
         x_new = prox_shifted_l1(
             x - tau * (op.adjoint(y1) - div2d(y2r, y2c)), tau * alpha, prior)
         xbar = 2.0 * x_new - x
+        r_prev = r
         return x_new
 
     return _iterate(op, psi, x, max_iter, step, l1=(alpha, prior), tv=beta)

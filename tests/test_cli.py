@@ -1,6 +1,8 @@
 """Command-line surface: config schema, exit codes, artifact round trips."""
 
+import copy
 import csv
+import itertools
 import json
 import os
 import shutil
@@ -22,7 +24,7 @@ from tcrtomo.datasets import (load_external_sinogram, read_dataset,
                               write_sinogram_set)
 from tcrtomo.errors import (ConfigError, DatasetFormatError,
                             MissingArtifactError)
-from tcrtomo.geometry import operator_for_angles
+from tcrtomo.geometry import ScanGeometry, angle_schedule, operator_for_angles
 from tcrtomo.pipeline import ReconResult, load_result, save_result
 from tcrtomo.solvers import l1_tcr_fista
 from tcrtomo.stt import SttConfig, init_stt_params
@@ -458,6 +460,43 @@ class TestExitCodes:
         payload = stderr_payload(capsys)
         assert payload["error"] == "numerical-failure"
         assert "step 0" in payload["message"]
+
+    @pytest.mark.parametrize("solver", ["L1", "L1TV"])
+    def test_non_finite_solve_on_last_step_is_4(self, work, tmp_path, capsys,
+                                                monkeypatch, solver):
+        """Finite data, but the last step's projections turn to inf."""
+        import tcrtomo.pipeline as pipeline
+
+        geom = ScanGeometry(**TINY_CONFIG["geometry"])
+        last = geom.n_steps - 1
+        last_angles = angle_schedule(geom, last)
+
+        def operator(angles, offsets, size):
+            op = operator_for_angles(angles, offsets, size)
+            if (np.shape(angles) != last_angles.shape
+                    or not np.allclose(angles, last_angles)):
+                return op
+            calls = itertools.count(1)
+            blown = copy.copy(op)
+            blown.forward = lambda x: (op.forward(x) if next(calls) <= 5
+                                       else np.full(op.out_shape, np.inf))
+            return blown
+
+        monkeypatch.setattr(pipeline, "operator_for_angles", operator)
+        cfg = dict(TINY_CONFIG, recon=dict(TINY_CONFIG["recon"],
+                                           solver=solver))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        with np.errstate(invalid="ignore"):
+            rc = run_cli("reconstruct", "--config", cfg_path,
+                         "--input", work.data / "test", "--refine",
+                         work.refine, "--predict", work.predict,
+                         "--out", tmp_path / "r", "--items", 1)
+        assert rc == 4
+        payload = stderr_payload(capsys)
+        assert payload["error"] == "numerical-failure"
+        assert f"solver failed at step {last}: non-finite iterate" in \
+            payload["message"]
 
     @pytest.mark.parametrize("command", ["gen-data", "reconstruct"])
     def test_uncreatable_output_is_3(self, work, tmp_path, capsys, command):

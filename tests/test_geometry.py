@@ -153,6 +153,23 @@ def test_adjoint_dot_product_all_shipped_geometries():
         assert abs(lhs - rhs) / denom < 1e-6, (size, n_ang)
 
 
+@pytest.mark.parametrize("size,n_offsets", [(32, 47), (64, 100)],
+                         ids=["desk", "paper64"])
+def test_adjoint_is_the_cached_transpose(size, n_offsets):
+    """The cached CSR transpose gives matrix.T @ y bit for bit."""
+    rng = np.random.default_rng(1)
+    geom = default_geom(image_size=size, n_steps=8, n_offsets=n_offsets)
+    for t in (0, 3):  # 20 and 3 angles
+        op = operator_for_angles(angle_schedule(geom, t), geom.offsets, size)
+        x = rng.standard_normal(op.in_shape)
+        y = rng.standard_normal(op.out_shape)
+        aty = op.adjoint(y)
+        assert np.array_equal(aty.ravel(), op.matrix.T @ y.ravel())
+        lhs = float(np.vdot(op.forward(x), y))
+        rhs = float(np.vdot(x, aty))
+        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
+
+
 def test_adjoint_footprint():
     # one sinogram bin backprojects onto a narrow band around its ray
     size = 48
@@ -257,6 +274,25 @@ def test_one_off_transforms_use_the_operator_cache(monkeypatch):
     rec = fbp(sino, angles, offsets, size)
     assert len(backprojections) == 1 and rec is backprojections[0]
     assert len(geometry._OP_CACHE) == n_cached
+
+
+def test_operator_cache_evicts_least_recently_used(monkeypatch):
+    monkeypatch.setattr(geometry, "_OP_CACHE", type(geometry._OP_CACHE)())
+    monkeypatch.setattr(geometry, "_OP_CACHE_SIZE", 3)
+    offsets = np.linspace(-1, 1, 9)
+
+    def op(phi):
+        return operator_for_angles([phi], offsets, 6)
+
+    a, b, c = op(0.1), op(0.2), op(0.3)
+    assert op(0.1) is a  # a hit refreshes its entry: b is now the oldest
+    d = op(0.4)
+    assert len(geometry._OP_CACHE) == 3
+    assert op(0.1) is a and op(0.3) is c and op(0.4) is d
+    assert op(0.2) is not b  # b was evicted and is built anew
+    # that rebuild evicted a, the least recently used of a, c, d
+    assert [o.angles[0] for o in geometry._OP_CACHE.values()] == [0.3, 0.4,
+                                                                 0.2]
 
 
 def test_cached_operator_keeps_its_own_sampling():

@@ -1,11 +1,19 @@
 """Reference oracle for the solver loops, and the projector work they do.
 
 The three reference loops below are the straightforward versions of the
-solvers: every trace entry re-projects its iterate, so FISTA and PDHG
-spend 3 forward projections per iteration and L2 spends 2.  The shipped
-solvers project each kept iterate once and must still agree with these
-loops bit for bit: iterate, discrepancy trace, objective trace, final
-objective, iteration count and stop reason.
+solvers: every trace entry re-projects its iterate and every extrapolated
+point is projected directly, so FISTA and PDHG spend 3 forward projections
+per iteration and L2 spends 2.  The shipped solvers project each kept
+iterate once and derive the extrapolated point's residual by linearity from
+the last two (FISTA's y, PDHG's xbar), so FISTA and PDHG spend 1 forward
+and 1 adjoint projection per iteration; the adjoint goes through the
+operator's cached transpose.
+
+L2 does no extrapolation and must agree with its reference bit for bit:
+iterate, discrepancy trace, final objective, iteration count and stop
+reason.  FISTA and PDHG must match the iteration count and stop reason
+exactly, the iterate within TOL of max|x_ref| and every discrepancy and
+objective entry within TOL relative.
 """
 
 from dataclasses import asdict
@@ -144,14 +152,33 @@ def scan(request):
     return op, ds.sinograms[0].frames[t], ds.gt[0][t - 1]
 
 
-def _same(got, want):
+# the derived residuals differ from direct projections in the last bits
+TOL = 1e-12
+
+
+def _close(got, want, tol):
+    """Equal when tol is 0; otherwise within tol as the module states."""
     x, rep = got
     x_ref, rep_ref = want
-    assert x.dtype == x_ref.dtype and np.array_equal(x, x_ref)
-    assert asdict(rep) == asdict(rep_ref)
+    assert x.dtype == x_ref.dtype
+    if tol == 0:
+        assert np.array_equal(x, x_ref)
+        assert asdict(rep) == asdict(rep_ref)
+        return
+    assert (rep.iterations, rep.stop_reason) == (rep_ref.iterations,
+                                                 rep_ref.stop_reason)
+    assert np.max(np.abs(x - x_ref)) <= tol * np.max(np.abs(x_ref))
+    for name in ("discrepancies", "objectives"):
+        a = np.array(getattr(rep, name))
+        b = np.array(getattr(rep_ref, name))
+        assert a.shape == b.shape and b.size > 0
+        assert np.all(np.abs(a - b) <= tol * np.abs(b)), name
+    assert abs(rep.objective - rep_ref.objective) <= tol * abs(
+        rep_ref.objective)
 
 
-# (label, shipped solver, reference, positional weights, keyword args)
+# (label, shipped solver, reference, positional weights, keyword args);
+# L2 cases compare bitwise, FISTA and PDHG at TOL
 CASES = [
     ("l2-alpha0.1", l2_tcr, ref_l2, (0.1,), {"x0": "prior"}),
     ("l2-alpha10", l2_tcr, ref_l2, (10.0,), {"max_iter": 60}),
@@ -171,8 +198,11 @@ def _run(solver, scan, weights, kw):
 
 @pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
 def test_solvers_match_reference_bitwise(scan, case):
+    # bitwise for L2; FISTA and PDHG, which extrapolate, at TOL
     _, solver, reference, weights, kw = case
-    _same(_run(solver, scan, weights, kw), _run(reference, scan, weights, kw))
+    tol = 0 if solver is l2_tcr else TOL
+    _close(_run(solver, scan, weights, kw),
+           _run(reference, scan, weights, kw), tol)
 
 
 def test_oracle_covers_both_l2_stop_reasons(scan):
@@ -205,8 +235,8 @@ class CountingOperator(LinearOperator):
 
 
 @pytest.mark.parametrize("solver,weights,per_iter", [
-    (l1_tcr_fista, (1e-3,), (2, 1)),
-    (l1_tv_tcr_pdhg, (1e-3, 0.01), (2, 1)),
+    (l1_tcr_fista, (1e-3,), (1, 1)),
+    (l1_tv_tcr_pdhg, (1e-3, 0.01), (1, 1)),
 ])
 def test_projections_per_iteration(scan, solver, weights, per_iter):
     op, psi, prior = scan

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tcrtomo.geometry import MatrixOperator, operator_for_angles
+from tcrtomo.geometry import LinearOperator, MatrixOperator, operator_for_angles
 from tcrtomo.solvers import (div2d, grad2d, l1_tcr_fista, l1_tv_tcr_pdhg,
                              l2_tcr, prox_shifted_l1, soft_threshold)
 
@@ -305,3 +305,44 @@ def test_non_finite_weights_rejected(bad):
         l1_tv_tcr_pdhg(op2, psi2, prior2, alpha=bad, beta=0.0)
     with pytest.raises(ValueError, match="beta"):
         l1_tv_tcr_pdhg(op2, psi2, prior2, alpha=0.0, beta=bad)
+
+
+class InfAfter(LinearOperator):
+    """Finite operator whose forward returns inf from call n_finite on."""
+
+    def __init__(self, inner, n_finite):
+        self.inner, self.n_finite = inner, n_finite
+        self.in_shape, self.out_shape = inner.in_shape, inner.out_shape
+
+    def forward(self, x):
+        self.n_finite -= 1
+        if self.n_finite < 0:
+            return np.full(self.out_shape, np.inf)
+        return self.inner.forward(x)
+
+    def adjoint(self, y):
+        return self.inner.adjoint(y)
+
+    def norm_ata(self):
+        return self.inner.norm_ata()
+
+
+@pytest.mark.parametrize("solver,weights", [
+    (l1_tcr_fista, (0.01,)), (l1_tv_tcr_pdhg, (0.01, 0.01))])
+def test_non_finite_result_raises(solver, weights):
+    """Finite inputs, but the projections blow up part way through."""
+    op = small_radon()
+    img = random_image()
+    psi = op.forward(img)
+    with (pytest.raises(ValueError, match="non-finite iterate after 30 "),
+          np.errstate(invalid="ignore")):
+        solver(InfAfter(op, 10), psi, img, *weights, max_iter=30)
+
+
+def test_l2_keeps_the_last_finite_iterate():
+    # an infinite discrepancy is an increase, so the run stops before it
+    op = small_radon()
+    psi = op.forward(random_image())
+    x, rep = l2_tcr(InfAfter(op, 5), psi, np.zeros(op.in_shape), 0.0)
+    assert (rep.iterations, rep.stop_reason) == (4, "discrepancy_increase")
+    assert np.isfinite(x).all()
