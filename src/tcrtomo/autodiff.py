@@ -10,11 +10,15 @@ Payloads default to float32; explicit reductions (sum/mean/losses, norm
 statistics) accumulate in float64 before casting back.  float64 payloads are
 fully supported, which is what the finite-difference gradient checks use.
 
-Convolutions are im2col matmuls.  col2im, the adjoint of im2col, scatters
-W^T g back onto the input windows: that is a conv's input gradient (skipped
-when the input needs none) and the forward pass of conv_transpose2d/3d,
-whose backward is a plain conv.  The transposes are first-class ops so
-gradient-of-gradient graphs (e.g. a gradient penalty) can be built on tape.
+Convolutions are im2col matmuls over one column layout, (C*prod(k), N*P)
+gathered in (C, *k, N, *out) order.  The forward pass is one GEMM per
+sample over strided views of it, so a sample's result never depends on
+the batch it came in; the weight gradient is one GEMM over all columns.
+col2im, the adjoint of im2col, scatters W^T g back onto the input windows:
+that is a conv's input gradient (skipped when the input needs none) and
+the forward pass of conv_transpose2d/3d, whose backward is a plain conv.
+The transposes are first-class ops so gradient-of-gradient graphs (e.g. a
+gradient penalty) can be built on tape.
 """
 
 import contextlib
@@ -511,24 +515,37 @@ def _norm_stride_pad(stride, pad, nd):
 
 
 def _pad_input(x, pad):
+    """x zero-padded on its spatial axes: one zeros buffer, one slice copy."""
     if all(p == (0, 0) for p in pad):
         return x
-    return np.pad(x, ((0, 0), (0, 0)) + pad)
+    sp = x.shape[2:]
+    xp = np.zeros(x.shape[:2] + tuple(n + p[0] + p[1] for n, p in zip(sp, pad)),
+                  dtype=x.dtype)
+    xp[(slice(None), slice(None))
+       + tuple(slice(p[0], p[0] + n) for n, p in zip(sp, pad))] = x
+    return xp
 
 
 def _im2col(xp, ksize, stride):
-    """(N, C, *sp) -> (N, P, C*prod(k)), plus the output spatial shape."""
+    """(N, C, *sp) -> (C*prod(k), N*P) columns, plus the output spatial shape.
+
+    Row (c, *offset) holds, for every sample and output cell, the input
+    value that kernel tap sees; the rows are gathered in (C, *k, N, *out)
+    order, so the innermost run of the copy is one strided output row of
+    the input.  The result is always C-contiguous: the GEMMs below then
+    see one memory layout whatever view the input came as, which keeps
+    their rounding independent of it.
+    """
     nd = len(ksize)
     axes = tuple(range(2, 2 + nd))
     win = sliding_window_view(xp, ksize, axis=axes)
     sel = (slice(None), slice(None)) + tuple(slice(None, None, s) for s in stride)
     win = win[sel]
     out_sp = win.shape[2:2 + nd]
-    # (N, C, *out, *k) -> (N, *out, C, *k)
-    order = (0,) + tuple(range(2, 2 + nd)) + (1,) + tuple(range(2 + nd, 2 + 2 * nd))
-    cols = win.transpose(order).reshape(
-        xp.shape[0], int(np.prod(out_sp)), xp.shape[1] * int(np.prod(ksize)))
-    return np.ascontiguousarray(cols), out_sp
+    # (N, C, *out, *k) -> (C, *k, N, *out)
+    order = (1,) + tuple(range(2 + nd, 2 + 2 * nd)) + (0,) + axes
+    cols = np.ascontiguousarray(win.transpose(order))
+    return cols.reshape(-1, xp.shape[0] * int(np.prod(out_sp))), out_sp
 
 
 def _conv_out_shape(in_sp, ksize, stride, pad):
@@ -536,36 +553,41 @@ def _conv_out_shape(in_sp, ksize, stride, pad):
                  for n, k, s, p in zip(in_sp, ksize, stride, pad))
 
 
+def _conv_gemm(w, cols, out_sp):
+    """W times the columns, one GEMM per sample: (N, Co, *out).
+
+    Each sample's (C*prod(k), P) block is a strided view of the columns,
+    so a sample's rounding is that of the same conv run on it alone,
+    whatever the batch size.
+    """
+    co, p = w.shape[0], int(np.prod(out_sp))
+    per_sample = cols.reshape(cols.shape[0], -1, p).transpose(1, 0, 2)
+    out = np.matmul(w.reshape(co, -1), per_sample)
+    return out.reshape(out.shape[:2] + tuple(out_sp))
+
+
 def _conv_forward(x, w, stride, pad):
-    n, c = x.shape[:2]
-    co = w.shape[0]
-    ksize = w.shape[2:]
-    xp = _pad_input(x, pad)
-    cols, out_sp = _im2col(xp, ksize, stride)
-    out = cols @ w.reshape(co, -1).T
-    out = out.reshape((n,) + out_sp + (co,))
-    nd = len(ksize)
-    order = (0, nd + 1) + tuple(range(1, nd + 1))
-    return np.ascontiguousarray(out.transpose(order)), cols
+    """conv of x by w, (N, Co, *out), and the columns it was read from."""
+    cols, out_sp = _im2col(_pad_input(x, pad), w.shape[2:], stride)
+    return _conv_gemm(w, cols, out_sp), cols
 
 
 def _conv_dw(cols, g, w_shape):
-    co = w_shape[0]
-    gf = g.reshape(g.shape[0], co, -1)  # (N, Co, P)
-    cols64 = cols.reshape(-1, cols.shape[-1])
-    gmat = np.ascontiguousarray(gf.transpose(0, 2, 1)).reshape(-1, co)
-    dw = gmat.T @ cols64
-    return dw.reshape(w_shape)
+    """Weight gradient: one GEMM of the columns with g as (Co, N*P)."""
+    n, co = g.shape[:2]
+    g2 = np.ascontiguousarray(g.reshape(n, co, -1).transpose(1, 0, 2))
+    return (cols @ g2.reshape(co, -1).T).T.reshape(w_shape)
 
 
 def _col2im(g, w, stride, pad, in_sp):
     """Scatter the columns W^T g back onto the padded input, then crop it.
 
-    The adjoint of _im2col followed by the weight matmul: the (C, *out, N)
-    block of W^T g for each kernel offset is added onto the strided window
-    that _im2col read for that offset.  One block at a time keeps the full
-    column matrix, k times the input's size, from being allocated; the
-    batch axis is innermost so that a window row is one contiguous run.
+    The adjoint of _im2col followed by the weight matmul: for each kernel
+    offset, that offset's (C, *out, N) block of W^T g (the rows _im2col
+    gathered for it) is one GEMM, added onto the strided window _im2col
+    read.  One block at a time keeps the full column matrix, k times the
+    input's size, from being allocated.  Unlike _im2col's columns the batch
+    axis is innermost here, so that a window row is one contiguous run.
     """
     co, c = w.shape[:2]
     gt = np.moveaxis(g, 0, -1).reshape(co, -1)
@@ -649,9 +671,11 @@ def _conv_transpose_nd(a, w, stride, pad, nd, output_size):
     out = _col2im(a.data, w.data, stride, pad, output_size)
 
     def backward(g):
-        ga, cols = _conv_forward(g, w.data, stride, pad)
-        _accum(w, _conv_dw(cols, a.data, w.data.shape))
-        _accum(a, ga)
+        cols, g_sp = _im2col(_pad_input(g, pad), ksize, stride)
+        if _needs_grad(w):
+            _accum(w, _conv_dw(cols, a.data, w.data.shape))
+        if _needs_grad(a):
+            _accum(a, _conv_gemm(w.data, cols, g_sp))
 
     return _make(out, (a, w), backward)
 

@@ -445,14 +445,16 @@ def reg_loss(params, gt_sample, gen_sample, eps_mix, lambda_gp=10.0,
     return loss
 
 
-def gen_loss(params, critic, psi, aop, alpha=0.1, parts=None):
+def gen_loss(params, critic, psi, aop, alpha=0.1, parts=None, theta=None):
     """Generator loss: squared data misfit plus alpha times the critic.
 
     params holds the generator weights, critic the critic weights; psi
     and aop define the sample.  alpha = 0 degenerates to pure data
-    fidelity.  parts, when given, receives the float terms.
+    fidelity.  parts, when given, receives the float terms.  theta, when
+    given, is the taped uar_generator(params, psi, aop) already built.
     """
-    theta = uar_generator(params, psi, aop)
+    if theta is None:
+        theta = uar_generator(params, psi, aop)
     projected = _operator_apply(theta, aop, forward=True)
     dtype = theta.data.dtype
     data = Tensor(np.asarray(psi, dtype=dtype)[None, None])
@@ -538,17 +540,25 @@ def train_uar(dataset, mode, cfg=None, model_cfg=None, sampler_trace=None):
                 sampler_trace.append((phase, i_gt, i_psi))
             psi, aop = psi_pool[i_psi]
             parts = {}
+            theta = None
             if phase != 2:
                 eps_mix = float(rng.random())
-                fake = (aop.fbp(psi).astype(np.float32) if phase == 1
-                        else uar_reconstruct(gen, psi, aop))
+                if phase == 1:
+                    fake = aop.fbp(psi).astype(np.float32)
+                else:
+                    # one generator pass: its output is the critic's fake
+                    # sample, then the generator loss's graph, which
+                    # scores it with the critic as updated below
+                    theta = uar_generator(gen, psi, aop)
+                    fake = theta.data.reshape(aop.image_shape)
                 loss = reg_loss(reg, gt_pool[i_gt], fake, eps_mix,
                                 cfg.lambda_gp, parts=parts)
                 skipped += _update(reg, opt_reg, loss, lr)
                 reg_losses.append(float(loss.data))
                 gps.append(parts["gp"])
             if phase != 1:
-                loss = gen_loss(gen, critic, psi, aop, cfg.alpha, parts=parts)
+                loss = gen_loss(gen, critic, psi, aop, cfg.alpha, parts=parts,
+                                theta=theta)
                 skipped += _update(gen, opt_gen, loss, lr)
                 gen_losses.append(float(loss.data))
                 fits.append(parts["datafit"])

@@ -1,8 +1,12 @@
-"""Reference oracle for the conv input gradient and conv_transpose.
+"""Reference oracle for conv, its gradients and conv_transpose.
 
-The reference below is the earlier construction: dilate the output
+The reference conv is a float64 direct sum: one strided slice of the
+padded input per kernel offset, contracted with that offset's weights.
+Its weight gradient contracts the same slices with the output gradient.
+The input gradient is the earlier construction: dilate the output
 gradient by the stride, pad it by k - 1 - p, and correlate it with the
-spatially flipped, channel-swapped kernel.  The shipped path scatters
+spatially flipped, channel-swapped kernel.  The shipped path gathers
+im2col columns for the forward pass and the weight gradient and scatters
 W^T g back onto the input windows with col2im.  Both must agree on every
 conv shape the STT and the UAR models use, in float64 and in float32.
 """
@@ -16,6 +20,36 @@ from tcrtomo.stt import SttConfig
 from tcrtomo.uar import UarConfig
 
 # ------------------------------------------------------- reference path
+
+
+def _ref_windows(x, ksize, stride, pad):
+    """(offset, strided slice of the float64 padded x) per kernel offset."""
+    xp = np.pad(x.astype(np.float64), ((0, 0), (0, 0)) + tuple(pad))
+    out_sp = tuple((n - k) // s + 1
+                   for n, k, s in zip(xp.shape[2:], ksize, stride))
+    for offset in np.ndindex(*ksize):
+        win = tuple(slice(i, i + (o - 1) * s + 1, s)
+                    for i, o, s in zip(offset, out_sp, stride))
+        yield offset, xp[(slice(None), slice(None)) + win]
+
+
+def ref_conv(x, w, stride, pad):
+    """Correlation of x (N, C, *sp) with w (Co, C, *k), summed in float64."""
+    out = 0.0
+    for offset, xs in _ref_windows(x, w.shape[2:], stride, pad):
+        wo = w[(slice(None), slice(None)) + offset].astype(np.float64)
+        out = out + np.moveaxis(np.tensordot(wo, xs, axes=([1], [1])), 0, 1)
+    return out
+
+
+def ref_conv_weight_grad(x, g, w_shape, stride, pad):
+    """d<g, conv(x, w)>/dw: each offset's slice contracted with g."""
+    dw = np.zeros(w_shape)
+    axes = [0] + list(range(2, g.ndim))
+    for offset, xs in _ref_windows(x, w_shape[2:], stride, pad):
+        dw[(slice(None), slice(None)) + offset] = np.tensordot(
+            g.astype(np.float64), xs, axes=(axes, axes))
+    return dw
 
 
 def _ref_dilate(g, stride):
@@ -44,7 +78,7 @@ def ref_conv_input_grad(g, w, stride, pad, in_sp):
     nd = len(ksize)
     wf = np.flip(w, axis=tuple(range(2, 2 + nd)))
     wf = np.ascontiguousarray(np.swapaxes(wf, 0, 1))
-    return ad._conv_forward(gd, wf, (1,) * nd, tuple(tpad))[0]
+    return ref_conv(gd, wf, (1,) * nd, tuple(tpad))
 
 
 def ref_conv_transpose(a, w, stride, pad, output_size=None):
@@ -85,14 +119,18 @@ def _stt_shapes(batch=2, slots=3):
     }
 
 
-def _uar_shapes(size=32, steps=4):
-    """Same-padded 3x3 convs of the UAR generator and critic, 2-D and 3-D."""
+def _uar_shapes(size=32, steps=4, offsets=47):
+    """Same-padded 3x3 convs of the UAR generator and critic, 2-D and 3-D,
+    and the dual nets' convs over the data box (angles, offsets) of a
+    3-angle and a 20-angle scan."""
     cfg = UarConfig()
     gc, cc = cfg.gamma_channels, cfg.critic_channels
     return {
         "uar2d-gamma-in": ((1, 4, size, size), (gc, 4, 3, 3)) + _SAME2,
         "uar2d-gamma-mid": ((1, gc, size, size), (gc, gc, 3, 3)) + _SAME2,
         "uar2d-critic": ((1, cc[1], size, size), (cc[2], cc[1], 3, 3)) + _SAME2,
+        "uar2d-dual-in-a3": ((1, 4, 3, offsets), (gc, 4, 3, 3)) + _SAME2,
+        "uar2d-dual-mid-a20": ((1, gc, 20, offsets), (gc, gc, 3, 3)) + _SAME2,
         "uar3d-gamma-out": ((1, gc, steps, size, size), (1, gc, 3, 3, 3))
         + _SAME3,
         "uar3d-critic": ((1, cc[0], steps, size, size), (cc[1], cc[0], 3, 3, 3))
@@ -158,6 +196,77 @@ def test_conv_transpose_matches_reference(name, dtype):
         <= TOLERANCE[dtype]
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32],
+                         ids=["float64", "float32"])
+@pytest.mark.parametrize("name", list(SHAPES))
+def test_forward_matches_reference(name, dtype):
+    x, w, _, stride, pad = _case(name, dtype, 4)
+    out = _conv(x.ndim - 2)(Tensor(x), Tensor(w), stride=stride, padding=pad)
+    assert out.data.dtype == dtype
+    assert _rel_err(out.data, ref_conv(x, w, stride, pad)) <= TOLERANCE[dtype]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32],
+                         ids=["float64", "float32"])
+@pytest.mark.parametrize("name", list(SHAPES))
+def test_weight_grad_matches_reference(name, dtype):
+    x, w, g, stride, pad = _case(name, dtype, 5)
+    wt = Tensor(w, requires_grad=True)
+    _conv(x.ndim - 2)(Tensor(x), wt, stride=stride, padding=pad).backward(g)
+    ref = ref_conv_weight_grad(x, g, w.shape, stride, pad)
+    assert wt.grad.dtype == dtype
+    assert _rel_err(wt.grad, ref) <= TOLERANCE[dtype]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32],
+                         ids=["float64", "float32"])
+@pytest.mark.parametrize("name", list(SHAPES))
+def test_conv_transpose_backward_matches_reference(name, dtype):
+    """conv_transpose(a, w) is the adjoint of conv(., w), so its input
+    gradient is conv(G, w) and its weight gradient that of <a, conv(G, w)>."""
+    x, w, g, stride, pad = _case(name, dtype, 6)
+    at = Tensor(g, requires_grad=True)
+    wt = Tensor(w, requires_grad=True)
+    _conv_t(x.ndim - 2)(at, wt, stride=stride, padding=pad,
+                        output_size=x.shape[2:]).backward(x)
+    assert _rel_err(at.grad, ref_conv(x, w, stride, pad)) <= TOLERANCE[dtype]
+    ref = ref_conv_weight_grad(x, g, w.shape, stride, pad)
+    assert _rel_err(wt.grad, ref) <= TOLERANCE[dtype]
+
+
+def _strided_views(x):
+    """The values of x as non-contiguous views: channel axis innermost in
+    memory (so the decoder's tokens reach its convs when it decodes one
+    slot), and every other element of a buffer twice as long."""
+    last = np.moveaxis(np.ascontiguousarray(np.moveaxis(x, 1, -1)), -1, 1)
+    buf = np.zeros(x.shape[:-1] + (2 * x.shape[-1],), dtype=x.dtype)
+    buf[..., ::2] = x
+    views = [v for v in (last, buf[..., ::2]) if not v.flags.c_contiguous]
+    assert views and all(np.array_equal(v, x) for v in views)
+    return views
+
+
+@pytest.mark.parametrize("name", list(SHAPES))
+def test_sample_result_independent_of_batch_and_layout(name):
+    """Each sample of a batch convolves bitwise as it would alone, and a
+    strided view of the input convolves bitwise as its contiguous copy."""
+    x_shape, w_shape, stride, pad = SHAPES[name]
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((3,) + x_shape[1:]).astype(np.float32)
+    w = Tensor(rng.standard_normal(w_shape).astype(np.float32))
+    b = Tensor(rng.standard_normal(w_shape[0]).astype(np.float32))
+    conv = _conv(x.ndim - 2)
+
+    def run(a):
+        return conv(Tensor(a), w, b, stride=stride, padding=pad).data
+
+    batch = run(x)
+    for a in [x] + _strided_views(x):
+        assert np.array_equal(run(a), batch)
+        for i in range(len(x)):
+            assert np.array_equal(run(a[i:i + 1]), batch[i:i + 1])
+
+
 def test_backward_skips_input_grad_nobody_needs(monkeypatch):
     calls = []
     real = ad._col2im
@@ -185,3 +294,31 @@ def test_backward_skips_input_grad_nobody_needs(monkeypatch):
     assert calls == []
     assert np.array_equal(w_full, w_skip)
     assert np.array_equal(b_full, b_skip)
+
+
+def test_conv_transpose_backward_skips_grads_nobody_needs(monkeypatch):
+    calls = []
+    for fn in ("_conv_dw", "_conv_gemm"):
+        real = getattr(ad, fn)
+        monkeypatch.setattr(
+            ad, fn, lambda *args, _fn=fn, _real=real:
+            calls.append(_fn) or _real(*args))
+    x, w, g, stride, pad = _case("dec1", np.float32, 8)
+
+    def grads(input_needs_grad, weight_needs_grad):
+        at = Tensor(g, requires_grad=input_needs_grad)
+        wt = Tensor(w, requires_grad=weight_needs_grad)
+        ad.conv_transpose2d(at, wt, stride=stride, padding=pad,
+                            output_size=x.shape[2:]).backward(x)
+        return at.grad, wt.grad
+
+    a_full, w_full = grads(True, True)
+    assert calls == ["_conv_dw", "_conv_gemm"]
+    calls.clear()
+    a_only, w_none = grads(True, False)
+    assert calls == ["_conv_gemm"] and w_none is None
+    assert np.array_equal(a_only, a_full)
+    calls.clear()
+    a_none, w_only = grads(False, True)
+    assert calls == ["_conv_dw"] and a_none is None
+    assert np.array_equal(w_only, w_full)

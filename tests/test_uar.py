@@ -195,6 +195,17 @@ class TestGenerator:
         assert np.array_equal(uar_reconstruct(params, psi, op),
                               node.data.reshape(16, 16))
 
+    def test_taped_output_matches_reconstruct(self):
+        """The trainer's phase 3 reads the critic's fake sample off the
+        taped graph it then differentiates; it must be the untaped one."""
+        op = _static_op()
+        params = init_uar_params("static2d", TINY, seed=9)
+        psi = op.forward(np.full((16, 16), 0.4))
+        node = uar_generator(params, psi, op)
+        assert node.requires_grad
+        assert np.array_equal(uar_reconstruct(params, psi, op),
+                              node.data.reshape(16, 16))
+
 
 class TestModeDuality:
     def test_static_equals_length_one_dynamic(self):
@@ -437,6 +448,23 @@ class TestTraining:
         p2, log2 = train_uar(tiny_dataset, "static2d", cfg, TINY)
         assert log1 == log2
         assert all(np.array_equal(p1[k].data, p2[k].data) for k in p1)
+
+    @pytest.mark.parametrize("phases", [(0, 1, 0), (0, 0, 1)])
+    def test_one_generator_pass_per_draw(self, tiny_dataset, monkeypatch,
+                                         phases):
+        calls = []
+        real = uar.uar_generator
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(uar, "uar_generator", counting)
+        p1, p2, p3 = phases
+        cfg = UarTrainConfig(phase1_epochs=p1, phase2_epochs=p2,
+                             phase3_epochs=p3, seed=5)
+        train_uar(tiny_dataset, "static2d", cfg, TINY)
+        assert len(calls) == len(tiny_dataset)
 
     def test_generator_update_fills_no_critic_grad(self, tiny_dataset):
         cfg = UarTrainConfig(phase1_epochs=0, phase2_epochs=1,
