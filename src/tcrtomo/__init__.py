@@ -88,7 +88,6 @@ _EXPORTS = {
     # metrics, persistence, config
     "psnr": "metrics",
     "ssim": "metrics",
-    "sequence_metrics": "metrics",
     "save_checkpoint": "checkpoint",
     "load_checkpoint": "checkpoint",
     "load_config": "config",

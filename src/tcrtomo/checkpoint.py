@@ -9,7 +9,12 @@ Layout on disk:
 
 Offsets are assigned in sorted-name order, so a checkpoint written twice
 from the same values is byte identical. `extra` carries JSON-serializable
-sidecar state (epoch counters, optimizer scalars, model config).
+sidecar state (epoch counter, model kind and config).
+
+A checkpoint holds the model's tensors only. Checkpoints written by
+earlier versions also carry AdamW state: moments as tensors under
+opt.m/<name> and opt.v/<name>, scalars in extra["optimizer"]. They
+still load; load_checkpoint returns that state apart from the model.
 """
 
 import os
@@ -24,30 +29,16 @@ from .errors import DatasetFormatError
 __all__ = ["save_checkpoint", "load_checkpoint"]
 
 
-def save_checkpoint(path, tensors, extra=None, optimizer=None):
+def save_checkpoint(path, tensors, extra=None):
     """Write a checkpoint directory.
 
     tensors: flat dict name -> Tensor or ndarray (stored as float32).
-    optimizer: AdamW state as produced by init_adamw; its moment arrays
-    are stored as tensors under opt.m/<name> and opt.v/<name>, its
-    scalars inside extra["optimizer"].
     """
     arrays = {name: t.data if isinstance(t, Tensor) else np.asarray(t)
               for name, t in tensors.items()}
-    extra = dict(extra or {})
-    if optimizer is not None:
-        arrays.update({f"opt.{s}/{k}": v for s in "mv"
-                       for k, v in optimizer[s].items()})
-        extra["optimizer"] = {
-            "betas": list(optimizer["betas"]),
-            "eps": optimizer["eps"],
-            "weight_decay": optimizer["weight_decay"],
-            "step": optimizer["step"],
-        }
-
     os.makedirs(path, exist_ok=True)
     names = sorted(arrays)
-    meta = {"tensors": {}, "extra": extra}
+    meta = {"tensors": {}, "extra": dict(extra or {})}
     offset = 0
     for name in names:
         meta["tensors"][name] = {"shape": list(arrays[name].shape),
@@ -62,8 +53,8 @@ def load_checkpoint(path, requires_grad=True):
     """Read a checkpoint directory.
 
     Returns (tensors, extra, optimizer) where tensors maps name -> Tensor,
-    extra is the stored sidecar dict, and optimizer is a reconstructed
-    AdamW state (or None if the checkpoint carried none).  The arrays are
+    extra is the stored sidecar dict, and optimizer is the AdamW state
+    of an older checkpoint that carries one, else None.  The arrays are
     views of the one blob, which they must tile in sorted-name order.
     """
     meta = read_meta(path, CHECKPOINT)

@@ -475,8 +475,7 @@ def main(argv=None):
     argv = list(sys.argv[1:]) if argv is None else [str(a) for a in argv]
     _apply_thread_env(argv)
     args = _build_parser().parse_args(argv)
-    from .errors import (ConfigError, DatasetFormatError,
-                         MissingArtifactError, NumericalError)
+    from .errors import ConfigError, DatasetFormatError, NumericalError
     try:
         return args.func(args)
     except ConfigError as exc:
@@ -484,9 +483,7 @@ def main(argv=None):
                          "message": str(exc)})
     except DatasetFormatError as exc:
         return _fail(3, {"error": "format-mismatch", "message": str(exc)})
-    except MissingArtifactError as exc:
-        return _fail(3, {"error": "missing-artifact", "message": str(exc)})
-    except FileNotFoundError as exc:
+    except FileNotFoundError as exc:  # MissingArtifactError among them
         return _fail(3, {"error": "missing-artifact", "message": str(exc)})
     except OSError as exc:  # e.g. an output path that cannot be created
         return _fail(3, {"error": "io-error", "message": str(exc)})

@@ -17,7 +17,6 @@ __all__ = [
     "add_conv",
     "add_layer_norm",
     "linear",
-    "param_count",
 ]
 
 
@@ -70,8 +69,3 @@ def add_layer_norm(params, name, dim):
 def linear(x, params, name):
     """Apply a dense layer to the last axis of x."""
     return add(matmul(x, params[name + ".w"]), params[name + ".b"])
-
-
-def param_count(params):
-    return int(sum(int(np.prod(t.shape)) for t in params.values()))
-

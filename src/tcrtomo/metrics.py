@@ -68,15 +68,3 @@ def ssim(reference, test, data_range=1.0, window_size=11, sigma=1.5,
     num = (2 * mu_x * mu_y + c1) * (2 * xy + c2)
     den = (mu_x * mu_x + mu_y * mu_y + c1) * (xx + yy + c2)
     return float(np.mean(num / den))
-
-
-def sequence_metrics(reference_seq, test_seq, data_range=1.0):
-    """Per-frame PSNR/SSIM lists for two (T, H, W) sequences."""
-    reference_seq = np.asarray(reference_seq)
-    test_seq = np.asarray(test_seq)
-    if reference_seq.shape != test_seq.shape:
-        raise ValueError(
-            f"shape mismatch: {reference_seq.shape} vs {test_seq.shape}")
-    ps = [psnr(r, t, data_range) for r, t in zip(reference_seq, test_seq)]
-    ss = [ssim(r, t, data_range) for r, t in zip(reference_seq, test_seq)]
-    return ps, ss

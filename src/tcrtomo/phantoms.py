@@ -56,11 +56,6 @@ class AffineMotion:
                 "rotation": self.rotation, "log_scale": self.log_scale,
                 "shear": self.shear}
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(translation=tuple(d["translation"]), rotation=d["rotation"],
-                   log_scale=d["log_scale"], shear=d["shear"])
-
 
 @dataclass
 class PhantomSpec:
@@ -76,12 +71,6 @@ class PhantomSpec:
         return {"seed": self.seed, "image_size": self.image_size,
                 "n_steps": self.n_steps, "shapes": self.shapes,
                 "motion": self.motion.to_dict()}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(seed=d["seed"], image_size=d["image_size"],
-                   n_steps=d["n_steps"], shapes=d["shapes"],
-                   motion=AffineMotion.from_dict(d["motion"]))
 
 
 def _shape_boundary(shape, n=64):

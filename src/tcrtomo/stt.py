@@ -25,6 +25,7 @@ longer grows with the history, and cfg.window bounds the cache.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -39,7 +40,6 @@ __all__ = [
     "SttConfig",
     "init_stt_params",
     "stt_param_shapes",
-    "stt_param_count",
     "check_stt_params",
     "stt_apply",
     "Predictor",
@@ -47,7 +47,6 @@ __all__ = [
     "refine",
     "predict_next",
     "rollout",
-    "bochner_distance",
 ]
 
 
@@ -83,38 +82,45 @@ class SttConfig:
     from_dict = classmethod(fields_from_dict)
 
 
+def _stt_layers(cfg, conv, dense, norm):
+    """Declare every tensor of the model once, in init order:
+    conv(name, in_channels, out_channels, kernel), dense(name, in_dim,
+    out_dim) and norm(name, dim) each stand for one layer."""
+    c0, c1, c2 = cfg.enc_channels
+    d = cfg.model_dim
+    conv("enc0", 1, c0, (3, 3, 3))
+    conv("enc1", c0, c1, (3, 3, 3))
+    conv("enc2", c1, c2, (3, 3, 3))
+    conv("embed", c2, d, (1, 1, 1))
+    for i in range(cfg.layers):
+        norm(f"blk{i}.ln1", d)
+        dense(f"blk{i}.qkv", d, 3 * d)
+        dense(f"blk{i}.proj", d, d)
+        norm(f"blk{i}.ln2", d)
+        dense(f"blk{i}.mlp1", d, 4 * d)
+        dense(f"blk{i}.mlp2", 4 * d, d)
+    norm("final_ln", d)
+    conv("dec0", d, c2, (3, 3))
+    conv("skip1", d, c1, (1, 1))
+    conv("dec1", c2 + c1, c1, (3, 3))
+    conv("skip2", d, c0, (1, 1))
+    conv("dec2", c1 + c0, c0, (3, 3))
+    conv("head", c0 + 1, 1, (1, 1))
+
+
 def init_stt_params(cfg, seed=0):
     """Fresh parameter dict for the given config, deterministic in seed."""
     rng = np.random.default_rng(seed)
-    c0, c1, c2 = cfg.enc_channels
-    d = cfg.model_dim
     params = {}
-    add_conv(params, rng, "enc0", 1, c0, (3, 3, 3))
-    add_conv(params, rng, "enc1", c0, c1, (3, 3, 3))
-    add_conv(params, rng, "enc2", c1, c2, (3, 3, 3))
-    add_conv(params, rng, "embed", c2, d, (1, 1, 1))
-    for i in range(cfg.layers):
-        add_layer_norm(params, f"blk{i}.ln1", d)
-        add_linear(params, rng, f"blk{i}.qkv", d, 3 * d)
-        add_linear(params, rng, f"blk{i}.proj", d, d)
-        add_layer_norm(params, f"blk{i}.ln2", d)
-        add_linear(params, rng, f"blk{i}.mlp1", d, 4 * d)
-        add_linear(params, rng, f"blk{i}.mlp2", 4 * d, d)
-    add_layer_norm(params, "final_ln", d)
-    add_conv(params, rng, "dec0", d, c2, (3, 3))
-    add_conv(params, rng, "skip1", d, c1, (1, 1))
-    add_conv(params, rng, "dec1", c2 + c1, c1, (3, 3))
-    add_conv(params, rng, "skip2", d, c0, (1, 1))
-    add_conv(params, rng, "dec2", c1 + c0, c0, (3, 3))
-    add_conv(params, rng, "head", c0 + 1, 1, (1, 1))
+    _stt_layers(cfg, partial(add_conv, params, rng),
+                partial(add_linear, params, rng),
+                partial(add_layer_norm, params))
     return params
 
 
 def stt_param_shapes(cfg):
     """Name -> shape of every tensor init_stt_params(cfg) makes, in its
     order, without drawing any weights."""
-    c0, c1, c2 = cfg.enc_channels
-    d = cfg.model_dim
     shapes = {}
 
     def conv(name, in_channels, out_channels, kernel):
@@ -125,33 +131,11 @@ def stt_param_shapes(cfg):
         shapes[name + ".w"] = (in_dim, out_dim)
         shapes[name + ".b"] = (out_dim,)
 
-    def norm(name):
-        shapes[name + ".g"] = shapes[name + ".b"] = (d,)
+    def norm(name, dim):
+        shapes[name + ".g"] = shapes[name + ".b"] = (dim,)
 
-    conv("enc0", 1, c0, (3, 3, 3))
-    conv("enc1", c0, c1, (3, 3, 3))
-    conv("enc2", c1, c2, (3, 3, 3))
-    conv("embed", c2, d, (1, 1, 1))
-    for i in range(cfg.layers):
-        norm(f"blk{i}.ln1")
-        dense(f"blk{i}.qkv", d, 3 * d)
-        dense(f"blk{i}.proj", d, d)
-        norm(f"blk{i}.ln2")
-        dense(f"blk{i}.mlp1", d, 4 * d)
-        dense(f"blk{i}.mlp2", 4 * d, d)
-    norm("final_ln")
-    conv("dec0", d, c2, (3, 3))
-    conv("skip1", d, c1, (1, 1))
-    conv("dec1", c2 + c1, c1, (3, 3))
-    conv("skip2", d, c0, (1, 1))
-    conv("dec2", c1 + c0, c0, (3, 3))
-    conv("head", c0 + 1, 1, (1, 1))
+    _stt_layers(cfg, conv, dense, norm)
     return shapes
-
-
-def stt_param_count(cfg):
-    """Number of scalars in init_stt_params(cfg)."""
-    return sum(int(np.prod(shape)) for shape in stt_param_shapes(cfg).values())
 
 
 def check_stt_params(params, cfg, label):
@@ -389,18 +373,3 @@ def rollout(params, cfg, init_frames, n_steps):
         new = predictor.push(new)
         frames.append(new)
     return np.stack(frames)
-
-
-def bochner_distance(a, b, p=2):
-    """Sequence distance (sum_t ||a(t) - b(t)||_p^p)^(1/p)."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if a.ndim < 1:
-        raise ValueError("expected a frame sequence, got a scalar")
-    p = float(p)
-    if p < 1:
-        raise ValueError("p must be at least 1")
-    diff = np.abs(a - b).reshape(a.shape[0], -1)
-    return float(np.sum(diff ** p) ** (1.0 / p))

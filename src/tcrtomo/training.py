@@ -222,7 +222,7 @@ def _fit(dataset, val_dataset, cfg, model_cfg, kind, salt, prepare, batch,
             name = "final" if last else f"epoch_{e + 1:03d}"
             extra = {"epoch": e + 1, "kind": kind, "model": model_cfg.to_dict()}
             save_checkpoint(os.path.join(cfg.out_dir, name), params,
-                            extra=extra, optimizer=optimizer)
+                            extra=extra)
 
     if cfg.log_path:
         write_log(cfg.log_path, log)

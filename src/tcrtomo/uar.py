@@ -117,8 +117,8 @@ def init_uar_params(mode, cfg=None, seed=0):
     (channels 4 -> width -> width -> 1: state, step-size channel,
     projected image, measured data), an unshared primal net p{l}
     (3 -> width -> width -> 1), and trainable step sizes sigma{l}/tau{l}.
-    The critic is 6 same-padded convs, global average pooling, and two
-    dense layers down to a scalar.
+    The critic is one same-padded conv per cfg.critic_channels entry,
+    global average pooling, and two dense layers down to a scalar.
     """
     _check_mode(mode)
     cfg = cfg if cfg is not None else UarConfig()
@@ -165,6 +165,10 @@ def _unroll_depth(params):
     if depth < 1:
         raise ValueError("parameter dict holds no generator layers")
     return depth
+
+
+def _critic_depth(params):
+    return sum(1 for k in params if k.startswith("reg.c") and k.endswith(".w"))
 
 
 def _same_pads(w):
@@ -355,10 +359,10 @@ def _critic_input(params, x):
 
 
 def _critic_layers(params, a):
-    """Pre-activations of the 6 convs and, after the global mean pool,
-    the first dense layer; each layer takes the one before leaky-rectified."""
+    """Pre-activations of the convs and, after the global mean pool, the
+    first dense layer; each layer takes the one before leaky-rectified."""
     pre = []
-    for j in range(6):
+    for j in range(_critic_depth(params)):
         pre.append(_conv_same(a, params[f"reg.c{j}.w"], params[f"reg.c{j}.b"]))
         a = leaky_relu(pre[-1], LEAKY_SLOPE)
     pooled = tmean(a, axis=tuple(range(2, a.data.ndim)))
@@ -367,7 +371,7 @@ def _critic_layers(params, a):
 
 
 def critic_value(params, x):
-    """Critic score: 6 leaky-rectified convs, global mean pool, 2 dense."""
+    """Critic score: leaky-rectified convs, global mean pool, 2 dense."""
     pre = _critic_layers(params, _critic_input(params, x))
     hidden = leaky_relu(pre[-1], LEAKY_SLOPE)
     return reshape(linear(hidden, params, "reg.fc2"), ())
@@ -392,7 +396,7 @@ def _critic_input_grad_norm(params, x):
     conv_t = conv_transpose2d if nd == 2 else conv_transpose3d
     # output scalar -> dense layers
     g = transpose(params["reg.fc2.w"], (1, 0))
-    g = mul(g, masks[6])
+    g = mul(g, masks[-1])
     g = matmul(g, transpose(params["reg.fc1.w"], (1, 0)))
     # mean pool spreads the channel gradient evenly over the cells
     channels = g.data.shape[1]
@@ -400,7 +404,7 @@ def _critic_input_grad_norm(params, x):
     g = scale(broadcast_to(g, (1, channels) + spatial),
               1.0 / int(np.prod(spatial)))
     # conv stack, output side back to the input image
-    for j in range(5, -1, -1):
+    for j in reversed(range(_critic_depth(params))):
         w = params[f"reg.c{j}.w"]
         g = mul(g, masks[j])
         g = conv_t(g, w, stride=1, padding=_same_pads(w))

@@ -179,19 +179,32 @@ def write_good(fmt, path, ref=False):
         (ref_write_sinogram_set if ref else write_sinogram_set)(
             _dataset().sinograms, GEOM.image_size, path)
     elif fmt == "checkpoint":
-        params, extra, opt = _checkpoint_state()
-        (ref_save_checkpoint if ref else save_checkpoint)(
-            path, params, extra=extra, optimizer=opt)
+        params, extra, _ = _checkpoint_state()
+        (ref_save_checkpoint if ref else save_checkpoint)(path, params,
+                                                          extra=extra)
     else:
         (ref_save_result if ref else save_result)(path, _result(),
                                                   extra={"item": 0})
 
 
+def write_old_checkpoint(path):
+    """The good checkpoint in the layout written before checkpoints
+    dropped AdamW state: moments under opt.m/ and opt.v/, scalars in
+    extra["optimizer"]."""
+    params, extra, opt = _checkpoint_state()
+    ref_save_checkpoint(path, params, extra=extra, optimizer=opt)
+
+
 @pytest.fixture(scope="module")
 def good(tmp_path_factory):
+    """One good artifact per format; the checkpoint in the old layout, so
+    the corpus and the round trip also cover the loader's moment path."""
     root = tmp_path_factory.mktemp("good")
     for fmt in FORMATS:
-        write_good(fmt, str(root / fmt))
+        if fmt == "checkpoint":
+            write_old_checkpoint(str(root / fmt))
+        else:
+            write_good(fmt, str(root / fmt))
     return root
 
 

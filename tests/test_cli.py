@@ -25,9 +25,11 @@ from tcrtomo.datasets import (load_external_sinogram, read_dataset,
 from tcrtomo.errors import (ConfigError, DatasetFormatError,
                             MissingArtifactError)
 from tcrtomo.geometry import ScanGeometry, angle_schedule, operator_for_angles
+from tcrtomo.optim import adamw_step, init_adamw
 from tcrtomo.pipeline import ReconResult, load_result, save_result
 from tcrtomo.solvers import l1_tcr_fista
 from tcrtomo.stt import SttConfig, init_stt_params
+from test_artifacts import ref_save_checkpoint
 
 TINY_CONFIG = {
     "geometry": {"image_size": 16, "n_steps": 4, "n_angles_init": 6,
@@ -620,6 +622,34 @@ class TestReconstructCli:
                        "--predict", work.predict, "--out", out,
                        "--items", 1) == 0
         assert sorted(os.listdir(out)) == ["item_000"]
+
+    def test_old_checkpoint_layout_still_runs(self, work, tmp_path):
+        """Checkpoints written before the format dropped AdamW state load
+        the same models: reconstruct writes the same result, and
+        train-predict trains the same prediction model from the old
+        refinement checkpoint."""
+        old = {}
+        for role, path in (("refine", work.refine), ("predict", work.predict)):
+            params, extra, _ = load_checkpoint(path)
+            opt = init_adamw(params)
+            for t in params.values():
+                t.grad = np.ones(t.shape, dtype=np.float32)
+            adamw_step(params, opt, lr=0.0)
+            old[role] = tmp_path / role
+            ref_save_checkpoint(old[role], params, extra=extra, optimizer=opt)
+            assert "opt.m/head.w" in json.loads(
+                (old[role] / "meta.json").read_text())["tensors"]
+        out = tmp_path / "r"
+        assert run_cli("reconstruct", "--config", work.cfg, "--seed", 5,
+                       "--input", work.data / "test", "--refine",
+                       old["refine"], "--predict", old["predict"],
+                       "--out", out, "--items", 1) == 0
+        assert (tree_bytes(out / "item_000")
+                == tree_bytes(work.results / "item_000"))
+        assert run_cli("train-predict", "--config", work.cfg, "--seed", 5,
+                       "--data", work.data / "train", "--refine",
+                       old["refine"], "--out", tmp_path / "p") == 0
+        assert tree_bytes(tmp_path / "p" / "final") == tree_bytes(work.predict)
 
     def test_alpha_zero_matches_direct_solver(self, work, tmp_path):
         """With no coupling the CLI output equals the bare FISTA solve."""

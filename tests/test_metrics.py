@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from tcrtomo.metrics import psnr, sequence_metrics, ssim
+from tcrtomo.metrics import psnr, ssim
 
 
 def test_psnr_identical_is_inf():
@@ -72,13 +72,3 @@ def test_ssim_degrades_with_noise():
 def test_ssim_window_validation():
     with pytest.raises(ValueError):
         ssim(np.zeros((8, 8)), np.zeros((8, 8)))  # smaller than the window
-
-
-def test_sequence_metrics_shapes():
-    rng = np.random.default_rng(5)
-    a = rng.uniform(size=(3, 16, 16))
-    b = np.clip(a + rng.normal(scale=0.05, size=a.shape), 0, 1)
-    ps, ss = sequence_metrics(a, b)
-    assert len(ps) == 3 and len(ss) == 3
-    with pytest.raises(ValueError):
-        sequence_metrics(a, b[:2])

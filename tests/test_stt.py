@@ -4,10 +4,8 @@ import pytest
 from tcrtomo.autodiff import (Tensor, causal_attention, conv3d, gelu,
                               gradcheck, layer_norm, matmul, mse_loss,
                               reshape, rope_apply, transpose, tslice, tsum)
-from tcrtomo.layers import param_count
-from tcrtomo.stt import (Predictor, SttConfig, bochner_distance,
-                         init_stt_params, predict_next, refine, rollout,
-                         stt_apply, stt_forward, stt_param_count,
+from tcrtomo.stt import (Predictor, SttConfig, init_stt_params, predict_next,
+                         refine, rollout, stt_apply, stt_forward,
                          stt_param_shapes)
 
 DESK = SttConfig(model_dim=64, heads=4, layers=2, image_size=32)
@@ -66,12 +64,24 @@ class TestShapes:
             stt_forward(params, cfg, np.zeros((2, 8, 8), dtype=np.float32))
 
     def test_param_count_closed_form(self):
+        def closed_form(cfg):
+            c0, c1, c2 = cfg.enc_channels
+            d = cfg.model_dim
+            encoder = 27 * (c0 + c0 * c1 + c1 * c2) + c0 + c1 + c2
+            embed = c2 * d + d
+            block = 12 * d * d + 13 * d
+            decoder = (9 * (d * c2 + (c2 + c1) * c1 + (c1 + c0) * c0)
+                       + d * (c1 + c0) + c2 + 2 * (c1 + c0) + (c0 + 2))
+            return encoder + embed + cfg.layers * block + 2 * d + decoder
+
+        paper = SttConfig(model_dim=512, heads=8, layers=6, image_size=64)
+        assert closed_form(paper) == 19_372_498
         for cfg in (DESK,
                     SttConfig(model_dim=16, heads=2, layers=1, image_size=16,
                               enc_channels=(2, 3, 4)),
                     SttConfig(model_dim=96, heads=8, layers=3, image_size=32)):
             params = init_stt_params(cfg)
-            assert param_count(params) == stt_param_count(cfg)
+            assert sum(t.data.size for t in params.values()) == closed_form(cfg)
 
     @pytest.mark.parametrize("cfg", [
         SttConfig(model_dim=16, heads=2, layers=1, image_size=16,
@@ -287,32 +297,3 @@ class TestPredictor:
             predictor.push(frame)
         # a rejected push leaves the stream where it was
         assert predictor.length == 3
-
-
-class TestBochner:
-    def test_identical_sequences(self):
-        a = np.random.default_rng(11).normal(size=(4, 8, 8))
-        assert bochner_distance(a, a, p=2) == 0.0
-
-    def test_single_frame_is_l2(self):
-        rng = np.random.default_rng(12)
-        a = rng.normal(size=(1, 8, 8))
-        b = rng.normal(size=(1, 8, 8))
-        assert bochner_distance(a, b, p=2) == pytest.approx(
-            np.linalg.norm(a - b), rel=1e-12)
-
-    def test_hand_value(self):
-        a = np.zeros((2, 2, 2))
-        b = np.zeros((2, 2, 2))
-        b[0, 0, 0] = 1.0
-        b[1] = 1.0
-        # frame 0 contributes 1, frame 1 contributes 4; total sqrt(5)
-        assert bochner_distance(a, b, p=2) == pytest.approx(np.sqrt(5.0), abs=1e-6)
-        # p = 1: sum of absolute differences
-        assert bochner_distance(a, b, p=1) == pytest.approx(5.0, abs=1e-6)
-
-    def test_errors(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            bochner_distance(np.zeros((2, 4)), np.zeros((3, 4)), p=2)
-        with pytest.raises(ValueError):
-            bochner_distance(np.zeros((2, 4)), np.zeros((2, 4)), p=0.5)

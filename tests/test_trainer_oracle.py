@@ -37,8 +37,7 @@ from tcrtomo.uar import (UarConfig, UarTrainConfig, _build_pools,
 # ------------------------------------------------------- reference loops
 
 
-def ref_checkpoint(cfg, params, optimizer, model_cfg, kind, epoch,
-                   final=False):
+def ref_checkpoint(cfg, params, model_cfg, kind, epoch, final=False):
     if cfg.out_dir is None:
         return
     want_cadence = cfg.checkpoint_every > 0 and (epoch + 1) % cfg.checkpoint_every == 0
@@ -49,7 +48,7 @@ def ref_checkpoint(cfg, params, optimizer, model_cfg, kind, epoch,
     else:
         return
     extra = {"epoch": epoch + 1, "kind": kind, "model": model_cfg.to_dict()}
-    save_checkpoint(path, params, extra=extra, optimizer=optimizer)
+    save_checkpoint(path, params, extra=extra)
 
 
 def ref_train_refinement(dataset, cfg, model_cfg=None, val_dataset=None):
@@ -101,7 +100,7 @@ def ref_train_refinement(dataset, cfg, model_cfg=None, val_dataset=None):
             log.append({"epoch": e, "split": "val",
                         "loss": v_total / val_lw.shape[0], "lr": lr,
                         "gt_ratio": "", "tf_ratio": "", "rollout": ""})
-        ref_checkpoint(cfg, params, optimizer, model_cfg, "refine", e,
+        ref_checkpoint(cfg, params, model_cfg, "refine", e,
                        final=e == cfg.epochs - 1)
 
     if cfg.log_path:
@@ -196,7 +195,7 @@ def ref_train_prediction(dataset, refine_params, refine_cfg, cfg,
             log.append({"epoch": e, "split": "val",
                         "loss": v_total / max(v_steps, 1), "lr": lr,
                         "gt_ratio": "", "tf_ratio": tf, "rollout": cap})
-        ref_checkpoint(cfg, params, optimizer, model_cfg, "predict", e,
+        ref_checkpoint(cfg, params, model_cfg, "predict", e,
                        final=e == cfg.epochs - 1)
 
     if cfg.log_path:

@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 
 import numpy as np
@@ -9,7 +10,8 @@ from tcrtomo.autodiff import linear_map
 from tcrtomo.errors import ConfigError, DatasetFormatError
 from tcrtomo.geometry import ScanGeometry
 from tcrtomo.phantoms import generate_dataset
-from tcrtomo.stt import SttConfig, init_stt_params, refine, stt_forward
+from tcrtomo.stt import (SttConfig, init_stt_params, refine, stt_forward,
+                         stt_param_shapes)
 from tcrtomo.training import (TrainConfig, gt_ratio, landweber_pairs,
                               max_rollout, prediction_train_config,
                               rollout_prob, teacher_forcing_ratio,
@@ -109,6 +111,22 @@ class TestRefinementLoop:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1
         assert list(rows[0]) == list(training.LOG_COLUMNS)
+
+    def test_checkpoints_hold_only_the_model(self, tmp_path):
+        ds = _tiny_dataset()
+        cfg = TrainConfig(epochs=2, batch_size=4, seed=0, checkpoint_every=1,
+                          out_dir=str(tmp_path / "ck"))
+        train_refinement(ds, cfg, model_cfg=TINY_MODEL)
+        shapes = stt_param_shapes(TINY_MODEL)
+        size = sum(int(np.prod(shape)) for shape in shapes.values())
+        assert sorted(p.name for p in (tmp_path / "ck").iterdir()) == [
+            "epoch_001", "final"]
+        for name in ("epoch_001", "final"):
+            path = tmp_path / "ck" / name
+            meta = json.loads((path / "meta.json").read_text())
+            assert sorted(meta["tensors"]) == sorted(shapes)
+            assert (path / "weights.f32").stat().st_size == 4 * size
+            assert "optimizer" not in meta["extra"]
 
     def test_loss_decreases_over_epochs(self):
         ds = _tiny_dataset(n_items=6)
