@@ -54,8 +54,9 @@ def load_checkpoint(path, requires_grad=True):
 
     Returns (tensors, extra, optimizer) where tensors maps name -> Tensor,
     extra is the stored sidecar dict, and optimizer is the AdamW state
-    of an older checkpoint that carries one, else None.  The arrays are
-    views of the one blob, which they must tile in sorted-name order.
+    of an older checkpoint that carries one, else None.  The tensors must
+    tile the one blob in sorted-name order; the model's are views of it,
+    or copies if it holds moments, so dropping those frees the blob.
     """
     meta = read_meta(path, CHECKPOINT)
     blob_path = os.path.join(path, "weights.f32")
@@ -63,6 +64,8 @@ def load_checkpoint(path, requires_grad=True):
     tensors, moments = {}, {"m": {}, "v": {}}
     start = 0
     with entries(path):
+        own = np.copy if any(name[:6] in ("opt.m/", "opt.v/")
+                             for name in meta["tensors"]) else np.asarray
         for name in sorted(meta["tensors"]):
             entry = meta["tensors"][name]
             if entry["offset"] != 4 * start:
@@ -75,7 +78,7 @@ def load_checkpoint(path, requires_grad=True):
             if name[:6] in ("opt.m/", "opt.v/"):
                 moments[name[4]][name[6:]] = arr
             else:
-                tensors[name] = Tensor(arr, requires_grad=requires_grad)
+                tensors[name] = Tensor(own(arr), requires_grad=requires_grad)
         if start != blob.size:
             raise DatasetFormatError(f"{blob_path}: holds {blob.size} float32 "
                                      f"values, its tensors fill {start}")

@@ -94,7 +94,8 @@ def _load_measurements(path):
 
 
 def _result_items(path):
-    """Sorted (index, dir) pairs for item_NNN children, or path itself."""
+    """Sorted (index, dir) of item_NNN children, or path at its extra.item."""
+    from .artifacts import RESULT, entries, read_meta
     from .errors import MissingArtifactError
     if not os.path.isdir(path):
         raise MissingArtifactError(f"results directory not found: {path}")
@@ -107,7 +108,9 @@ def _result_items(path):
     if items:
         return items
     if os.path.exists(os.path.join(path, "meta.json")):
-        return [(None, path)]
+        with entries(path):
+            return [(int(read_meta(path, RESULT).get("extra", {})
+                         .get("item", 0)), path)]
     raise MissingArtifactError(f"no reconstruction results under {path}")
 
 
@@ -308,9 +311,7 @@ def cmd_evaluate(args):
     ds = read_dataset(args.data)
     tables = []
     for idx, path in _result_items(args.results):
-        result, meta = load_result(path)
-        if idx is None:
-            idx = int(meta.get("extra", {}).get("item", 0))
+        result, _ = load_result(path)
         if idx >= len(ds.gt):
             raise DatasetFormatError(
                 f"result item {idx} has no ground truth "
@@ -346,8 +347,6 @@ def cmd_plot(args):
                 f"no result item {args.item} under {args.results}")
         idx, path = match[0]
     result, meta = load_result(path)
-    if idx is None:
-        idx = int(meta.get("extra", {}).get("item", 0))
     gt = None
     if args.data:
         ds = read_dataset(args.data)

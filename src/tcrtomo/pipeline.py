@@ -2,14 +2,14 @@
 next-frame prediction and per-step variational solving.
 
 The sequence structure is strictly causal. Frames 0 and 1 are densely
-sampled: they get a plain algebraic initialization, a learned refinement,
-and a variational solve against the refined prior. Then each frame
-t = 1, 2, ... gets its prior predicted by the transformer from the
-already-computed reconstructions 0..t-1 (never from the model's own
-rollout), then a variational solve against that prior on the step's own
-data. For t = 1 the history is frame 0 alone, and this solve replaces
-the one against the refined prior; the prediction model is trained on
-histories of two or more frames only.
+sampled: they get a plain algebraic initialization and a learned
+refinement. Then one loop solves each frame once, on the step's own
+data: frame 0 against its refined estimate, and each frame t = 1, 2, ...
+against the prior the transformer predicts from the already-computed
+reconstructions 0..t-1 (never from the model's own rollout). The
+refined frame 1 is reported but is no solve's prior, even though the
+prediction model that gives frame 1's prior from frame 0 alone is
+trained on histories of two or more frames only.
 
 The predictions stream: one stt.Predictor per sequence receives frame
 t-1 once it is solved, and keeps each attention block's keys and values
@@ -48,13 +48,12 @@ __all__ = [
 class ReconConfig:
     """Reconstruction settings: solver family, coupling weights, caps.
 
-    alpha_init applies to time steps 0 and 1 (including the step-1
-    re-solve inside the sequential loop), alpha_rest to every later
-    step; beta_* are the TV weights of the L1TV solver with the same
-    split. Initial reconstructions use plain Landweber by default; the
-    "tv" mode solves a TV-regularized problem instead, for measured data
-    whose raw backprojections are too streaky to refine. Solver names
-    may be given in lower case.
+    alpha_init applies to the solves of frames 0 and 1, alpha_rest to
+    every later step; beta_* are the TV weights of the L1TV solver with
+    the same split. Initial reconstructions use plain Landweber by
+    default; the "tv" mode solves a TV-regularized problem instead, for
+    measured data whose raw backprojections are too streaky to refine.
+    Solver names may be given in lower case.
     """
 
     image_size: int = spec(minimum=8)
@@ -85,7 +84,7 @@ class ReconResult:
         (prediction for step t sits at index t-1).
     refined: (2, H, W) refinement-model output for frames 0, 1.
     initial: (2, H, W) raw algebraic reconstructions of frames 0, 1.
-    reports: per-solve dicts (step, phase, SolveReport).
+    reports: one dict per step (step, phase, SolveReport).
     metrics: per-step PSNR/SSIM rows when ground truth was supplied.
     """
 
@@ -159,16 +158,6 @@ def tcr_reconstruct(sino, cfg, refine_model, predict_model, gt=None,
     def operator(t):
         return operator_for_angles(sino.angles[t], sino.offsets, size)
 
-    def solve(t, phase, prior):
-        alpha = cfg.alpha_init if t < 2 else cfg.alpha_rest
-        beta = cfg.beta_init if t < 2 else cfg.beta_rest
-        emit("solve", t, phase)
-        try:
-            return solve_step(operator(t), sino.frames[t], prior, alpha,
-                              beta, cfg)
-        except Exception as exc:
-            raise NumericalError(f"solver failed at step {t}: {exc}") from exc
-
     initial = []
     for t in range(2):
         emit("initial", t)
@@ -184,21 +173,26 @@ def tcr_reconstruct(sino, cfg, refine_model, predict_model, gt=None,
     refined = refine(re_params, re_cfg, initial.astype(np.float32))
 
     recon = np.zeros((n_frames, size, size))
-    reports = []
-    for t in range(2):
-        x, rep = solve(t, "init", refined[t].astype(np.float64))
-        recon[t] = x
-        reports.append({"step": t, "phase": "init", "report": rep})
-
     predictions = np.zeros((n_frames - 1, size, size), dtype=np.float32)
     predictor = Predictor(pre_params, pre_cfg)
-    for t in range(1, n_frames):
-        emit("predict", t, tuple(range(t)))
-        prior = predictor.push(recon[t - 1].astype(np.float32))
-        predictions[t - 1] = prior
-        x, rep = solve(t, "loop", prior.astype(np.float64))
-        recon[t] = x
-        reports.append({"step": t, "phase": "loop", "report": rep})
+    reports = []
+    for t in range(n_frames):
+        phase, prior = "init", refined[0]
+        if t > 0:
+            emit("predict", t, tuple(range(t)))
+            phase = "loop"
+            prior = predictions[t - 1] = predictor.push(
+                recon[t - 1].astype(np.float32))
+        alpha, beta = ((cfg.alpha_init, cfg.beta_init) if t < 2
+                       else (cfg.alpha_rest, cfg.beta_rest))
+        emit("solve", t, phase)
+        try:
+            recon[t], rep = solve_step(operator(t), sino.frames[t],
+                                       prior.astype(np.float64), alpha, beta,
+                                       cfg)
+        except Exception as exc:
+            raise NumericalError(f"solver failed at step {t}: {exc}") from exc
+        reports.append({"step": t, "phase": phase, "report": rep})
 
     result = ReconResult(reconstructions=recon, predictions=predictions,
                          refined=np.asarray(refined), initial=initial,

@@ -15,13 +15,13 @@ axis) with rotary position embeddings and a causal mask, and a per-slot
 the final transformer feature map, plus the raw input frame at full
 resolution. The three stages are _encode, _blocks and _decode.
 
-Two paths run them. stt_apply (taped, batched) runs every stage over all
-T+1 slots; training uses it, and stt_forward / predict_next are the
-reference for the other path. Predictor streams one sequence frame by
-frame, as the reconstruction pipeline and rollout do: it caches each
-block's keys and values of the real slots, so a step feeds only the two
-new slots through the blocks and decodes only the last one; its cost no
-longer grows with the history, and cfg.window bounds the cache.
+stt_apply (taped, batched) runs them over all T+1 slots for training and
+for stt_forward / predict_next, the reference; refine runs them over its
+two frames alone. Predictor streams one sequence frame by frame, as the
+reconstruction pipeline and rollout do: it caches each block's keys and
+values of the real slots, so a step feeds only the two new slots through
+the blocks and decodes only the last one; its cost no longer grows with
+the history, and cfg.window bounds the cache.
 """
 
 from dataclasses import dataclass
@@ -344,11 +344,15 @@ def stt_forward(params, cfg, frames):
 
 
 def refine(params, cfg, noisy_pair):
-    """Re-estimate both frames of an initial reconstruction pair."""
+    """Re-estimate an initial pair: stt_forward's slots 0, 1, no query slot."""
     noisy_pair = np.asarray(noisy_pair, dtype=np.float32)
     if noisy_pair.ndim != 3 or noisy_pair.shape[0] != 2:
         raise ValueError("refine expects exactly 2 frames")
-    return stt_forward(params, cfg, noisy_pair)[:2]
+    _check_frames(cfg, noisy_pair, 2)
+    seq = Tensor(noisy_pair[None])
+    with no_grad():
+        tok, _ = _blocks(params, cfg, _encode(params, cfg, seq), np.arange(2))
+        return _decode(params, cfg, tok, seq).data[0]
 
 
 def predict_next(params, cfg, history):

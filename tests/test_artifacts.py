@@ -249,16 +249,38 @@ def test_round_trips(good):
     assert np.array_equal(result.predictions, _result().predictions)
 
 
-def test_checkpoint_tensors_are_views_of_one_blob(good):
+def _root(arr):
+    while arr.base is not None:
+        arr = arr.base
+    return arr
+
+
+def test_checkpoint_tensors_are_views_of_one_blob(tmp_path):
+    """A checkpoint that holds only the model loads without a copy."""
+    write_good("checkpoint", str(tmp_path / "ckpt"))
+    tensors, _, opt = load_checkpoint(tmp_path / "ckpt")
+    assert opt is None
+    roots = {id(_root(t.data)): _root(t.data) for t in tensors.values()}
+    assert len(roots) == 1
+    (blob,) = roots.values()
+    assert blob.size == sum(t.data.size for t in tensors.values())
+
+
+def test_old_checkpoint_model_holds_no_moment_memory(good):
+    """The model of an old checkpoint does not pin the blob that holds its
+    AdamW moments; the moments still load as stored."""
     tensors, _, opt = load_checkpoint(good / "checkpoint")
-    arrays = [t.data for t in tensors.values()] + list(opt["m"].values())
-
-    def root(arr):
-        while arr.base is not None:
-            arr = arr.base
-        return arr
-
-    assert len({id(root(a)) for a in arrays}) == 1
+    moments = [a for key in ("m", "v") for a in opt[key].values()]
+    moment_roots = {id(_root(a)) for a in moments}
+    assert all(id(_root(t.data)) not in moment_roots
+               for t in tensors.values())
+    params, _, ref = _checkpoint_state()
+    assert sorted(opt["m"]) == sorted(opt["v"]) == sorted(params)
+    for key in ("m", "v"):
+        for name, arr in opt[key].items():
+            assert np.array_equal(arr, ref[key][name])
+    for name, t in tensors.items():
+        assert np.array_equal(t.data, params[name].data)
 
 
 # ------------------------------------------------------ bad-artifact corpus

@@ -843,6 +843,21 @@ class TestPlotCli:
         png = (out / "item_000.png").read_bytes()
         assert png[:8] == b"\x89PNG\r\n\x1a\n"
 
+    def test_item_directory_selects_its_stored_item(self, work, tmp_path,
+                                                    capsys):
+        """--results may name one item directory: its meta.json's item is
+        its index, for --item and for the output name alike."""
+        whole, single = tmp_path / "whole", tmp_path / "single"
+        assert run_cli("plot", "--results", work.results, "--data",
+                       work.data / "test", "--out", whole, "--item", 1) == 0
+        assert run_cli("plot", "--results", work.results / "item_001",
+                       "--data", work.data / "test", "--out", single,
+                       "--item", 1) == 0
+        assert tree_bytes(single) == tree_bytes(whole)
+        assert run_cli("plot", "--results", work.results / "item_001",
+                       "--out", tmp_path / "p", "--item", 0) == 3
+        assert stderr_payload(capsys)["error"] == "missing-artifact"
+
     def test_missing_item(self, work, tmp_path, capsys):
         rc = run_cli("plot", "--results", work.results, "--out",
                      tmp_path / "p", "--item", 99)

@@ -1,7 +1,10 @@
-"""The public surface: every exported name resolves."""
+"""The public surface: every exported name resolves, and the README's
+module map lists every module."""
 
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -21,3 +24,11 @@ def test_module_exports_resolve(module):
     mod = importlib.import_module(f"tcrtomo.{module}")
     for name in getattr(mod, "__all__", ()):
         assert hasattr(mod, name), f"tcrtomo.{module}.{name}"
+
+
+def test_readme_module_map_lists_every_module():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("## Module map", 1)[1].split("\n## ", 1)[0]
+    listed = [name for row in table.splitlines() if row.startswith("| `")
+              for name in re.findall(r"`(\w+)`", row.split("|")[1])]
+    assert sorted(listed) == MODULES

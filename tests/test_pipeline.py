@@ -4,12 +4,13 @@ import pytest
 from tcrtomo.errors import ConfigError, NumericalError
 from tcrtomo.geometry import MatrixOperator, ScanGeometry, operator_for_angles
 from tcrtomo.phantoms import generate_dataset
-from tcrtomo.pipeline import (ReconConfig, aggregate_metrics,
+from tcrtomo.pipeline import (ReconConfig, _initial_recon, aggregate_metrics,
                               default_alpha_grid, evaluate, load_result,
                               save_result, select_alphas, solve_step,
                               tcr_reconstruct)
 from tcrtomo.solvers import l1_tcr_fista, l1_tv_tcr_pdhg, l2_tcr
-from tcrtomo.stt import SttConfig, init_stt_params, predict_next
+from tcrtomo.stt import (Predictor, SttConfig, init_stt_params, predict_next,
+                         refine)
 
 MODEL_CFG = SttConfig(model_dim=16, heads=2, layers=1, image_size=16,
                       enc_channels=(2, 3, 4))
@@ -38,10 +39,10 @@ class TestStructure:
         assert res.predictions.shape == (9, 16, 16)
         assert res.refined.shape == (2, 16, 16)
         assert res.initial.shape == (2, 16, 16)
-        # two init-phase solves plus the sequential loop over t = 1..9
+        # one solve per frame: frame 0 against its refined estimate, the
+        # loop over t = 1..9 against predictions
         phases = [(r["step"], r["phase"]) for r in res.reports]
-        assert phases[:2] == [(0, "init"), (1, "init")]
-        assert phases[2:] == [(t, "loop") for t in range(1, 10)]
+        assert phases == [(0, "init")] + [(t, "loop") for t in range(1, 10)]
 
     def test_metrics_rows_when_gt_given(self, setup):
         _, ds, rm, pm = setup
@@ -60,19 +61,19 @@ class TestStructure:
         for e in predicts:
             assert e[2] == tuple(range(e[1]))
         solves = [e for e in events if e[0] == "solve"]
-        # each solve consumes only its own step's measurements
-        assert [e[1] for e in solves] == [0, 1] + list(range(1, 10))
-        # strict sequential interleaving: predict t immediately precedes
-        # the loop solve of t
+        # each frame is solved once, on its own step's measurements
+        assert solves == [("solve", 0, "init")] + [("solve", t, "loop")
+                                                   for t in range(1, 10)]
+        # strict sequential interleaving: predict t comes right after the
+        # solve of t - 1 and right before the solve of t
         order = [e for e in events if e[0] in ("predict", "solve")]
-        for i, e in enumerate(order):
-            if e[0] == "predict":
-                assert order[i + 1] == ("solve", e[1], "loop")
+        assert order[::2] == solves and order[1::2] == predicts
 
     def test_predictor_work_per_step_is_constant(self, setup, monkeypatch):
         """Each step feeds two slots of tokens through every dense layer
         and decodes one slot, whatever the history length, and its prior
-        is predict_next on the history within float32 rounding."""
+        is predict_next on the history within float32 rounding. The
+        refinement feeds and decodes its two frames, with no query slot."""
         import tcrtomo.stt as stt
         _, ds, rm, pm = setup
         step, rows, decoded = [None], {}, {}
@@ -90,14 +91,14 @@ class TestStructure:
             return real_conv2d(x, *args, **kwargs)
 
         def trace(event):
-            step[0] = event[1] if event[0] == "predict" else None
+            step[0] = event[1] if event[0] in ("refine", "predict") else None
 
         monkeypatch.setattr(stt, "linear", linear)
         monkeypatch.setattr(stt, "conv2d", conv2d)
         res = tcr_reconstruct(ds.sinograms[0], _cfg(), rm, pm, trace=trace)
         per_step = [2 * MODEL_CFG.grid ** 2] * (4 * MODEL_CFG.layers)
-        assert rows == {t: per_step for t in range(1, 10)}
-        assert decoded == {t: {1} for t in range(1, 10)}
+        assert rows == {t: per_step for t in [(0, 1)] + list(range(1, 10))}
+        assert decoded == {(0, 1): {2}, **{t: {1} for t in range(1, 10)}}
 
         monkeypatch.undo()
         for t in range(1, 10):
@@ -142,6 +143,63 @@ class TestStructure:
             tcr_reconstruct(sino, _cfg(), rm, pm)
 
 
+def _two_init_solves_reconstruct(sino, cfg, refine_model, predict_model):
+    """Reference loop that solves frame 1 twice: frames 0 and 1 against
+    their refined estimates ("init"), then the loop from t = 1 against
+    predictions, whose solve of frame 1 overwrites the first one."""
+    n_frames, size = len(sino.frames), cfg.image_size
+    ops = [operator_for_angles(a, sino.offsets, size) for a in sino.angles]
+    initial = np.stack([_initial_recon(ops[t], sino.frames[t], cfg)[0]
+                        for t in range(2)])
+    refined = refine(*refine_model, initial.astype(np.float32))
+    recon = np.zeros((n_frames, size, size))
+    reports = []
+
+    def solve(t, phase, prior):
+        alpha = cfg.alpha_init if t < 2 else cfg.alpha_rest
+        beta = cfg.beta_init if t < 2 else cfg.beta_rest
+        recon[t], rep = solve_step(ops[t], sino.frames[t], prior, alpha,
+                                   beta, cfg)
+        reports.append({"step": t, "phase": phase, "report": rep})
+
+    for t in range(2):
+        solve(t, "init", refined[t].astype(np.float64))
+    predictions = np.zeros((n_frames - 1, size, size), dtype=np.float32)
+    predictor = Predictor(*predict_model)
+    for t in range(1, n_frames):
+        predictions[t - 1] = predictor.push(recon[t - 1].astype(np.float32))
+        solve(t, "loop", predictions[t - 1].astype(np.float64))
+    return recon, predictions, refined, initial, reports
+
+
+class TestOneSolvePerFrame:
+    """Dropping the overwritten solve of frame 1 changes no output."""
+
+    @pytest.mark.parametrize("solver", ["L2", "L1", "L1TV"])
+    def test_matches_two_init_solves_bitwise(self, setup, solver):
+        _, ds, rm, pm = setup
+        beta = 0.05 if solver == "L1TV" else 0.0
+        cfg = _cfg(solver=solver, alpha_init=0.05, alpha_rest=0.2,
+                   beta_init=beta, beta_rest=2 * beta)
+        sino = ds.sinograms[1]
+        res = tcr_reconstruct(sino, cfg, rm, pm)
+        recon, predictions, refined, initial, reports = \
+            _two_init_solves_reconstruct(sino, cfg, rm, pm)
+        for got, want in ((res.reconstructions, recon),
+                          (res.predictions, predictions),
+                          (res.refined, refined), (res.initial, initial)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+        def key(entry):
+            return entry["step"], entry["phase"], repr(entry["report"])
+
+        kept = [key(e) for e in reports
+                if (e["step"], e["phase"]) != (1, "init")]
+        assert len(kept) == len(reports) - 1 == len(res.reports) == 10
+        assert [key(e) for e in res.reports] == kept
+
+
 class TestAlphaZeroEquivalence:
     @pytest.mark.parametrize("solver", ["L2", "L1", "L1TV"])
     def test_alpha_zero_reproduces_plain_solver_bitwise(self, setup, solver):
@@ -153,11 +211,8 @@ class TestAlphaZeroEquivalence:
         res = tcr_reconstruct(sino, cfg, rm, pm)
         for t in range(10):
             op = operator_for_angles(sino.angles[t], sino.offsets, 16)
-            if t < 2:
-                x0 = res.reconstructions[t] if t == 1 else None
-                prior = res.refined[t].astype(np.float64)
-            else:
-                prior = res.predictions[t - 1].astype(np.float64)
+            prior = (res.refined[0] if t == 0
+                     else res.predictions[t - 1]).astype(np.float64)
             # the prior must be irrelevant at alpha 0: hand the plain
             # solver a different anchor but the same starting point
             dummy = np.full((16, 16), 0.123)
@@ -170,18 +225,6 @@ class TestAlphaZeroEquivalence:
             else:
                 x, _ = l1_tv_tcr_pdhg(op, sino.frames[t], dummy, 0.0, beta,
                                       x0=prior, max_iter=400)
-            if t == 1:
-                # step 1 is solved twice; the final value comes from the
-                # loop re-solve whose x0 is the step-1 prediction
-                x, _ = (l2_tcr(op, sino.frames[t], dummy, 0.0,
-                               x0=res.predictions[0].astype(np.float64),
-                               max_iter=19) if solver == "L2" else
-                        l1_tcr_fista(op, sino.frames[t], dummy, 0.0,
-                                     x0=res.predictions[0].astype(np.float64),
-                                     max_iter=200) if solver == "L1" else
-                        l1_tv_tcr_pdhg(op, sino.frames[t], dummy, 0.0, beta,
-                                       x0=res.predictions[0].astype(np.float64),
-                                       max_iter=400))
             assert np.array_equal(res.reconstructions[t], x), f"step {t}"
 
 

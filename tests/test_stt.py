@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -217,15 +219,31 @@ class TestGradients:
 
 
 class TestWrappers:
-    def test_refine_slots(self):
-        params = init_stt_params(DESK, seed=11)
+    @pytest.mark.parametrize("cfg", [DESK, replace(DESK, window=1)],
+                             ids=["unwindowed", "window1"])
+    def test_refine_slots(self, cfg):
+        """refine runs without the query slot; slots 0 and 1 cannot see
+        it, so they equal stt_forward's bit for bit."""
+        params = init_stt_params(cfg, seed=11)
         pair = np.random.default_rng(8).normal(size=(2, 32, 32)).astype(np.float32)
-        ref = refine(params, DESK, pair)
+        ref = refine(params, cfg, pair)
         assert ref.shape == (2, 32, 32)
-        full = stt_forward(params, DESK, pair)
+        full = stt_forward(params, cfg, pair)
         assert np.array_equal(ref, full[:2])
         with pytest.raises(ValueError):
-            refine(params, DESK, np.zeros((3, 32, 32), dtype=np.float32))
+            refine(params, cfg, np.zeros((3, 32, 32), dtype=np.float32))
+
+    def test_refine_slots_small_grid(self):
+        """At 16 px the last encoder conv runs a GEMM of 8 columns instead
+        of 12, which BLAS may round differently: equal within float32."""
+        cfg = SttConfig(model_dim=16, heads=2, layers=1, image_size=16,
+                        enc_channels=(2, 3, 4))
+        params = init_stt_params(cfg, seed=11)
+        pair = np.random.default_rng(8).normal(size=(2, 16, 16)).astype(
+            np.float32)
+        full = stt_forward(params, cfg, pair)[:2]
+        err = np.max(np.abs(refine(params, cfg, pair) - full))
+        assert err <= 1e-6 * np.max(np.abs(full))
 
     def test_predict_next_slot(self):
         params = init_stt_params(DESK, seed=12)
