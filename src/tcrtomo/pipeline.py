@@ -36,7 +36,6 @@ __all__ = [
     "ReconResult",
     "solve_step",
     "tcr_reconstruct",
-    "default_alpha_grid",
     "select_alphas",
     "evaluate",
     "aggregate_metrics",
@@ -204,11 +203,6 @@ def tcr_reconstruct(sino, cfg, refine_model, predict_model, gt=None,
 
 # ------------------------------------------------- parameter selection
 
-def default_alpha_grid():
-    """Logarithmic grid, 8 points per decade over [1e-3, 1]."""
-    return np.logspace(-3.0, 0.0, 25)
-
-
 def select_alphas(validation, cfg, grid_init, grid_rest, refine_model,
                   predict_model):
     """Exhaustive grid search for the two coupling weights.
@@ -318,6 +312,7 @@ def save_result(path, result, extra=None):
         "extra": dict(extra or {}),
         "metrics": result.metrics,
         "stop_reasons": [r["report"].stop_reason for r in result.reports],
+        "iterations": [r["report"].iterations for r in result.reports],
     }
     write_meta(path, RESULT, meta)
     for name, arr in zip(_RESULT_PAYLOADS, (

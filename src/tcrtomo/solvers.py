@@ -12,24 +12,37 @@ forward/adjoint protocol of geometry.LinearOperator; images may have any
 shape as long as it matches the operator.
 
 All three run one loop, _iterate.  A solver supplies its preamble
-(_prepare, step sizes) and a step(x, r) -> x_new closure that holds its
-own state.  The loop projects each kept iterate once: r = A x - psi gives
-the discrepancy, the objective's data term and the next step's r.  Each
+(_prepare, step sizes), a step(x, r, g) -> x_new closure that holds its
+own state and, optionally, a stop test.  The loop projects each kept
+iterate once: r = A x - psi gives the discrepancy, the objective's data
+term and the next step's r.  For PDHG it also takes the kept iterate's
+gradient g once, for the objective's TV term and the next step.  Each
 trace entry is the value a separate projection of that iterate would give.
 
 FISTA and PDHG step from an extrapolated point (FISTA's y, PDHG's xbar),
-an affine combination of the last two kept iterates.  Its residual follows
-by linearity from theirs, r + m (r - r_prev) and 2 r - r_prev, so every
-iteration costs one forward and one adjoint projection.  The derived
-residual is rebuilt from two fresh projections each time, so rounding does
-not accumulate; it differs from a direct projection only in the last bits.
-The adjoint multiplies by the operator's cached transpose (see geometry).
-A run whose final iterate or discrepancy is not finite raises ValueError.
+an affine combination of the last two kept iterates.  Its residual (and
+PDHG's grad xbar) follows by linearity from theirs, r + m (r - r_prev) and
+2 r - r_prev, so every iteration costs one forward and one adjoint
+projection.  The derived residual is rebuilt from two fresh projections
+each time, so rounding does not accumulate; it differs from a direct
+projection only in the last bits.  The adjoint multiplies by the
+operator's cached transpose (see geometry).
+
+Stop reasons: "max_iter" (the budget ran out); "discrepancy_increase"
+(l2_tcr's early stop, which drops that step); "stationary" (FISTA's
+iterate is a float fixed point, so the full budget would return it
+bitwise); "converged" (PDHG's primal-dual residuals are below PDHG_TOL
+relative; PDHG balances its primal and dual steps by the block norms of
+K = (A, grad)).  A run whose final iterate or discrepancy is not finite
+raises ValueError.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
+
+# relative tolerance of PDHG's primal-dual residual stop
+PDHG_TOL = 2e-3
 
 
 @dataclass
@@ -92,24 +105,32 @@ def _prepare(op, psi, prior, x0, max_iter, **weights):
     return psi, prior, x
 
 
-def _iterate(op, psi, x, max_iter, step, l1=None, tv=None, monotone=False):
-    """x <- step(x, r), r = A x - psi, max_iter times -> (x, SolveReport).
+def _iterate(op, psi, x, max_iter, step, l1=None, tv=None, monotone=False,
+             stop=None):
+    """x <- step(x, r, g), r = A x - psi, max_iter times -> (x, SolveReport).
 
+    g is grad x when tv = beta is given, else None; each kept iterate's
+    gradient is computed once and serves both the step and the objective.
     Traces ||r|| of each kept iterate and, given l1 = (alpha, prior) or
-    tv = beta, the objective 1/2 ||r||^2 + beta ||grad x||_1 +
+    tv, the objective 1/2 ||r||^2 + beta ||grad x||_1 +
     alpha ||x - prior||_1 summed left to right.  monotone drops an iterate
-    whose discrepancy would increase and stops the run there.  Raises
-    ValueError if the returned iterate or its discrepancy is not finite.
+    whose discrepancy would increase and stops the run there.  After each
+    kept step, stop(x_new, r_new, g_new, moved) may return a stop reason;
+    moved is False when the discrepancy did not change.  The run then ends
+    on that iterate.  Raises ValueError if the returned iterate or its
+    discrepancy is not finite.
     """
     report = SolveReport()
 
-    def keep(x, r, d):
+    def gradient(x):
+        return None if tv is None else grad2d(x)
+
+    def keep(x, r, g, d):
         report.discrepancies.append(d)
         if l1 is not None or tv is not None:
             obj = 0.5 * float(np.sum(r ** 2))
             if tv is not None:
-                gr, gc = grad2d(x)
-                obj += tv * float(np.sum(np.abs(gr)) + np.sum(np.abs(gc)))
+                obj += tv * float(np.sum(np.abs(g)))
             if l1 is not None:
                 alpha, prior = l1
                 obj += alpha * float(np.sum(np.abs(x - prior)))
@@ -117,18 +138,24 @@ def _iterate(op, psi, x, max_iter, step, l1=None, tv=None, monotone=False):
             report.objective = obj
 
     r = op.forward(x) - psi
+    g = gradient(x)
     d = float(np.linalg.norm(r.ravel()))
-    keep(x, r, d)
+    keep(x, r, g, d)
     for _ in range(max_iter):
-        x_new = step(x, r)
+        x_new = step(x, r, g)
         r_new = op.forward(x_new) - psi
         d_new = float(np.linalg.norm(r_new.ravel()))
         if monotone and d_new > d:
             report.stop_reason = "discrepancy_increase"
             break
-        x, r, d = x_new, r_new, d_new
-        keep(x, r, d)
+        g_new = gradient(x_new)
+        reason = stop(x_new, r_new, g_new, d_new != d) if stop else None
+        x, r, g, d = x_new, r_new, g_new, d_new
+        keep(x, r, g, d)
         report.iterations += 1
+        if reason:
+            report.stop_reason = reason
+            break
     if not (np.isfinite(d) and np.isfinite(x).all()):
         raise ValueError(f"non-finite iterate after {report.iterations} "
                          f"iterations (discrepancy {d})")
@@ -147,7 +174,7 @@ def l2_tcr(op, psi, prior, alpha, x0=None, max_iter=19, tau=None):
     if tau is None:
         tau = 1.0 / (1.01 * op.norm_ata())
 
-    def step(x, r):
+    def step(x, r, _):
         grad = op.adjoint(r)
         if alpha > 0:
             grad = grad + alpha * (x - prior)
@@ -169,17 +196,26 @@ def l1_tcr_fista(op, psi, prior, alpha, x0=None, max_iter=200):
     y_{k+1} = x_k + m_k (x_k - x_{k-1}),  m_k = (h_k - 1)/h_{k+1},
     whose residual A y_{k+1} - psi = r_k + m_k (r_k - r_{k-1}) needs no
     projection of its own.
+
+    Stops early with stop_reason "stationary" once x_k == x_{k-1}, and the
+    point x_k was stepped from, y_{k-1} with its derived residual, equals
+    (x_k, A x_k - psi), element for element.  Step k + 1 then repeats step
+    k's arithmetic exactly, so no later iterate can differ from x_k; the
+    result equals the full-budget run's bitwise.  This is the prior itself
+    whenever the data pull is weaker than alpha everywhere.
     """
     psi, prior, x = _prepare(op, psi, prior, x0, max_iter, alpha=alpha)
     tau = 1.0 / (1.01 * op.norm_ata())
     y = x
     h = 1.0
     m = r_prev = None  # y = x on the first step, so A y - psi = r
+    last = None  # (x_{k-1}, y_{k-1}, A y_{k-1} - psi) of the last step
 
-    def step(x, r):
-        nonlocal y, h, m, r_prev
+    def step(x, r, _):
+        nonlocal y, h, m, r_prev, last
         r_y = r if r_prev is None else r + m * (r - r_prev)
         x_new = prox_shifted_l1(y - tau * op.adjoint(r_y), tau * alpha, prior)
+        last = (x, y, r_y)
         h_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * h * h))
         m = (h - 1.0) / h_new
         y = x_new + m * (x_new - x)
@@ -187,22 +223,33 @@ def l1_tcr_fista(op, psi, prior, alpha, x0=None, max_iter=200):
         r_prev = r
         return x_new
 
-    return _iterate(op, psi, x, max_iter, step, l1=(alpha, prior))
+    def stop(x_new, r_new, _, moved):
+        # an unchanged iterate leaves the discrepancy unchanged, so a moving
+        # solve pays one float compare
+        if moved:
+            return None
+        x, y_from, r_from = last
+        if (np.array_equal(x_new, x) and np.array_equal(y_from, x_new)
+                and np.array_equal(r_from, r_new)):
+            return "stationary"
+        return None
+
+    return _iterate(op, psi, x, max_iter, step, l1=(alpha, prior), stop=stop)
 
 
 def grad2d(x):
     """Forward differences with replicate (Neumann) boundary: last row/col 0.
 
-    Returns (d_rows, d_cols).
+    Returns one (2, H, W) array, d_rows stacked on d_cols, so
+    `gr, gc = grad2d(x)` unpacks the two components.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"grad2d expects a 2-D array, got shape {x.shape}")
-    gr = np.zeros_like(x)
-    gc = np.zeros_like(x)
-    gr[:-1, :] = x[1:, :] - x[:-1, :]
-    gc[:, :-1] = x[:, 1:] - x[:, :-1]
-    return gr, gc
+    g = np.zeros((2,) + x.shape)
+    np.subtract(x[1:, :], x[:-1, :], out=g[0, :-1, :])
+    np.subtract(x[:, 1:], x[:, :-1], out=g[1, :, :-1])
+    return g
 
 
 def div2d(gr, gc):
@@ -225,32 +272,73 @@ def l1_tv_tcr_pdhg(op, psi, prior, alpha, beta, x0=None, max_iter=400):
     The linear map K = (A, grad) is composed into the dual block:
       y1 <- (y1 + sigma (A xbar - psi)) / (1 + sigma)       data dual
       y2 <- clip(y2 + sigma grad xbar, -beta, beta)         TV dual
-      x  <- prox_shifted_l1(x - tau (A^T y1 - div y2), tau alpha, prior)
-      xbar = 2 x_new - x,  so  A xbar - psi = 2 r_new - r
-    with tau = sigma = 0.99 / ||K||, ||K||^2 <= 1.01 ||A^T A|| + 8.
+      x  <- prox_shifted_l1(x - tau K^T y, tau alpha, prior)
+      K^T y = A^T y1 - div y2,  xbar = 2 x_new - x
+    with tau = c 0.99 / ||K||, sigma = 0.99 / (c ||K||), so tau sigma ||K||^2
+    = 0.98 < 1 (Chambolle & Pock 2011).  ||K||^2 <= ||A||^2 + ||grad||^2
+    with ||A||^2 <= 1.01 ||A^T A|| and ||grad||^2 <= 8, and the ratio
+    c = ||grad|| / ||A|| balances the two blocks.  At beta = 0 there is no
+    TV block: ||K|| = ||A|| and c = 1.  A xbar - psi = 2 r_new - r and
+    grad xbar = 2 grad x_new - grad x follow by linearity from the kept
+    iterates, so an iteration costs one forward and one adjoint
+    projection, one grad2d and one div2d.
+
+    Stops with stop_reason "converged" once both primal-dual residuals
+    (Goldstein, Li & Yuan 2015) are small relative to their terms:
+      primal  ||x - x_new|| / tau  <=  PDHG_TOL ||K^T y||
+      dual    ||(y - y_new) / sigma + K (xbar - x_new)||
+                  <=  PDHG_TOL (||(A x_new, grad x_new)|| + ||psi||)
+    else after max_iter iterations ("max_iter").
     """
     psi, prior, x = _prepare(op, psi, prior, x0, max_iter, alpha=alpha,
                              beta=beta)
     if len(op.in_shape) != 2:
         raise ValueError(f"TV solver needs 2-D images, got shape {op.in_shape}")
-    tau = sigma = 0.99 / np.sqrt(1.01 * op.norm_ata() + 8.0)
-    xbar = x.copy()
+    norm_a2 = 1.01 * op.norm_ata()
+    if beta > 0:
+        c, norm_k = np.sqrt(8.0 / norm_a2), np.sqrt(norm_a2 + 8.0)
+    else:
+        c, norm_k = 1.0, np.sqrt(norm_a2)
+    tau, sigma = 0.99 * c / norm_k, 0.99 / (c * norm_k)
+    psi_norm = np.sqrt(_sq(psi))
     y1 = np.zeros(op.out_shape)
-    y2r = np.zeros(op.in_shape)
-    y2c = np.zeros(op.in_shape)
-    r_prev = None
+    y2 = np.zeros((2,) + tuple(op.in_shape))
+    r_prev = g_prev = None
+    last = None  # what the stop test needs from the last step
 
-    def step(x, r):
-        nonlocal xbar, y1, y2r, y2c, r_prev
+    def step(x, r, g):
+        nonlocal y1, y2, r_prev, g_prev, last
+        y_old = (y1, y2)
         r_bar = r if r_prev is None else 2.0 * r - r_prev
         y1 = (y1 + sigma * r_bar) / (1.0 + sigma)
-        gr, gc = grad2d(xbar)
-        y2r = np.clip(y2r + sigma * gr, -beta, beta)
-        y2c = np.clip(y2c + sigma * gc, -beta, beta)
-        x_new = prox_shifted_l1(
-            x - tau * (op.adjoint(y1) - div2d(y2r, y2c)), tau * alpha, prior)
-        xbar = 2.0 * x_new - x
-        r_prev = r
+        kty = op.adjoint(y1)
+        g_bar = None
+        if g is not None:
+            g_bar = g if g_prev is None else 2.0 * g - g_prev
+            y2 = np.clip(y2 + sigma * g_bar, -beta, beta)
+            kty = kty - div2d(y2[0], y2[1])
+        x_new = prox_shifted_l1(x - tau * kty, tau * alpha, prior)
+        last = (x, kty, r_bar, g_bar, y_old)
+        r_prev, g_prev = r, g
         return x_new
 
-    return _iterate(op, psi, x, max_iter, step, l1=(alpha, prior), tv=beta)
+    def stop(x_new, r_new, g_new, _):
+        x, kty, r_bar, g_bar, (y1_old, y2_old) = last
+        if _sq(x - x_new) > (PDHG_TOL * tau) ** 2 * _sq(kty):
+            return None
+        dual = _sq((y1_old - y1) / sigma + r_bar - r_new)
+        kx = _sq(r_new + psi)
+        if g_new is not None:
+            dual += _sq((y2_old - y2) / sigma + g_bar - g_new)
+            kx += _sq(g_new)
+        if np.sqrt(dual) <= PDHG_TOL * (np.sqrt(kx) + psi_norm):
+            return "converged"
+        return None
+
+    return _iterate(op, psi, x, max_iter, step, l1=(alpha, prior),
+                    tv=beta if beta > 0 else None, stop=stop)
+
+
+def _sq(v):
+    """Squared Euclidean norm of an array."""
+    return float(np.vdot(v, v))

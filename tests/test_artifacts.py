@@ -132,7 +132,8 @@ def ref_save_result(path, result, extra=None):
     meta = {"format": "tcr-result-v1", "n_frames": t, "image_size": h,
             "extra": dict(extra or {}), "metrics": result.metrics,
             "stop_reasons": [r["report"].stop_reason
-                             for r in result.reports]}
+                             for r in result.reports],
+            "iterations": [r["report"].iterations for r in result.reports]}
     ref_dump_meta(os.path.join(path, "meta.json"), meta)
     ref_write_f32(os.path.join(path, "recon.f32"),
                   result.reconstructions.astype(np.float32))
@@ -160,8 +161,9 @@ def _checkpoint_state():
 def _result():
     rng = np.random.default_rng(4)
     size = GEOM.image_size
-    reports = [{"report": SimpleNamespace(stop_reason=r)}
-               for r in ("max_iter", "discrepancy", "max_iter", "max_iter")]
+    reports = [{"report": SimpleNamespace(stop_reason=r, iterations=n)}
+               for r, n in (("max_iter", 200), ("discrepancy", 7),
+                            ("converged", 143), ("stationary", 1))]
     metrics = [{"step": t, "psnr": 20.0 + t, "ssim": 0.5} for t in range(4)]
     metrics[0]["psnr"] = float("inf")
     return ReconResult(reconstructions=rng.random((4, size, size)),
@@ -245,6 +247,7 @@ def test_round_trips(good):
         assert np.array_equal(back_opt["v"][k], opt["v"][k])
     result, meta = load_result(good / "result")
     assert meta["stop_reasons"][1] == "discrepancy"
+    assert meta["iterations"] == [200, 7, 143, 1]
     assert meta["metrics"][0]["psnr"] == float("inf")
     assert np.array_equal(result.predictions, _result().predictions)
 

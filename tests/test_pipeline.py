@@ -5,9 +5,8 @@ from tcrtomo.errors import ConfigError, NumericalError
 from tcrtomo.geometry import MatrixOperator, ScanGeometry, operator_for_angles
 from tcrtomo.phantoms import generate_dataset
 from tcrtomo.pipeline import (ReconConfig, _initial_recon, aggregate_metrics,
-                              default_alpha_grid, evaluate, load_result,
-                              save_result, select_alphas, solve_step,
-                              tcr_reconstruct)
+                              evaluate, load_result, save_result,
+                              select_alphas, solve_step, tcr_reconstruct)
 from tcrtomo.solvers import l1_tcr_fista, l1_tv_tcr_pdhg, l2_tcr
 from tcrtomo.stt import (Predictor, SttConfig, init_stt_params, predict_next,
                          refine)
@@ -299,14 +298,6 @@ class TestSelectAlphas:
         with pytest.raises(ValueError):
             select_alphas(ds, _cfg(), [], [0.1], rm, pm)
 
-    def test_default_grid_shape(self):
-        grid = default_alpha_grid()
-        assert len(grid) == 25
-        assert grid[0] == pytest.approx(1e-3)
-        assert grid[-1] == pytest.approx(1.0)
-        ratios = grid[1:] / grid[:-1]
-        assert np.allclose(ratios, ratios[0])
-
 
 class TestEvaluate:
     def test_perfect_reconstruction(self, setup):
@@ -384,7 +375,10 @@ class TestConfigAndPersistence:
                            res.reconstructions.astype(np.float32), atol=1e-7)
         assert np.array_equal(loaded.predictions, res.predictions)
         assert len(loaded.metrics) == 10
-        assert len(meta["stop_reasons"]) == len(res.reports)
+        assert meta["stop_reasons"] == [r["report"].stop_reason
+                                        for r in res.reports]
+        assert meta["iterations"] == [r["report"].iterations
+                                      for r in res.reports]
 
     def test_init_tv_mode_runs(self, setup):
         _, ds, rm, pm = setup

@@ -13,7 +13,12 @@ L2 does no extrapolation and must agree with its reference bit for bit:
 iterate, discrepancy trace, final objective, iteration count and stop
 reason.  FISTA and PDHG must match the iteration count and stop reason
 exactly, the iterate within TOL of max|x_ref| and every discrepancy and
-objective entry within TOL relative.
+objective entry within TOL relative.  The PDHG reference takes the same
+balanced steps and primal-dual residual stop, with the residuals built
+from direct projections of K = (A, grad).
+
+The oracle scans also check what the balanced steps are for: the stopped
+PDHG iterate is nearer a long run's than the old equal-step iterate.
 """
 
 from dataclasses import asdict
@@ -24,8 +29,10 @@ import pytest
 from tcrtomo.geometry import (LinearOperator, ScanGeometry, angle_schedule,
                               operator_for_angles)
 from tcrtomo.phantoms import generate_dataset
-from tcrtomo.solvers import (SolveReport, div2d, grad2d, l1_tcr_fista,
-                             l1_tv_tcr_pdhg, l2_tcr, prox_shifted_l1)
+from tcrtomo.solvers import (PDHG_TOL, SolveReport, div2d, grad2d,
+                             l1_tcr_fista, l1_tv_tcr_pdhg, l2_tcr,
+                             prox_shifted_l1)
+from test_solvers import without_stop
 
 # ------------------------------------------------------ reference loops
 
@@ -95,40 +102,77 @@ def ref_fista(op, psi, prior, alpha, x0=None, max_iter=200):
     return x, report
 
 
-def ref_pdhg(op, psi, prior, alpha, beta, x0=None, max_iter=400):
+def _pdhg_steps(op, beta):
+    """(tau, sigma) = (c, 1/c) * 0.99/||K||, c = ||grad||/||A|| when beta > 0."""
+    norm_a = np.sqrt(1.01 * op.norm_ata())
+    if beta == 0:
+        return 0.99 / norm_a, 0.99 / norm_a
+    norm_k = np.sqrt(norm_a ** 2 + 8.0)
+    c = np.sqrt(8.0) / norm_a
+    return c * 0.99 / norm_k, 0.99 / (c * norm_k)
+
+
+def ref_pdhg(op, psi, prior, alpha, beta, x0=None, max_iter=400,
+             steps=_pdhg_steps, tol=PDHG_TOL):
+    """PDHG with projections of xbar and a direct grad xbar.
+
+    It stops when both primal-dual residuals fall below tol; steps gives
+    (tau, sigma).  The TV block is left out of K when beta = 0.
+    """
     psi = np.asarray(psi, dtype=np.float64)
     prior = np.asarray(prior, dtype=np.float64)
-    norm_k = np.sqrt(1.01 * op.norm_ata() + 8.0)
-    tau = sigma = 0.99 / norm_k
+    tau, sigma = steps(op, beta)
     x = (np.zeros(op.in_shape) if x0 is None
          else np.array(x0, dtype=np.float64, copy=True))
     xbar = x.copy()
     y1 = np.zeros(op.out_shape)
     y2r = np.zeros(op.in_shape)
     y2c = np.zeros(op.in_shape)
+    tv = beta > 0
 
     def objective(z):
         r = 0.5 * float(np.sum((op.forward(z) - psi) ** 2))
-        gr, gc = grad2d(z)
-        r += beta * float(np.sum(np.abs(gr)) + np.sum(np.abs(gc)))
+        if tv:
+            gr, gc = grad2d(z)
+            r += beta * float(np.sum(np.abs(gr)) + np.sum(np.abs(gc)))
         r += alpha * float(np.sum(np.abs(z - prior)))
         return r
+
+    def k(z):
+        """K z as one flat vector: (A z, grad z), or A z alone at beta = 0."""
+        parts = [op.forward(z).ravel()]
+        if tv:
+            parts += [g.ravel() for g in grad2d(z)]
+        return np.concatenate(parts)
 
     report = SolveReport(stop_reason="max_iter")
     report.discrepancies.append(_discrepancy(op, x, psi))
     report.objectives.append(objective(x))
     for _ in range(max_iter):
+        y_old = np.concatenate([y1.ravel()] + ([y2r.ravel(), y2c.ravel()]
+                                               if tv else []))
         y1 = (y1 + sigma * (op.forward(xbar) - psi)) / (1.0 + sigma)
-        gr, gc = grad2d(xbar)
-        y2r = np.clip(y2r + sigma * gr, -beta, beta)
-        y2c = np.clip(y2c + sigma * gc, -beta, beta)
-        x_new = prox_shifted_l1(
-            x - tau * (op.adjoint(y1) - div2d(y2r, y2c)), tau * alpha, prior)
+        kty = op.adjoint(y1)
+        if tv:
+            gr, gc = grad2d(xbar)
+            y2r = np.clip(y2r + sigma * gr, -beta, beta)
+            y2c = np.clip(y2c + sigma * gc, -beta, beta)
+            kty = kty - div2d(y2r, y2c)
+        y_new = np.concatenate([y1.ravel()] + ([y2r.ravel(), y2c.ravel()]
+                                               if tv else []))
+        x_new = prox_shifted_l1(x - tau * kty, tau * alpha, prior)
+        primal = np.linalg.norm(x - x_new) / tau
+        dual = np.linalg.norm((y_old - y_new) / sigma + k(xbar) - k(x_new))
+        converged = (primal <= tol * np.linalg.norm(kty) and dual <= tol * (
+            np.linalg.norm(k(x_new)) + np.linalg.norm(psi)))
         xbar = 2.0 * x_new - x
         x = x_new
         report.discrepancies.append(_discrepancy(op, x, psi))
         report.objectives.append(objective(x))
         report.iterations += 1
+        if converged:
+            report.stop_reason = "converged"
+            break
     report.objective = report.objectives[-1]
     return x, report
 
@@ -209,6 +253,36 @@ def test_oracle_covers_both_l2_stop_reasons(scan):
     reasons = {_run(solver, scan, weights, kw)[1].stop_reason
                for _, solver, _, weights, kw in CASES if solver is l2_tcr}
     assert reasons == {"max_iter", "discrepancy_increase"}
+
+
+# ------------------------------------------------- distance to the minimiser
+
+def _old_steps(op, beta):
+    """The steps before the balanced ones: tau = sigma = 0.99 / ||K||."""
+    tau = 0.99 / np.sqrt(1.01 * op.norm_ata() + 8.0)
+    return tau, tau
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.03])
+def test_pdhg_stops_nearer_the_minimiser(scan, alpha, monkeypatch):
+    op, psi, prior = scan
+    args = (op, psi, prior, alpha, 0.01)
+    x, rep = l1_tv_tcr_pdhg(*args, x0=prior)
+    x_star, _ = without_stop(monkeypatch, l1_tv_tcr_pdhg, *args, x0=prior,
+                             max_iter=8000)
+    # tol 0 stops only on an exact float fixed point, where the iterate
+    # is the 400-iteration one
+    x_old, _ = ref_pdhg(*args, x0=prior, steps=_old_steps, tol=0.0)
+    assert rep.stop_reason == "converged" and rep.iterations < 400
+    scale = np.linalg.norm(x_star)
+    dist = np.linalg.norm(x - x_star) / scale
+    dist_old = np.linalg.norm(x_old - x_star) / scale
+    if dist_old == 0:
+        # at alpha 0.03 the old steps end on the long run's fixed point
+        # exactly; the stopped iterate is within 1e-3 of it
+        assert dist <= 1e-3
+    else:
+        assert dist < dist_old
 
 
 # ------------------------------------------------------ projector work

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from tcrtomo.geometry import LinearOperator, MatrixOperator, operator_for_angles
+from tcrtomo import solvers
+from tcrtomo.geometry import (LinearOperator, MatrixOperator, ScanGeometry,
+                              angle_schedule, operator_for_angles)
+from tcrtomo.phantoms import disc_image
 from tcrtomo.solvers import (div2d, grad2d, l1_tcr_fista, l1_tv_tcr_pdhg,
                              l2_tcr, prox_shifted_l1, soft_threshold)
 
@@ -16,6 +19,28 @@ def small_radon(size=32, n_angles=6, n_offsets=40, seed=0):
     angles = np.arange(n_angles) * np.pi / n_angles + 0.05
     offsets = np.linspace(-1, 1, n_offsets)
     return operator_for_angles(angles, offsets, size)
+
+
+def without_stop(monkeypatch, solver, *args, **kw):
+    """The solver's full-budget run: _iterate with its early stop dropped."""
+    iterate = solvers._iterate
+    with monkeypatch.context() as m:
+        m.setattr(solvers, "_iterate",
+                  lambda *a, stop=None, **k: iterate(*a, **k))
+        return solver(*args, **kw)
+
+
+def assert_early_exit_of(stopped, full):
+    """stopped equals full bitwise: same x, its traces a prefix of full's,
+    and full's traces constant from the stopping point on."""
+    (x, rep), (x_full, rep_full) = stopped, full
+    assert np.array_equal(x, x_full)
+    n = rep.iterations + 1
+    for name in ("discrepancies", "objectives"):
+        trace, full_trace = getattr(rep, name), getattr(rep_full, name)
+        assert trace == full_trace[:n], name
+        assert set(full_trace[n - 1:]) == {trace[-1]}, name
+    assert rep.objective == rep_full.objective
 
 
 def random_image(size=32, seed=0):
@@ -153,14 +178,16 @@ def test_fista_momentum_sequence():
     assert h2 == pytest.approx((1.0 + np.sqrt(5.0)) / 2.0, abs=1e-15)
 
 
-def test_fista_scalar_zero_prior():
+def test_fista_scalar_zero_prior(monkeypatch):
     # A = I, psi = 2, prior = 0, alpha = 0.5 -> x* = soft(2, 0.5) = 1.5
-    op = scalar_op()
-    x, rep = l1_tcr_fista(op, np.array([2.0]), np.array([0.0]), alpha=0.5,
-                          max_iter=200)
+    args = (scalar_op(), np.array([2.0]), np.array([0.0]), 0.5)
+    x, rep = l1_tcr_fista(*args, max_iter=200)
     assert x[0] == pytest.approx(1.5, abs=1e-6)
-    assert rep.iterations == 200
-    assert len(rep.discrepancies) == 201
+    # x moves for a few iterations, then stays on its float fixed point
+    full = without_stop(monkeypatch, l1_tcr_fista, *args, max_iter=200)
+    assert rep.stop_reason == "stationary"
+    assert 1 < rep.iterations < full[1].iterations == 200
+    assert_early_exit_of((x, rep), full)
 
 
 def test_fista_scalar_shifted_prior():
@@ -175,6 +202,24 @@ def test_fista_strong_prior_pins_solution():
     op = scalar_op()
     x, _ = l1_tcr_fista(op, np.array([2.0]), np.array([1.8]), alpha=5.0)
     assert x[0] == pytest.approx(1.8, abs=1e-6)
+
+
+def test_fista_stationary_exit_is_the_full_budget_run(monkeypatch):
+    # demo 02's frozen case: at alpha 0.1 the data pull is weaker than alpha
+    # everywhere, so x never leaves the prior
+    geom = ScanGeometry(32, 8, 20, 3, 47)
+    op = operator_for_angles(angle_schedule(geom, 3), geom.offsets, 32)
+    psi = op.forward(disc_image(32, radius=0.4, center=(0.15, 0.0)))
+    prior = disc_image(32, radius=0.4, center=(0.05, 0.05))
+    args = (op, psi, prior, 0.1)
+    stopped = l1_tcr_fista(*args, x0=prior, max_iter=200)
+    full = without_stop(monkeypatch, l1_tcr_fista, *args, x0=prior,
+                        max_iter=200)
+    assert (stopped[1].stop_reason, stopped[1].iterations) == ("stationary",
+                                                                1)
+    assert (full[1].stop_reason, full[1].iterations) == ("max_iter", 200)
+    assert np.array_equal(stopped[0], prior)
+    assert_early_exit_of(stopped, full)
 
 
 def test_fista_objective_tail_monotone():
