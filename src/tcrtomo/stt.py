@@ -13,15 +13,15 @@ dimension, per-patch temporal attention (spatial patches ride the batch
 axis) with rotary position embeddings and a causal mask, and a per-slot
 2-D conv decoder whose skip connections all consume 1x1 projections of
 the final transformer feature map, plus the raw input frame at full
-resolution. The three stages are _encode, _blocks and _decode.
+resolution. The three stages are _encode, _blocks and _decode; _run is
+the one way they run, on the slots a caller reads.
 
-stt_apply (taped, batched) runs them over all T+1 slots for training and
-for stt_forward / predict_next, the reference; refine runs them over its
-two frames alone. Predictor streams one sequence frame by frame, as the
-reconstruction pipeline and rollout do: it caches each block's keys and
-values of the real slots, so a step feeds only the two new slots through
-the blocks and decodes only the last one; its cost no longer grows with
-the history, and cfg.window bounds the cache.
+stt_apply (taped, batched) runs all T+1 slots: the reference, through
+stt_forward and predict_next. refine and the refinement trainer run the
+pair alone; the prediction trainer runs T+1 slots and decodes slot T.
+Predictor streams one sequence, as the pipeline and rollout do: it caches
+each block's keys and values of the real slots, so a push runs the two
+new slots and decodes the last, and cfg.window bounds the cache.
 """
 
 from dataclasses import dataclass
@@ -164,8 +164,7 @@ _SAME_PAD = ((1, 1), (1, 1))
 
 
 def _check_frames(cfg, frames, history):
-    """stt_apply's input checks on (B, n, H, W) frames that take the
-    history to `history` frames."""
+    """Size and finiteness of (..., H, W) frames; history <= max_context."""
     h, w = frames.shape[-2:]
     if history > cfg.max_context:
         raise ValueError(
@@ -252,12 +251,24 @@ def _decode(params, cfg, tok, seq):
     return reshape(out, (b, s, h, w))
 
 
+def _run(params, cfg, seq, positions, cache=None, decode=None):
+    """Encode the slot frames seq (B, s, H, W), run the blocks on the last
+    len(positions) slots at those positions (and the cache, see _blocks),
+    and decode the last `decode` of them (all when None). Returns the
+    frames and each block's (k, v) of the slots it ran."""
+    ran = (slice(None), slice(-len(positions), None))
+    tok, kv = _blocks(params, cfg, tslice(_encode(params, cfg, seq), ran),
+                      positions, cache)
+    out = (slice(None), slice(None if decode is None else -decode, None))
+    return _decode(params, cfg, tslice(tok, out), tslice(seq, out)), kv
+
+
 def stt_apply(params, cfg, frames):
     """Differentiable batched forward pass.
 
     frames: Tensor or array of shape (B, T, H, W). Returns a Tensor of
-    shape (B, T+1, H, W). Used directly by the training loops and, through
-    stt_forward, as the reference for the streaming Predictor.
+    shape (B, T+1, H, W); through stt_forward, the reference for refine,
+    the streaming Predictor and the trainers' slot sets.
     """
     if not isinstance(frames, Tensor):
         frames = Tensor(np.asarray(frames, dtype=np.float32))
@@ -269,24 +280,21 @@ def stt_apply(params, cfg, frames):
     _check_frames(cfg, frames.data, t)
 
     query = tslice(frames, (slice(None), slice(t - 1, t)))
-    seq = concat([frames, query], axis=1)
-    tok, _ = _blocks(params, cfg, _encode(params, cfg, seq), np.arange(t + 1))
-    return _decode(params, cfg, tok, seq)
+    return _run(params, cfg, concat([frames, query], axis=1),
+                np.arange(t + 1))[0]
 
 
 class Predictor:
     """Streaming next-frame prediction along one sequence.
 
     push(frames) appends one frame (H, W), or several (n, H, W), to the
-    history and returns the prediction of the next frame: slot T of
-    stt_forward on the whole history, up to float32 rounding. Appending
-    frames leaves every earlier slot's keys and values unchanged (the
-    mask is causal), so each block's roped K/V of the real slots is
-    cached, and a push runs only the new slots through the blocks: the
-    old query slot, now a real frame, and the new query slot. The
-    encoder reruns over the new slots and the _ENCODER_REACH slots before
-    them, which is all their tokens depend on; only the last slot is
-    decoded. With cfg.window set the cache keeps the last `window` slots.
+    history and returns slot T of stt_forward on the whole history, up to
+    float32 rounding. Appending leaves every earlier slot's keys and
+    values unchanged (the mask is causal), so a push runs only the new
+    slots (the old query slot, now real, and the new query slot) through
+    the blocks against each block's cached roped K/V, encodes them with
+    the _ENCODER_REACH slots they depend on, and decodes the last. With
+    cfg.window set the cache keeps the last `window` slots.
     """
 
     def __init__(self, params, cfg):
@@ -295,9 +303,8 @@ class Predictor:
         self.length = 0
         self._recent = np.zeros((0, cfg.image_size, cfg.image_size),
                                 dtype=np.float32)
-        g, heads = cfg.grid, cfg.heads
-        empty = np.zeros((g * g, 0, heads, cfg.model_dim // heads),
-                         dtype=np.float32)
+        empty = np.zeros((cfg.grid ** 2, 0, cfg.heads,
+                          cfg.model_dim // cfg.heads), dtype=np.float32)
         self._cache = [(empty, empty)] * cfg.layers
 
     def push(self, frames):
@@ -312,15 +319,10 @@ class Predictor:
         _check_frames(self.cfg, frames, t)
 
         real = np.concatenate([self._recent, frames])
-        seq = Tensor(np.concatenate([real, frames[-1:]])[None])
+        seq = np.concatenate([real, frames[-1:]])[None]
         with no_grad():
-            tok = _encode(self.params, self.cfg, seq)
-            tok = tslice(tok, (slice(None), slice(-(n + 1), None)))
-            tok, kv = _blocks(self.params, self.cfg, tok,
-                              np.arange(self.length, t + 1), self._cache)
-            last = tslice(tok, (slice(None), slice(-1, None)))
-            out = _decode(self.params, self.cfg, last,
-                          tslice(seq, (slice(None), slice(-1, None))))
+            out, kv = _run(self.params, self.cfg, seq,
+                           np.arange(self.length, t + 1), self._cache, 1)
 
         keep = slice(None if self.cfg.window is None else -self.cfg.window,
                      None)
@@ -349,10 +351,8 @@ def refine(params, cfg, noisy_pair):
     if noisy_pair.ndim != 3 or noisy_pair.shape[0] != 2:
         raise ValueError("refine expects exactly 2 frames")
     _check_frames(cfg, noisy_pair, 2)
-    seq = Tensor(noisy_pair[None])
     with no_grad():
-        tok, _ = _blocks(params, cfg, _encode(params, cfg, seq), np.arange(2))
-        return _decode(params, cfg, tok, seq).data[0]
+        return _run(params, cfg, noisy_pair[None], np.arange(2))[0].data[0]
 
 
 def predict_next(params, cfg, history):

@@ -14,15 +14,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import Tensor, scale, tslice, tsum
+from .autodiff import Tensor, scale, tsum
 from .checkpoint import save_checkpoint
 from .errors import ConfigError, DatasetFormatError
 from .geometry import operator_for_angles
 from .optim import adamw_step, init_adamw, lr_cosine
 from .solvers import l2_tcr
 from .spec import check_fields, spec
-from .stt import (SttConfig, check_stt_params, init_stt_params, refine,
-                  rollout, stt_apply)
+from .stt import (SttConfig, _check_frames, _run, check_stt_params,
+                  init_stt_params, refine, rollout)
 
 __all__ = [
     "TrainConfig",
@@ -253,8 +253,8 @@ def train_refinement(dataset, cfg, model_cfg=None, val_dataset=None):
         g_ratio = gt_ratio(e)
         use_gt = rng.random(len(idx)) < g_ratio
         x = np.where(use_gt[:, None, None, None], gt[idx], lw[idx])
-        out = stt_apply(params, model_cfg, x.astype(np.float32))
-        diff = tslice(out, (slice(None), slice(0, 2))) - Tensor(gt[idx])
+        _check_frames(model_cfg, x, 2)
+        diff = _run(params, model_cfg, x, np.arange(2))[0] - Tensor(gt[idx])
         loss = scale(tsum(diff * diff), 0.5 / len(idx))
         refused = _update(params, optimizer, loss, lr)
         return [(loss.item(), len(idx))], refused, {"gt_ratio": g_ratio}
@@ -317,9 +317,9 @@ def train_prediction(dataset, refine_params, refine_cfg, cfg, model_cfg=None,
         for s in range(int(roll.max())):
             t = s + 2
             active = [j for j in range(len(idx)) if roll[j] > s]
-            x = np.stack([np.stack(history[j]) for j in active])
-            out = stt_apply(params, model_cfg, x)
-            pred = tslice(out, (slice(None), slice(t, t + 1)))
+            seq = np.stack([history[j] + history[j][-1:] for j in active])
+            _check_frames(model_cfg, seq, t)
+            pred, _ = _run(params, model_cfg, seq, np.arange(t + 1), decode=1)
             target = gt[idx[active], t][:, None]
             diff = pred - Tensor(target)
             loss = scale(tsum(diff * diff), 1.0 / len(active))

@@ -143,28 +143,34 @@ def test_02_solver_oracles():
         x - (prior + soft_threshold(psi - prior, alpha)))))
     assert fista_err <= 1e-6
 
-    # PDHG with zero TV weight minimizes the same objective as FISTA
+    # PDHG with zero TV weight minimizes the same objective as FISTA. At
+    # alpha = 0.1 the data pull is weaker than alpha everywhere and both
+    # return the prior; at alpha = 0.003 both must leave it
     geom = ScanGeometry(32, 8, 20, 3, 47)
     op = operator_for_angles(angle_schedule(geom, 2), geom.offsets, 32)
     img = disc_image(32, radius=0.5, center=(0.1, -0.2), value=0.8)
     psi = op.forward(img)
     prior = img + 0.05 * rng.standard_normal(img.shape)
-    alpha = 0.1
+    gaps = {}
+    for alpha in (0.1, 0.003):
+        def objective(z):
+            return (0.5 * float(np.sum((op.forward(z) - psi) ** 2))
+                    + alpha * float(np.sum(np.abs(z - prior))))
 
-    def objective(z):
-        return (0.5 * float(np.sum((op.forward(z) - psi) ** 2))
-                + alpha * float(np.sum(np.abs(z - prior))))
-
-    xf, _ = l1_tcr_fista(op, psi, prior, alpha, x0=prior, max_iter=4000)
-    xp, _ = l1_tv_tcr_pdhg(op, psi, prior, alpha, 0.0, x0=prior,
-                           max_iter=8000)
-    gap = abs(objective(xf) - objective(xp))
-    assert gap <= 1e-3, f"objective gap {gap:.3e}"
+        xf, _ = l1_tcr_fista(op, psi, prior, alpha, x0=prior, max_iter=4000)
+        xp, _ = l1_tv_tcr_pdhg(op, psi, prior, alpha, 0.0, x0=prior,
+                               max_iter=8000)
+        gaps[alpha] = gap = abs(objective(xf) - objective(xp))
+        assert gap <= 1e-3, f"alpha {alpha}: objective gap {gap:.3e}"
+    # the last pair, alpha = 0.003
+    assert not np.array_equal(xf, prior) and not np.array_equal(xp, prior)
 
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0
     report("criterion 2 (solver oracles)",
-           f"closed forms <=1e-6; PDHG/FISTA gap {gap:.1e}; {elapsed:.1f}s")
+           "closed forms <=1e-6; PDHG/FISTA gap "
+           + ", ".join(f"{g:.1e} at alpha {a}" for a, g in gaps.items())
+           + f"; {elapsed:.1f}s")
 
 
 # ---------------------------------------------------------- criterion 3

@@ -5,12 +5,15 @@ import pytest
 
 from tcrtomo.autodiff import (Tensor, causal_attention, conv3d, gelu,
                               gradcheck, layer_norm, matmul, mse_loss,
-                              reshape, rope_apply, transpose, tslice, tsum)
-from tcrtomo.stt import (Predictor, SttConfig, init_stt_params, predict_next,
-                         refine, rollout, stt_apply, stt_forward,
-                         stt_param_shapes)
+                              reshape, rope_apply, scale, transpose, tslice,
+                              tsum)
+from tcrtomo.stt import (Predictor, SttConfig, _run, init_stt_params,
+                         predict_next, refine, rollout, stt_apply,
+                         stt_forward, stt_param_shapes)
 
 DESK = SttConfig(model_dim=64, heads=4, layers=2, image_size=32)
+TINY = SttConfig(model_dim=16, heads=2, layers=1, image_size=16,
+                 enc_channels=(2, 3, 4))
 
 
 def _params64(cfg, seed=0):
@@ -216,6 +219,63 @@ class TestGradients:
         loss.backward()
         assert params["head.w"].grad is not None
         assert np.all(np.isfinite(params["head.w"].grad))
+
+    @staticmethod
+    def _runner_against_stt_apply(size, window, n, run, ref):
+        """Losses of a trainer's runner call run(params, cfg, x) and of the
+        stt_apply path ref(out) it replaces, on one batch of n frames;
+        every parameter gradient of the two agrees within 1e-5 of its
+        largest entry."""
+        cfg = replace(DESK if size == 32 else TINY, window=window)
+        params = init_stt_params(cfg, seed=16)
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(3, n, size, size)).astype(np.float32)
+        outs = (run(params, cfg, x), ref(stt_apply(params, cfg, x)))
+        target = Tensor(rng.normal(size=outs[0].shape).astype(np.float32))
+        results = []
+        for out in outs:
+            assert out.shape == target.shape
+            diff = out - target
+            loss = scale(tsum(diff * diff), 1 / 3)
+            for p in params.values():
+                p.grad = None
+            loss.backward()
+            results.append((loss.item(),
+                            {k: p.grad.copy() for k, p in params.items()}))
+        (got, grads), (want, ref_grads) = results
+        for k, g in ref_grads.items():
+            err = np.max(np.abs(grads[k] - g))
+            assert err <= 1e-5 * np.max(np.abs(g)), (k, err)
+        return got, want
+
+    @pytest.mark.parametrize("window", [None, 2], ids=["unwindowed", "window2"])
+    @pytest.mark.parametrize("size", [16, 32])
+    def test_refinement_runner_matches_stt_apply(self, size, window):
+        """The refinement trainer runs the pair without the query slot: its
+        loss equals stt_apply's slots 0, 1 within float32 rounding (a
+        2-slot encoder GEMM may round differently at 16 px), and every
+        gradient within 1e-5 of its largest entry."""
+        got, want = self._runner_against_stt_apply(
+            size, window, 2,
+            lambda params, cfg, x: _run(params, cfg, x, np.arange(2))[0],
+            lambda out: tslice(out, (slice(None), slice(0, 2))))
+        assert abs(got - want) <= 1e-6 * abs(want)
+
+    @pytest.mark.parametrize("t", [2, 4, 7])
+    @pytest.mark.parametrize("window", [None, 2], ids=["unwindowed", "window2"])
+    @pytest.mark.parametrize("size", [16, 32])
+    def test_prediction_runner_matches_stt_apply(self, size, window, t):
+        """The prediction trainer runs T+1 slots and decodes slot T only:
+        its loss equals stt_apply's slot T bitwise, and every gradient
+        within 1e-5 of its largest entry."""
+        def run(params, cfg, x):
+            seq = np.concatenate([x, x[:, -1:]], axis=1)
+            return _run(params, cfg, seq, np.arange(t + 1), decode=1)[0]
+
+        got, want = self._runner_against_stt_apply(
+            size, window, t, run,
+            lambda out: tslice(out, (slice(None), slice(t, t + 1))))
+        assert got == want
 
 
 class TestWrappers:

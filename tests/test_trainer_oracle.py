@@ -8,6 +8,12 @@ building its own log rows.  The shipped trainers share one epoch loop
 must still agree with these loops bit for bit: weights, log rows with
 their key order and value types, `log.csv` bytes, checkpoint
 directories, `on_step` events and the sampler trace.
+
+The STT loops run the model through the stage runner on the slots their
+loss reads, as the trainers do: the refinement pair without the query
+slot, and T+1 slots decoding slot T only for prediction.
+`tests/test_stt.py` checks those calls against `stt_apply` over every
+slot, bitwise or within float32 rounding.
 """
 
 import os
@@ -17,14 +23,14 @@ import numpy as np
 import pytest
 
 from tcrtomo import training, uar
-from tcrtomo.autodiff import Tensor, no_grad, scale, tslice, tsum
+from tcrtomo.autodiff import Tensor, no_grad, scale, tsum
 from tcrtomo.checkpoint import save_checkpoint
 from tcrtomo.datasets import Dataset, Sinogram
 from tcrtomo.errors import ConfigError
 from tcrtomo.geometry import ScanGeometry
 from tcrtomo.optim import init_adamw, lr_cosine
 from tcrtomo.phantoms import generate_dataset
-from tcrtomo.stt import SttConfig, init_stt_params, refine, rollout, stt_apply
+from tcrtomo.stt import SttConfig, _run, init_stt_params, refine, rollout
 from tcrtomo.training import (TrainConfig, _update, gt_ratio,
                               landweber_pairs, max_rollout,
                               prediction_train_config, rollout_prob,
@@ -83,8 +89,8 @@ def ref_train_refinement(dataset, cfg, model_cfg=None, val_dataset=None):
             idx = order[start:start + cfg.batch_size]
             use_gt = rng.random(len(idx)) < g_ratio
             x = np.where(use_gt[:, None, None, None], gt[idx], lw[idx])
-            out = stt_apply(params, model_cfg, x.astype(np.float32))
-            diff = tslice(out, (slice(None), slice(0, 2))) - Tensor(gt[idx])
+            out, _ = _run(params, model_cfg, x, np.arange(2))
+            diff = out - Tensor(gt[idx])
             loss = scale(tsum(diff * diff), 0.5 / len(idx))
             skipped += _update(params, optimizer, loss, lr)
             total += loss.item() * len(idx)
@@ -156,8 +162,9 @@ def ref_train_prediction(dataset, refine_params, refine_cfg, cfg,
                 t = s + 2
                 active = [j for j in range(len(idx)) if roll[j] > s]
                 x = np.stack([np.stack(history[j]) for j in active])
-                out = stt_apply(params, model_cfg, x)
-                pred = tslice(out, (slice(None), slice(t, t + 1)))
+                seq = np.concatenate([x, x[:, -1:]], axis=1)
+                pred, _ = _run(params, model_cfg, seq, np.arange(t + 1),
+                               decode=1)
                 target = gt[idx[active], t][:, None]
                 diff = pred - Tensor(target)
                 loss = scale(tsum(diff * diff), 1.0 / len(active))

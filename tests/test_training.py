@@ -158,13 +158,14 @@ class TestRefinementLoop:
         ds = _tiny_dataset()
         cfg = TrainConfig(epochs=1, batch_size=4, seed=0)
         _, clean = train_refinement(ds, cfg, model_cfg=TINY_MODEL)
-        real = training.stt_apply
+        real = training._run
 
-        def poisoned(params, model_cfg, x):
-            return linear_map(real(params, model_cfg, x), lambda v: v,
-                              lambda g: np.full_like(g, np.nan))
+        def poisoned(*args, **kwargs):
+            out, kv = real(*args, **kwargs)
+            return linear_map(out, lambda v: v,
+                              lambda g: np.full_like(g, np.nan)), kv
 
-        monkeypatch.setattr(training, "stt_apply", poisoned)
+        monkeypatch.setattr(training, "_run", poisoned)
         params, log = train_refinement(ds, cfg, model_cfg=TINY_MODEL)
         assert clean[0]["skipped"] == 0
         assert log[0]["skipped"] == 1
@@ -279,6 +280,38 @@ class TestPredictionLoop:
         _, log = train_prediction(ds, re_params, TINY_MODEL, cfg)
         losses = [r["loss"] for r in log if r["split"] == "train"]
         assert min(losses[5:]) < losses[0]
+
+
+class TestStructure:
+    def test_trainers_decode_only_the_slots_their_loss_reads(self,
+                                                             monkeypatch):
+        """Each taped batch decodes what its loss reads: the refinement
+        pair of every item, and slot t alone of every active prediction
+        sample, whatever the history length."""
+        import tcrtomo.stt as stt
+        decoded = []
+        real_decode = stt._decode
+
+        def decode(params, cfg, tok, seq):
+            if tok.requires_grad:
+                decoded.append(tuple(seq.shape[:2]))
+            return real_decode(params, cfg, tok, seq)
+
+        monkeypatch.setattr(stt, "_decode", decode)
+        ds = _tiny_dataset(n_items=5, n_steps=5)
+        train_refinement(ds, TrainConfig(epochs=1, batch_size=3, seed=0),
+                         model_cfg=TINY_MODEL)
+        assert decoded == [(3, 2), (2, 2)]
+
+        decoded.clear()
+        monkeypatch.setattr(training, "rollout_prob", lambda e: 0.5)
+        monkeypatch.setattr(training, "max_rollout", lambda e: 3)
+        steps = []
+        train_prediction(ds, init_stt_params(TINY_MODEL, seed=7), TINY_MODEL,
+                         prediction_train_config(epochs=1, batch_size=3),
+                         on_step=steps.append)
+        assert {s["target"] for s in steps} == {2, 3, 4}
+        assert decoded == [(len(s["samples"]), 1) for s in steps]
 
 
 class TestConfigValidation:
