@@ -14,9 +14,13 @@ Convolutions are im2col matmuls over one column layout, (C*prod(k), N*P)
 gathered in (C, *k, N, *out) order.  The forward pass is one GEMM per
 sample over strided views of it, so a sample's result never depends on
 the batch it came in; the weight gradient is one GEMM over all columns.
-col2im, the adjoint of im2col, scatters W^T g back onto the input windows:
-that is a conv's input gradient (skipped when the input needs none) and
-the forward pass of conv_transpose2d/3d, whose backward is a plain conv.
+A conv's input gradient (skipped when the input needs none) is also the
+forward pass of conv_transpose2d/3d, whose backward is a plain conv.  At
+stride 1 it is itself a conv, of the output gradient with the flipped,
+channel-swapped kernel, on the same forward kernel; a strided conv's goes
+through col2im, the adjoint of im2col, which scatters W^T g back onto the
+input windows.  The forward keeps its columns on the tape only when the
+weight needs a gradient, the one reader of them.
 The transposes are first-class ops so gradient-of-gradient graphs (e.g. a
 gradient penalty) can be built on tape.
 """
@@ -582,12 +586,13 @@ def _conv_dw(cols, g, w_shape):
 def _col2im(g, w, stride, pad, in_sp):
     """Scatter the columns W^T g back onto the padded input, then crop it.
 
-    The adjoint of _im2col followed by the weight matmul: for each kernel
-    offset, that offset's (C, *out, N) block of W^T g (the rows _im2col
-    gathered for it) is one GEMM, added onto the strided window _im2col
-    read.  One block at a time keeps the full column matrix, k times the
-    input's size, from being allocated.  Unlike _im2col's columns the batch
-    axis is innermost here, so that a window row is one contiguous run.
+    The adjoint of _im2col followed by the weight matmul, used for strided
+    convs only (see _conv_input_grad): for each kernel offset, that
+    offset's (C, *out, N) block of W^T g (the rows _im2col gathered for
+    it) is one GEMM, added onto the strided window _im2col read.  One block
+    at a time keeps the full column matrix, k times the input's size, from
+    being allocated.  Unlike _im2col's columns the batch axis is innermost
+    here, so that a window row is one contiguous run.
     """
     co, c = w.shape[:2]
     gt = np.moveaxis(g, 0, -1).reshape(co, -1)
@@ -601,6 +606,29 @@ def _col2im(g, w, stride, pad, in_sp):
         xp[(slice(None),) + win] += (wt[offset] @ gt).reshape(block)
     crop = tuple(slice(p[0], p[0] + m) for m, p in zip(in_sp, pad))
     return np.ascontiguousarray(np.moveaxis(xp[(slice(None),) + crop], -1, 0))
+
+
+def _conv_input_grad(g, w, stride, pad, in_sp):
+    """Input gradient of a conv of w: (N, C, *in_sp) from g (N, Co, *out).
+
+    At stride 1 on every axis this is a conv of g, padded by k - 1 - p on
+    each side (cropped where p > k - 1), with the spatially flipped,
+    channel-swapped kernel, on the forward kernel: one gather and one GEMM
+    per sample instead of col2im's one small GEMM per kernel offset.  A
+    strided conv's gradient would need g dilated by the stride first,
+    which multiplies the work; it keeps _col2im.
+    """
+    if any(s != 1 for s in stride):
+        return _col2im(g, w, stride, pad, in_sp)
+    ksize = w.shape[2:]
+    tpad = [(k - 1 - p[0], k - 1 - p[1]) for k, p in zip(ksize, pad)]
+    g = g[(slice(None), slice(None))
+          + tuple(slice(max(-b, 0), n - max(-a, 0))
+                  for n, (b, a) in zip(g.shape[2:], tpad))]
+    gp = _pad_input(g, [(max(b, 0), max(a, 0)) for b, a in tpad])
+    cols, out_sp = _im2col(gp, ksize, (1,) * len(ksize))
+    wf = np.flip(w, axis=tuple(range(2, w.ndim))).swapaxes(0, 1)
+    return _conv_gemm(wf, cols, out_sp)
 
 
 def _conv_operands(a, w, nd, op):
@@ -620,6 +648,8 @@ def _conv_nd(a, w, b, stride, pad, nd):
             f"input channels {a.data.shape[1]} != weight channels {w.data.shape[1]}")
     stride, pad = _norm_stride_pad(stride, pad, nd)
     out, cols = _conv_forward(a.data, w.data, stride, pad)
+    if not _needs_grad(w):
+        cols = None  # only the weight gradient reads the columns
     parents = [a, w]
     if b is not None:
         b = _as_tensor(b, like=a)
@@ -632,10 +662,11 @@ def _conv_nd(a, w, b, stride, pad, nd):
     def backward(g):
         if b is not None:
             _accum(b, g.sum(axis=(0,) + tuple(range(2, 2 + nd))))
-        if _needs_grad(w):
+        if cols is not None:
             _accum(w, _conv_dw(cols, g, w.data.shape))
         if _needs_grad(a):
-            _accum(a, _col2im(g, w.data, stride, pad, a.data.shape[2:]))
+            _accum(a, _conv_input_grad(g, w.data, stride, pad,
+                                       a.data.shape[2:]))
 
     return _make(out, tuple(parents), backward)
 
@@ -668,7 +699,7 @@ def _conv_transpose_nd(a, w, stride, pad, nd, output_size):
         raise ValueError(
             f"output size {output_size} does not fit input size {in_sp}: "
             f"conv{nd}d with stride {stride}, padding {pad} maps it to {got}")
-    out = _col2im(a.data, w.data, stride, pad, output_size)
+    out = _conv_input_grad(a.data, w.data, stride, pad, output_size)
 
     def backward(g):
         cols, g_sp = _im2col(_pad_input(g, pad), ksize, stride)

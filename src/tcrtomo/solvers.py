@@ -51,7 +51,9 @@ class SolveReport:
 
     discrepancies[i] is ||A x_i - psi|| for the kept iterates x_0..x_n, so
     its length is iterations + 1.  objectives traces the full objective for
-    solvers that track it (FISTA, PDHG).
+    solvers that track it (FISTA, PDHG).  alpha_crit, set by FISTA, is
+    ||A^T (A x0 - psi)||_inf: x0 = prior solves the L1 problem exactly when
+    alpha >= alpha_crit (the Lasso lambda_max).
     """
 
     iterations: int = 0
@@ -59,6 +61,7 @@ class SolveReport:
     discrepancies: list = field(default_factory=list)
     objectives: list = field(default_factory=list)
     objective: float = float("nan")
+    alpha_crit: float = float("nan")
 
 
 def soft_threshold(v, lam):
@@ -203,6 +206,9 @@ def l1_tcr_fista(op, psi, prior, alpha, x0=None, max_iter=200):
     k's arithmetic exactly, so no later iterate can differ from x_k; the
     result equals the full-budget run's bitwise.  This is the prior itself
     whenever the data pull is weaker than alpha everywhere.
+
+    The report's alpha_crit comes from the first step's adjoint, A^T r at
+    y = x0.
     """
     psi, prior, x = _prepare(op, psi, prior, x0, max_iter, alpha=alpha)
     tau = 1.0 / (1.01 * op.norm_ata())
@@ -210,11 +216,15 @@ def l1_tcr_fista(op, psi, prior, alpha, x0=None, max_iter=200):
     h = 1.0
     m = r_prev = None  # y = x on the first step, so A y - psi = r
     last = None  # (x_{k-1}, y_{k-1}, A y_{k-1} - psi) of the last step
+    alpha_crit = None
 
     def step(x, r, _):
-        nonlocal y, h, m, r_prev, last
+        nonlocal y, h, m, r_prev, last, alpha_crit
         r_y = r if r_prev is None else r + m * (r - r_prev)
-        x_new = prox_shifted_l1(y - tau * op.adjoint(r_y), tau * alpha, prior)
+        grad = op.adjoint(r_y)
+        if r_prev is None:
+            alpha_crit = float(np.max(np.abs(grad)))
+        x_new = prox_shifted_l1(y - tau * grad, tau * alpha, prior)
         last = (x, y, r_y)
         h_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * h * h))
         m = (h - 1.0) / h_new
@@ -234,7 +244,10 @@ def l1_tcr_fista(op, psi, prior, alpha, x0=None, max_iter=200):
             return "stationary"
         return None
 
-    return _iterate(op, psi, x, max_iter, step, l1=(alpha, prior), stop=stop)
+    x, report = _iterate(op, psi, x, max_iter, step, l1=(alpha, prior),
+                         stop=stop)
+    report.alpha_crit = alpha_crit
+    return x, report
 
 
 def grad2d(x):

@@ -6,9 +6,12 @@ Its weight gradient contracts the same slices with the output gradient.
 The input gradient is the earlier construction: dilate the output
 gradient by the stride, pad it by k - 1 - p, and correlate it with the
 spatially flipped, channel-swapped kernel.  The shipped path gathers
-im2col columns for the forward pass and the weight gradient and scatters
-W^T g back onto the input windows with col2im.  Both must agree on every
-conv shape the STT and the UAR models use, in float64 and in float32.
+im2col columns for the forward pass and the weight gradient.  Its input
+gradient is that same construction on the forward kernel at stride 1,
+and scatters W^T g back onto the input windows with col2im when the conv
+is strided; col2im, which serves every stride, stays the oracle of the
+stride-1 path.  All must agree on every conv shape the STT and the UAR
+models use, in float64 and in float32.
 """
 
 import numpy as np
@@ -122,15 +125,19 @@ def _stt_shapes(batch=2, slots=3):
 def _uar_shapes(size=32, steps=4, offsets=47):
     """Same-padded 3x3 convs of the UAR generator and critic, 2-D and 3-D,
     and the dual nets' convs over the data box (angles, offsets) of a
-    3-angle and a 20-angle scan."""
+    3-angle and a 20-angle scan.  The gamma nets take 4 (dual) or 3
+    (primal) channels in and give 1 out."""
     cfg = UarConfig()
     gc, cc = cfg.gamma_channels, cfg.critic_channels
     return {
         "uar2d-gamma-in": ((1, 4, size, size), (gc, 4, 3, 3)) + _SAME2,
+        "uar2d-primal-in": ((1, 3, size, size), (gc, 3, 3, 3)) + _SAME2,
         "uar2d-gamma-mid": ((1, gc, size, size), (gc, gc, 3, 3)) + _SAME2,
+        "uar2d-gamma-out": ((1, gc, size, size), (1, gc, 3, 3)) + _SAME2,
         "uar2d-critic": ((1, cc[1], size, size), (cc[2], cc[1], 3, 3)) + _SAME2,
         "uar2d-dual-in-a3": ((1, 4, 3, offsets), (gc, 4, 3, 3)) + _SAME2,
         "uar2d-dual-mid-a20": ((1, gc, 20, offsets), (gc, gc, 3, 3)) + _SAME2,
+        "uar2d-dual-out-a20": ((1, gc, 20, offsets), (1, gc, 3, 3)) + _SAME2,
         "uar3d-gamma-out": ((1, gc, steps, size, size), (1, gc, 3, 3, 3))
         + _SAME3,
         "uar3d-critic": ((1, cc[0], steps, size, size), (cc[1], cc[0], 3, 3, 3))
@@ -179,6 +186,32 @@ def test_input_grad_matches_reference(name, dtype):
     ref = ref_conv_input_grad(g, w, stride, pad, x.shape[2:])
     assert xt.grad.dtype == dtype
     assert _rel_err(xt.grad, ref) <= TOLERANCE[dtype]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32],
+                         ids=["float64", "float32"])
+@pytest.mark.parametrize("name", [n for n, s in SHAPES.items()
+                                  if all(v == 1 for v in s[2])])
+def test_stride1_input_grad_matches_col2im(name, dtype):
+    x, w, g, stride, pad = _case(name, dtype, 9)
+    got = ad._conv_input_grad(g, w, stride, pad, x.shape[2:])
+    ref = ad._col2im(g, w, stride, pad, x.shape[2:])
+    assert got.dtype == ref.dtype == dtype
+    assert _rel_err(got, ref) <= TOLERANCE[dtype]
+
+
+def test_stride1_input_grad_with_padding_wider_than_kernel():
+    """Padding past k - 1 crops g instead of padding it (the reference
+    construction above rejects it; col2im does not)."""
+    rng = np.random.default_rng(11)
+    pad = ((3, 0), (1, 4))
+    x_shape, w_shape = (2, 3, 5, 6), (4, 3, 3, 2)
+    out_sp = ad._conv_out_shape(x_shape[2:], w_shape[2:], (1, 1), pad)
+    g = rng.standard_normal((2, 4) + out_sp)
+    w = rng.standard_normal(w_shape)
+    got = ad._conv_input_grad(g, w, (1, 1), pad, x_shape[2:])
+    ref = ad._col2im(g, w, (1, 1), pad, x_shape[2:])
+    assert _rel_err(got, ref) <= TOLERANCE[np.float64]
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32],
@@ -267,23 +300,26 @@ def test_sample_result_independent_of_batch_and_layout(name):
             assert np.array_equal(run(a[i:i + 1]), batch[i:i + 1])
 
 
-def test_backward_skips_input_grad_nobody_needs(monkeypatch):
+def _check_input_grad_skipped(monkeypatch, name, counted):
+    """A conv backward calls `counted` once, with the input's spatial
+    shape, when the input needs a gradient, and not at all otherwise; the
+    weight and bias gradients are the same either way."""
     calls = []
-    real = ad._col2im
+    real = getattr(ad, counted)
 
     def counting(*args):
         calls.append(args[-1])
         return real(*args)
 
-    monkeypatch.setattr(ad, "_col2im", counting)
-    x, w, g, stride, pad = _case("enc0", np.float32, 2)
+    monkeypatch.setattr(ad, counted, counting)
+    x, w, g, stride, pad = _case(name, np.float32, 2)
     b = np.random.default_rng(3).standard_normal(w.shape[0]).astype(np.float32)
 
     def weight_grads(input_needs_grad):
         wt = Tensor(w, requires_grad=True)
         bt = Tensor(b, requires_grad=True)
         xt = Tensor(x, requires_grad=input_needs_grad)
-        ad.conv3d(xt, wt, bt, stride=stride, padding=pad).backward(g)
+        _conv(x.ndim - 2)(xt, wt, bt, stride=stride, padding=pad).backward(g)
         assert (xt.grad is not None) == input_needs_grad
         return wt.grad, bt.grad
 
@@ -294,6 +330,32 @@ def test_backward_skips_input_grad_nobody_needs(monkeypatch):
     assert calls == []
     assert np.array_equal(w_full, w_skip)
     assert np.array_equal(b_full, b_skip)
+
+
+def test_backward_skips_input_grad_nobody_needs(monkeypatch):
+    # enc0 is strided: its input gradient is col2im's
+    _check_input_grad_skipped(monkeypatch, "enc0", "_col2im")
+
+
+def test_stride1_backward_skips_input_grad_nobody_needs(monkeypatch):
+    monkeypatch.setattr(ad, "_col2im", None)  # stride 1 never scatters
+    _check_input_grad_skipped(monkeypatch, "uar3d-gamma-out",
+                              "_conv_input_grad")
+
+
+def test_forward_tapes_columns_only_for_the_weight_gradient():
+    x, w, g, stride, pad = _case("uar2d-gamma-mid", np.float32, 10)
+
+    def taped_cols(weight_needs_grad):
+        out = ad.conv2d(Tensor(x, requires_grad=True),
+                        Tensor(w, requires_grad=weight_needs_grad),
+                        stride=stride, padding=pad)
+        closure = dict(zip(out._backward.__code__.co_freevars,
+                           out._backward.__closure__))
+        return closure["cols"].cell_contents
+
+    assert taped_cols(True) is not None
+    assert taped_cols(False) is None
 
 
 def test_conv_transpose_backward_skips_grads_nobody_needs(monkeypatch):
@@ -308,17 +370,19 @@ def test_conv_transpose_backward_skips_grads_nobody_needs(monkeypatch):
     def grads(input_needs_grad, weight_needs_grad):
         at = Tensor(g, requires_grad=input_needs_grad)
         wt = Tensor(w, requires_grad=weight_needs_grad)
-        ad.conv_transpose2d(at, wt, stride=stride, padding=pad,
-                            output_size=x.shape[2:]).backward(x)
+        out = ad.conv_transpose2d(at, wt, stride=stride, padding=pad,
+                                  output_size=x.shape[2:])
+        # dec1 is stride 1, so the forward is a _conv_gemm too: count the
+        # backward's calls only
+        calls.clear()
+        out.backward(x)
         return at.grad, wt.grad
 
     a_full, w_full = grads(True, True)
     assert calls == ["_conv_dw", "_conv_gemm"]
-    calls.clear()
     a_only, w_none = grads(True, False)
     assert calls == ["_conv_gemm"] and w_none is None
     assert np.array_equal(a_only, a_full)
-    calls.clear()
     a_none, w_only = grads(False, True)
     assert calls == ["_conv_dw"] and a_none is None
     assert np.array_equal(w_only, w_full)

@@ -41,6 +41,7 @@ def assert_early_exit_of(stopped, full):
         assert trace == full_trace[:n], name
         assert set(full_trace[n - 1:]) == {trace[-1]}, name
     assert rep.objective == rep_full.objective
+    assert rep.alpha_crit == rep_full.alpha_crit
 
 
 def random_image(size=32, seed=0):
@@ -188,6 +189,8 @@ def test_fista_scalar_zero_prior(monkeypatch):
     assert rep.stop_reason == "stationary"
     assert 1 < rep.iterations < full[1].iterations == 200
     assert_early_exit_of((x, rep), full)
+    # |A^T (A x0 - psi)| = 2 at x0 = 0: the data pull beats alpha, x moves
+    assert rep.alpha_crit == 2.0 > 0.5
 
 
 def test_fista_scalar_shifted_prior():
@@ -220,6 +223,8 @@ def test_fista_stationary_exit_is_the_full_budget_run(monkeypatch):
     assert (full[1].stop_reason, full[1].iterations) == ("max_iter", 200)
     assert np.array_equal(stopped[0], prior)
     assert_early_exit_of(stopped, full)
+    # lambda_max at the prior certifies what the exit found
+    assert stopped[1].alpha_crit <= 0.1
 
 
 def test_fista_objective_tail_monotone():
