@@ -13,12 +13,18 @@ pipeline.
 """
 
 import os
+from dataclasses import fields
 
 import numpy as np
 
 from .artifacts import DATASET, SINOGRAM, entries, read_f32, read_meta
 from .artifacts import write_f32, write_meta
+from .errors import DatasetFormatError
 from .geometry import ScanGeometry
+from .spec import check_value
+
+# a sinogram set's image_size takes ScanGeometry's bound
+_IMAGE_SIZE = next(f for f in fields(ScanGeometry) if f.name == "image_size")
 
 
 class Sinogram:
@@ -112,6 +118,24 @@ def write_dataset(ds, path):
     write_meta(path, DATASET, meta)
 
 
+def _read_item(path, i, item, geom):
+    """(ground truth, Sinogram) of dataset item i, whose ground truth must
+    be (n_steps, image_size, image_size) of geom and whose sinogram must
+    have n_steps frames."""
+    frames = [geom.n_steps, geom.image_size, geom.image_size]
+    gt_path = os.path.join(path, item["gt"]["file"])
+    if item["gt"]["shape"] != frames:
+        raise DatasetFormatError(f"{gt_path}: shape {item['gt']['shape']}, "
+                                 f"the geometry gives {frames}")
+    if len(item["sino"]) != geom.n_steps:
+        raise DatasetFormatError(
+            f"{os.path.join(path, 'meta.json')}: item {i} has "
+            f"{len(item['sino'])} sinogram frames, the geometry gives "
+            f"n_steps {geom.n_steps}")
+    return (read_f32(gt_path, frames),
+            _read_sinos(path, item["sino"], geom.offsets))
+
+
 def read_dataset(path, meta=None):
     """Load a dataset directory, checking its entries and every payload.
 
@@ -121,10 +145,10 @@ def read_dataset(path, meta=None):
         meta = read_meta(path, DATASET)
     with entries(path):
         geom = ScanGeometry.from_dict(meta["geometry"])
-        gt = [read_f32(os.path.join(path, item["gt"]["file"]),
-                       item["gt"]["shape"]) for item in meta["items"]]
-        sinos = [_read_sinos(path, item["sino"], geom.offsets)
-                 for item in meta["items"]]
+        items = [_read_item(path, i, item, geom)
+                 for i, item in enumerate(meta["items"])]
+        gt = [g for g, _ in items]
+        sinos = [s for _, s in items]
         return Dataset(geom, gt, sinos, seed=meta["seed"],
                        split=meta["split"], noise_level=meta["noise_level"],
                        specs=meta.get("phantoms"))
@@ -156,7 +180,8 @@ def load_external_sinogram(path, meta=None):
     if meta is None:
         meta = read_meta(path, SINOGRAM)
     with entries(path):
+        check_value(_IMAGE_SIZE, meta["image_size"], "/image_size")
         offsets = np.asarray(meta["offsets"], dtype=np.float64)
         sinos = [_read_sinos(path, item["sino"], offsets)
                  for item in meta["items"]]
-        return sinos, int(meta["image_size"])
+        return sinos, meta["image_size"]

@@ -81,10 +81,14 @@ def angle_schedule(geom, t):
     return np.sort(ang)
 
 
+def pixel_centers(size):
+    """World coordinates of the centers of size pixels spanning [-1, 1]."""
+    return -1.0 + (np.arange(size) + 0.5) * (2.0 / size)
+
+
 def _disc_mask(size):
     # True for pixels whose center lies inside the unit disc.
-    h = 2.0 / size
-    c = -1.0 + (np.arange(size) + 0.5) * h
+    c = pixel_centers(size)
     xx, yy = np.meshgrid(c, c, indexing="xy")
     return (xx * xx + yy * yy) <= 1.0
 

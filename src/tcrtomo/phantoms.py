@@ -19,7 +19,7 @@ import numpy as np
 
 from .datasets import Sinogram
 from .errors import GenerationError
-from .geometry import radon_operator
+from .geometry import pixel_centers, radon_operator
 
 
 @dataclass
@@ -155,8 +155,7 @@ def _render_frame(spec, lin, vec, grid):
 def render_sequence(spec):
     """Render a PhantomSpec to a (n_steps, size, size) float32 stack."""
     size = spec.image_size
-    h = 2.0 / size
-    coord = -1.0 + (np.arange(size) + 0.5) * h
+    coord = pixel_centers(size)
     xx, yy = np.meshgrid(coord, coord, indexing="xy")
     grid = np.stack([xx.ravel(), yy.ravel()])
     frames = np.empty((spec.n_steps, size, size), dtype=np.float32)
@@ -169,9 +168,7 @@ def render_sequence(spec):
 def mass_center(frame):
     """Intensity-weighted centroid in world coordinates (x, y)."""
     frame = np.asarray(frame, dtype=np.float64)
-    size = frame.shape[0]
-    h = 2.0 / size
-    coord = -1.0 + (np.arange(size) + 0.5) * h
+    coord = pixel_centers(frame.shape[0])
     total = frame.sum()
     if total == 0:
         return np.zeros(2)
@@ -233,8 +230,7 @@ def generate_dataset(geom, n_items, seed, noise_level=0.0, split="train",
 
 def disc_image(size, radius=0.6, center=(0.0, 0.0), value=1.0):
     """Pixel-center indicator of a disc; handy test and demo object."""
-    h = 2.0 / size
-    coord = -1.0 + (np.arange(size) + 0.5) * h
+    coord = pixel_centers(size)
     xx, yy = np.meshgrid(coord, coord, indexing="xy")
     return (value * (((xx - center[0]) ** 2 + (yy - center[1]) ** 2)
                      <= radius * radius)).astype(np.float64)

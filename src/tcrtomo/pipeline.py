@@ -30,6 +30,7 @@ from .metrics import psnr, ssim
 from .solvers import l1_tcr_fista, l1_tv_tcr_pdhg, l2_tcr
 from .spec import check_fields, spec
 from .stt import Predictor, check_stt_params, refine
+from .training import LANDWEBER_ITERS
 
 __all__ = [
     "ReconConfig",
@@ -52,7 +53,9 @@ class ReconConfig:
     the same split. Initial reconstructions use plain Landweber by
     default; the "tv" mode solves a TV-regularized problem instead, for
     measured data whose raw backprojections are too streaky to refine.
-    Solver names may be given in lower case.
+    landweber_iters defaults to training.LANDWEBER_ITERS, the budget of
+    the pairs the refinement model is trained on. Solver names may be
+    given in lower case.
     """
 
     image_size: int = spec(minimum=8)
@@ -62,7 +65,7 @@ class ReconConfig:
     alpha_rest: float = spec(0.1, minimum=0.0)
     beta_init: float = spec(0.0, minimum=0.0)
     beta_rest: float = spec(0.0, minimum=0.0)
-    landweber_iters: int = spec(19, minimum=1)
+    landweber_iters: int = spec(LANDWEBER_ITERS, minimum=1)
     max_iter_l2: int = spec(19, minimum=1)
     max_iter_l1: int = spec(200, minimum=1)
     max_iter_pdhg: int = spec(400, minimum=1)

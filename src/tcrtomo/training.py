@@ -41,6 +41,15 @@ __all__ = [
 LOG_COLUMNS = ("epoch", "split", "loss", "lr", "gt_ratio", "tf_ratio", "rollout",
                "skipped")
 
+# AdamW settings of both STT trainers
+ADAMW_BETAS = (0.9, 0.95)
+ADAMW_WEIGHT_DECAY = 1e-2
+ADAMW_EPS = 1e-8
+
+# Landweber budget of the frames-0/1 bootstrap; ReconConfig.landweber_iters
+# defaults to it, so training and reconstruction start from the same pairs
+LANDWEBER_ITERS = 19
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -53,10 +62,6 @@ class TrainConfig:
     hold_until: int = spec(0, minimum=0)
     min_lr: float = spec(1e-6, minimum=0.0)
     max_lr: float = spec(1e-4, minimum=0.0)
-    betas: tuple = (0.9, 0.95)
-    weight_decay: float = 1e-2
-    adam_eps: float = 1e-8
-    landweber_iters: int = 19
     checkpoint_every: int = spec(0, minimum=0)
     out_dir: str | None = None
     log_path: str | None = None
@@ -115,11 +120,12 @@ def rollout_prob(e):
 
 # ------------------------------------------------------- data preparation
 
-def landweber_pairs(dataset, max_iter=19):
+def landweber_pairs(dataset):
     """Initial reconstructions of frames 0 and 1 for every dataset item.
 
     Plain Landweber (no coupling term) on each frame's own measurements,
-    run to the discrepancy-increase stop. Returns float32 (N, 2, H, W).
+    run to the discrepancy-increase stop within LANDWEBER_ITERS steps.
+    Returns float32 (N, 2, H, W).
     """
     size = dataset.geometry.image_size
     pairs = []
@@ -131,7 +137,7 @@ def landweber_pairs(dataset, max_iter=19):
         for t in range(2):
             op = operator_for_angles(sino.angles[t], sino.offsets, size)
             x, _ = l2_tcr(op, sino.frames[t], np.zeros((size, size)),
-                          alpha=0.0, max_iter=max_iter)
+                          alpha=0.0, max_iter=LANDWEBER_ITERS)
             pair.append(x.astype(np.float32))
         pairs.append(np.stack(pair))
     return np.stack(pairs)
@@ -191,8 +197,8 @@ def _fit(dataset, val_dataset, cfg, model_cfg, kind, salt, prepare, batch,
     n = len(dataset)
 
     params = init_stt_params(model_cfg, seed=cfg.seed)
-    optimizer = init_adamw(params, betas=cfg.betas, eps=cfg.adam_eps,
-                           weight_decay=cfg.weight_decay)
+    optimizer = init_adamw(params, betas=ADAMW_BETAS, eps=ADAMW_EPS,
+                           weight_decay=ADAMW_WEIGHT_DECAY)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, salt]))
 
     log = []
@@ -245,7 +251,7 @@ def train_refinement(dataset, cfg, model_cfg=None, val_dataset=None):
         model_cfg = SttConfig(image_size=dataset.geometry.image_size)
 
     def prepare(ds):
-        return (landweber_pairs(ds, max_iter=cfg.landweber_iters),
+        return (landweber_pairs(ds),
                 np.stack([g[:2] for g in ds.gt]).astype(np.float32))
 
     def batch(params, optimizer, rng, data, idx, e, lr):
@@ -302,7 +308,7 @@ def train_prediction(dataset, refine_params, refine_cfg, cfg, model_cfg=None,
         if gt.shape[1] < 3:
             raise ConfigError("dataset",
                               "prediction training needs at least 3 frames per item")
-        lw = landweber_pairs(ds, max_iter=cfg.landweber_iters)
+        lw = landweber_pairs(ds)
         refined = np.stack([refine(refine_params, refine_cfg, pair)
                             for pair in lw]).astype(np.float32)
         return refined, gt

@@ -31,7 +31,7 @@ from .errors import ConfigError
 from .geometry import fbp, operator_for_angles
 from .layers import add_conv, add_linear, linear
 from .optim import init_adamw
-from .spec import check_fields, fields_from_dict, fields_to_dict, spec
+from .spec import check_fields, fields_to_dict, spec
 from .training import _update, write_log
 
 __all__ = [
@@ -60,6 +60,13 @@ LEAKY_SLOPE = 0.2
 # guards the gradient-norm sqrt at exactly zero input gradient
 _GRAD_NORM_EPS = 1e-12
 
+# initial value of every unrolled layer's trainable step sizes sigma, tau
+STEP_INIT = 0.01
+
+# Adam settings of the critic and generator optimisers (no weight decay)
+ADAM_BETAS = (0.5, 0.99)
+ADAM_EPS = 1e-8
+
 
 def _check_mode(mode):
     if mode not in MODES:
@@ -75,13 +82,11 @@ class UarConfig:
     critic_channels: tuple[int, ...] = spec((16, 16, 32, 32, 32, 32),
                                             minimum=1, length=6)
     critic_hidden: int = spec(64, minimum=1)
-    step_init: float = spec(0.01)
 
     def __post_init__(self):
         check_fields(self)
 
     to_dict = fields_to_dict
-    from_dict = classmethod(fields_from_dict)
 
 
 @dataclass(frozen=True)
@@ -93,8 +98,6 @@ class UarTrainConfig:
     phase3_epochs: int = spec(10, minimum=0)
     lr_warmup: float = spec(1e-5, above=0.0)
     lr_adversarial: float = spec(2e-5, above=0.0)
-    betas: tuple = (0.5, 0.99)
-    adam_eps: float = 1e-8
     alpha: float = spec(0.1, minimum=0.0)
     lambda_gp: float = spec(10.0, minimum=0.0)
     seed: int = 0
@@ -116,7 +119,8 @@ def init_uar_params(mode, cfg=None, seed=0):
     Per unrolled layer l the generator owns an unshared dual net d{l}
     (channels 4 -> width -> width -> 1: state, step-size channel,
     projected image, measured data), an unshared primal net p{l}
-    (3 -> width -> width -> 1), and trainable step sizes sigma{l}/tau{l}.
+    (3 -> width -> width -> 1), and trainable step sizes sigma{l}/tau{l},
+    both starting at STEP_INIT.
     The critic is one same-padded conv per cfg.critic_channels entry,
     global average pooling, and two dense layers down to a scalar.
     """
@@ -134,9 +138,9 @@ def init_uar_params(mode, cfg=None, seed=0):
         add_conv(params, rng, f"gen.p{layer}.c1", gc, gc, kernel)
         add_conv(params, rng, f"gen.p{layer}.c2", gc, 1, kernel)
         params[f"gen.sigma{layer}"] = Tensor(
-            np.full((1,), cfg.step_init, dtype=np.float32), requires_grad=True)
+            np.full((1,), STEP_INIT, dtype=np.float32), requires_grad=True)
         params[f"gen.tau{layer}"] = Tensor(
-            np.full((1,), cfg.step_init, dtype=np.float32), requires_grad=True)
+            np.full((1,), STEP_INIT, dtype=np.float32), requires_grad=True)
     in_ch = 1
     for j, ch in enumerate(cfg.critic_channels):
         add_conv(params, rng, f"reg.c{j}", in_ch, ch, kernel)
@@ -525,9 +529,9 @@ def train_uar(dataset, mode, cfg=None, model_cfg=None, sampler_trace=None):
     reg = critic_params(params)
     # the critic's arrays without gradient: generator updates fill no .grad
     critic = {k: Tensor(t.data) for k, t in reg.items()}
-    opt_reg = init_adamw(reg, betas=cfg.betas, eps=cfg.adam_eps,
+    opt_reg = init_adamw(reg, betas=ADAM_BETAS, eps=ADAM_EPS,
                          weight_decay=0.0)
-    opt_gen = init_adamw(gen, betas=cfg.betas, eps=cfg.adam_eps,
+    opt_gen = init_adamw(gen, betas=ADAM_BETAS, eps=ADAM_EPS,
                          weight_decay=0.0)
 
     schedule = ([(1, cfg.lr_warmup)] * cfg.phase1_epochs

@@ -361,6 +361,19 @@ def _nest_angles(meta):
     entry["angles"] = [[a] for a in entry["angles"]]
 
 
+def gt_restated(i, shape):
+    """Rewrite item i's ground truth at a smaller shape, its stated shape
+    and payload agreeing with each other but not with the geometry."""
+    def mutate(d):
+        meta = json.loads((d / "meta.json").read_text())
+        meta["items"][i]["gt"]["shape"] = list(shape)
+        (d / "meta.json").write_text(json.dumps(meta))
+        name = d / f"gt_{i}.f32"
+        name.write_bytes(name.read_bytes()[:4 * int(np.prod(shape))])
+        return [str(name)]
+    return mutate
+
+
 def _delete(*keys):
     def edit(meta):
         for key in keys[:-1]:
@@ -410,12 +423,17 @@ CORPUS = {
         ("angle-count", meta_edit(_extra_angle)),
         ("angle-count-and-shape",
          meta_edit(_extra_angle_and_row, named="sino_0_t1.f32")),
+        ("gt-frame-count", gt_restated(0, (3, 16, 16))),
+        ("gt-image-size", gt_restated(1, (4, 16, 15))),
+        ("sino-frame-count", meta_edit(_delete("items", 1, "sino", 3))),
     ],
     "sinogram": COMMON + [
         ("missing-offsets", meta_edit(_delete("offsets"))),
         ("missing-angles", meta_edit(_delete("items", 1, "sino", 2,
                                              "angles"))),
         ("image-size-a-list", meta_edit(_set([16], "image_size"))),
+        ("image-size-zero", meta_edit(_set(0, "image_size"))),
+        ("image-size-one", meta_edit(_set(1, "image_size"))),
         ("items-a-dict", meta_edit(_set({"a": 1}, "items"))),
         ("offset-count", meta_edit(lambda m: m["offsets"].append(1.5))),
         ("offsets-a-number", meta_edit(_set(0.5, "offsets"))),

@@ -29,7 +29,7 @@ from tcrtomo.optim import adamw_step, init_adamw
 from tcrtomo.pipeline import ReconResult, load_result, save_result
 from tcrtomo.solvers import l1_tcr_fista
 from tcrtomo.stt import SttConfig, init_stt_params
-from test_artifacts import ref_save_checkpoint
+from test_artifacts import gt_restated, ref_save_checkpoint
 
 TINY_CONFIG = {
     "geometry": {"image_size": 16, "n_steps": 4, "n_angles_init": 6,
@@ -254,6 +254,26 @@ class TestExitCodes:
         payload = stderr_payload(capsys)
         assert payload["error"] == "format-mismatch"
         assert str(broken / named) in payload["message"]
+
+    @pytest.mark.parametrize("command", ["reconstruct", "train-predict"])
+    def test_ground_truth_off_the_geometry_is_3(self, work, tmp_path, capsys,
+                                                command):
+        """A dataset whose item 0 holds 3 ground-truth frames where its
+        geometry has 4, stated shape and payload agreeing, exits 3 naming
+        the payload before any frame is solved or any model trained."""
+        split = "test" if command == "reconstruct" else "train"
+        data = copy_tree(work.data / split, tmp_path / "data")
+        (named,) = gt_restated(0, (3, 16, 16))(data)
+        if command == "reconstruct":
+            argv = ["reconstruct", "--input", data, "--predict", work.predict]
+        else:
+            argv = ["train-predict", "--data", data]
+        argv += ["--refine", work.refine, "--config", work.cfg,
+                 "--out", tmp_path / "o"]
+        assert run_cli(*argv) == 3
+        payload = stderr_payload(capsys)
+        assert payload["error"] == "format-mismatch"
+        assert named in payload["message"]
 
     @pytest.mark.parametrize("case", ["meta-json", "payload", "config"])
     def test_unreadable_file_is_3(self, work, tmp_path, capsys, case):

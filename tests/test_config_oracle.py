@@ -9,17 +9,22 @@ rates must be > 0 (the dataclass always required that), and so must
 eval.data_range (psnr and ssim reject 0 once the results are loaded).
 """
 
+import dataclasses
 import json
 import math
 
 import pytest
 
-from tcrtomo.config import (DEFAULTS, PRESETS, default_config, geometry_from,
-                            load_config, stt_config_from, validate_config)
+from tcrtomo.config import (DEFAULTS, PRESETS, SCHEMA, default_config,
+                            geometry_from, load_config, stt_config_from,
+                            validate_config)
 from tcrtomo.errors import ConfigError
 from tcrtomo.geometry import ScanGeometry
+from tcrtomo.pipeline import ReconConfig
+from tcrtomo.spec import fields_from_dict
 from tcrtomo.stt import SttConfig
-from tcrtomo.uar import UarConfig
+from tcrtomo.training import TrainConfig
+from tcrtomo.uar import UarConfig, UarTrainConfig
 
 # ------------------------------------------------ reference: literal tables
 
@@ -366,7 +371,7 @@ STT_JSON = {
 }
 UAR_JSON = ('{"unroll": 20, "gamma_channels": 32, '
             '"critic_channels": [16, 16, 32, 32, 32, 32], '
-            '"critic_hidden": 64, "step_init": 0.01}')
+            '"critic_hidden": 64}')
 
 
 @pytest.mark.parametrize("preset", [None, "desk", "paper"])
@@ -387,4 +392,33 @@ def test_bare_defaults_serialize_unchanged():
     assert json.dumps(ScanGeometry().to_dict()) == GEOMETRY_JSON[None]
     assert json.dumps(SttConfig().to_dict()) == STT_JSON[None]
     assert json.dumps(UarConfig().to_dict()) == UAR_JSON
-    assert UarConfig.from_dict(json.loads(UAR_JSON)) == UarConfig()
+    assert fields_from_dict(UarConfig, json.loads(UAR_JSON)) == UarConfig()
+
+
+# ------------------------------------------- settable fields only
+
+# values each config builder fixes per run, not read from the config
+PER_RUN = {"image_size", "max_context", "seed", "out_dir", "log_path"}
+
+# each config dataclass and the config section it is built from
+SECTION_OF = {
+    ScanGeometry: SCHEMA["geometry"],
+    SttConfig: SCHEMA["train_refine"]["model"],
+    TrainConfig: SCHEMA["train_refine"],
+    ReconConfig: SCHEMA["recon"],
+    UarConfig: SCHEMA["train_uar"],
+    UarTrainConfig: SCHEMA["train_uar"],
+}
+
+
+@pytest.mark.parametrize("cls", SECTION_OF, ids=lambda cls: cls.__name__)
+def test_config_fields_are_settings_a_caller_sets(cls):
+    """A config dataclass holds only what its config section sets, what
+    its builder fixes per run, and the STT encoder widths, a model shape
+    that every checkpoint stores; a value with one setting in use is a
+    module constant instead."""
+    allowed = set(SECTION_OF[cls]) | PER_RUN
+    if cls is SttConfig:
+        allowed.add("enc_channels")
+    assert [f.name for f in dataclasses.fields(cls)
+            if f.name not in allowed] == []

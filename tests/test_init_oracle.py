@@ -12,7 +12,7 @@ import pytest
 
 from tcrtomo.layers import kaiming_conv, trunc_normal
 from tcrtomo.stt import SttConfig, init_stt_params
-from tcrtomo.uar import MODES, UarConfig, init_uar_params
+from tcrtomo.uar import MODES, STEP_INIT, UarConfig, init_uar_params
 
 
 class _Ref:
@@ -73,7 +73,7 @@ def ref_init_uar(mode, cfg, seed):
         ref.conv(f"gen.p{layer}.c2", gc, 1, k)
         for step in ("sigma", "tau"):
             ref.arrays[f"gen.{step}{layer}"] = np.full(
-                (1,), cfg.step_init, dtype=np.float32)
+                (1,), STEP_INIT, dtype=np.float32)
     in_ch = 1
     for j, ch in enumerate(cfg.critic_channels):
         ref.conv(f"reg.c{j}", in_ch, ch, k)

@@ -1,5 +1,6 @@
-"""The public surface: every exported name resolves, and the README's
-module map lists every module."""
+"""The public surface: every exported name resolves, the README's
+module map lists every module, and its Configuration section names
+every config key."""
 
 import importlib
 import pkgutil
@@ -9,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import tcrtomo
+from tcrtomo.config import SCHEMA
 
+README = Path(__file__).resolve().parents[1] / "README.md"
 MODULES = sorted(m.name for m in pkgutil.iter_modules(tcrtomo.__path__)
                  if m.name != "__main__")
 
@@ -27,8 +30,21 @@ def test_module_exports_resolve(module):
 
 
 def test_readme_module_map_lists_every_module():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = README.read_text()
     table = readme.split("## Module map", 1)[1].split("\n## ", 1)[0]
     listed = [name for row in table.splitlines() if row.startswith("| `")
               for name in re.findall(r"`(\w+)`", row.split("|")[1])]
     assert sorted(listed) == MODULES
+
+
+def _leaves(tree):
+    for key, sub in tree.items():
+        yield from _leaves(sub) if isinstance(sub, dict) else (key,)
+
+
+def test_readme_configuration_names_every_key():
+    section = README.read_text().split("### Configuration", 1)[1]
+    section = section.split("\n### ", 1)[0]
+    missing = sorted({key for key in _leaves(SCHEMA)
+                      if not re.search(rf"\b{key}\b", section)})
+    assert missing == []

@@ -10,6 +10,7 @@ from tcrtomo.pipeline import (ReconConfig, _initial_recon, aggregate_metrics,
 from tcrtomo.solvers import l1_tcr_fista, l1_tv_tcr_pdhg, l2_tcr
 from tcrtomo.stt import (Predictor, SttConfig, init_stt_params, predict_next,
                          refine)
+from tcrtomo.training import landweber_pairs
 
 MODEL_CFG = SttConfig(model_dim=16, heads=2, layers=1, image_size=16,
                       enc_channels=(2, 3, 4))
@@ -197,6 +198,18 @@ class TestOneSolvePerFrame:
                 if (e["step"], e["phase"]) != (1, "init")]
         assert len(kept) == len(reports) - 1 == len(res.reports) == 10
         assert [key(e) for e in res.reports] == kept
+
+
+class TestBootstrapParity:
+    def test_training_pairs_are_the_default_initial_frames(self, setup):
+        """Under the default ReconConfig, reconstruction starts from the
+        Landweber pairs the refinement model is trained on, bit for bit."""
+        _, ds, rm, pm = setup
+        pairs = landweber_pairs(ds)
+        assert pairs.dtype == np.float32 and len(pairs) == 2
+        for pair, sino in zip(pairs, ds.sinograms):
+            initial = tcr_reconstruct(sino, _cfg(), rm, pm).initial
+            assert np.array_equal(pair, initial.astype(np.float32))
 
 
 class TestAlphaZeroEquivalence:

@@ -65,17 +65,18 @@ def ref_train_refinement(dataset, cfg, model_cfg=None, val_dataset=None):
         raise ConfigError("model.image_size",
                           f"{model_cfg.image_size} does not match dataset {size}")
 
-    lw = landweber_pairs(dataset, max_iter=cfg.landweber_iters)
+    lw = landweber_pairs(dataset)
     gt = np.stack([g[:2] for g in dataset.gt]).astype(np.float32)
     n = gt.shape[0]
     val_lw = val_gt = None
     if val_dataset is not None:
-        val_lw = landweber_pairs(val_dataset, max_iter=cfg.landweber_iters)
+        val_lw = landweber_pairs(val_dataset)
         val_gt = np.stack([g[:2] for g in val_dataset.gt]).astype(np.float32)
 
     params = init_stt_params(model_cfg, seed=cfg.seed)
-    optimizer = init_adamw(params, betas=cfg.betas, eps=cfg.adam_eps,
-                           weight_decay=cfg.weight_decay)
+    optimizer = init_adamw(params, betas=training.ADAMW_BETAS,
+                           eps=training.ADAMW_EPS,
+                           weight_decay=training.ADAMW_WEIGHT_DECAY)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 101]))
 
     log = []
@@ -128,19 +129,20 @@ def ref_train_prediction(dataset, refine_params, refine_cfg, cfg,
         raise ConfigError("dataset",
                           "prediction training needs at least 3 frames per item")
 
-    lw = landweber_pairs(dataset, max_iter=cfg.landweber_iters)
+    lw = landweber_pairs(dataset)
     refined = np.stack([refine(refine_params, refine_cfg, lw[i])
                         for i in range(n)]).astype(np.float32)
     val_refined = val_gt = None
     if val_dataset is not None:
-        val_lw = landweber_pairs(val_dataset, max_iter=cfg.landweber_iters)
+        val_lw = landweber_pairs(val_dataset)
         val_refined = np.stack([refine(refine_params, refine_cfg, val_lw[i])
                                 for i in range(val_lw.shape[0])]).astype(np.float32)
         val_gt = np.stack(val_dataset.gt).astype(np.float32)
 
     params = init_stt_params(model_cfg, seed=cfg.seed)
-    optimizer = init_adamw(params, betas=cfg.betas, eps=cfg.adam_eps,
-                           weight_decay=cfg.weight_decay)
+    optimizer = init_adamw(params, betas=training.ADAMW_BETAS,
+                           eps=training.ADAMW_EPS,
+                           weight_decay=training.ADAMW_WEIGHT_DECAY)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 202]))
 
     log = []
@@ -224,9 +226,9 @@ def ref_train_uar(dataset, mode, cfg=None, model_cfg=None,
     gen = generator_params(params)
     reg = critic_params(params)
     critic = {k: Tensor(t.data) for k, t in reg.items()}
-    opt_reg = init_adamw(reg, betas=cfg.betas, eps=cfg.adam_eps,
+    opt_reg = init_adamw(reg, betas=uar.ADAM_BETAS, eps=uar.ADAM_EPS,
                          weight_decay=0.0)
-    opt_gen = init_adamw(gen, betas=cfg.betas, eps=cfg.adam_eps,
+    opt_gen = init_adamw(gen, betas=uar.ADAM_BETAS, eps=uar.ADAM_EPS,
                          weight_decay=0.0)
 
     def trace(phase, i_gt, i_psi):

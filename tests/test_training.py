@@ -262,7 +262,7 @@ class TestPredictionLoop:
         cfg = prediction_train_config(epochs=1, batch_size=4, seed=0)
         params, log = train_prediction(ds, re_params, TINY_MODEL, cfg,
                                        val_dataset=val)
-        lw = landweber_pairs(val, max_iter=cfg.landweber_iters)
+        lw = landweber_pairs(val)
         total = 0.0
         for i, gt in enumerate(val.gt):
             frames = list(refine(re_params, TINY_MODEL, lw[i]))

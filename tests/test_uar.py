@@ -11,6 +11,7 @@ from tcrtomo.datasets import Dataset
 from tcrtomo.errors import ConfigError
 from tcrtomo.geometry import ScanGeometry, operator_for_angles
 from tcrtomo.phantoms import generate_dataset
+from tcrtomo.spec import fields_from_dict
 from tcrtomo.uar import (SequenceScanOperator, StaticScanOperator, UarConfig,
                          UarTrainConfig, critic_params, critic_value,
                          gen_loss, generator_params, init_uar_params,
@@ -60,7 +61,7 @@ class TestConfig:
     def test_roundtrip(self):
         cfg = UarConfig(unroll=3, gamma_channels=8,
                         critic_channels=(2, 4, 6, 8, 10, 12), critic_hidden=5)
-        assert UarConfig.from_dict(cfg.to_dict()) == cfg
+        assert fields_from_dict(UarConfig, cfg.to_dict()) == cfg
 
     def test_param_layout(self):
         params = init_uar_params("static2d", TINY, seed=0)
@@ -395,7 +396,7 @@ class TestTraining:
         tensors, extra, _ = load_checkpoint(str(out / "final"))
         assert sorted(tensors) == sorted(params)
         assert extra["kind"] == "uar" and extra["mode"] == "static2d"
-        assert UarConfig.from_dict(extra["model"]) == TINY
+        assert fields_from_dict(UarConfig, extra["model"]) == TINY
         with open(tmp_path / "uar.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [r["split"] for r in rows] == ["phase1", "phase2", "phase3"]
