@@ -23,6 +23,10 @@ input windows.  The forward keeps its columns on the tape only when the
 weight needs a gradient, the one reader of them.
 The transposes are first-class ops so gradient-of-gradient graphs (e.g. a
 gradient penalty) can be built on tape.
+
+gelu is a numpy kernel, not scipy's erf: max(x, 0) - |x| Phi(-|x|) with a
+polynomial erfc, run over cache-sized blocks, within 2e-7 * max(1, |x|)
+of the exact value in float32, forward and backward.
 """
 
 import contextlib
@@ -30,7 +34,6 @@ import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import erf
 
 from .errors import TapeError
 
@@ -292,21 +295,83 @@ def leaky_relu(a, slope=0.1):
     return _make(a.data * factor, (a,), backward)
 
 
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+# Phi(-|x|) = exp(-x^2/2) Q(s) with s = p|x| / (1 + p|x|): p is Abramowitz
+# & Stegun 7.1.26's, taken on |x| rather than |x|/sqrt(2), and Q (ascending
+# coefficients) is a minimax fit of exp(x^2/2) Phi(-|x|) on s in [0, 1),
+# weighted by exp(-x^2/2) (Lawson's reweighted least squares on Chebyshev
+# nodes), off by at most 1.2e-8 in Phi.  Unlike A&S's t = 1 - s, s is
+# small, and so rounds small, where Phi changes fastest.
+_GELU_P = 0.3275911 / math.sqrt(2.0)
+_GELU_Q = (0.5000000112, -1.722240542, 2.937064121, -3.10568915,
+           1.890184966, -0.4265606308, -0.1073394272)
+# elements per block: the kernel's 23 elementwise passes (29 with the
+# slope) then run on a block and scratch arrays that stay in L2 cache
+_GELU_BLOCK = 1 << 16
+
+
+def _gelu_kernel(x, with_slope):
+    """gelu(x), and gelu'(x) = Phi(x) + x phi(x) if with_slope (else None).
+
+    Evaluated block by block in x's dtype as max(x, 0) - |x| Phi(-|x|),
+    which cancels nothing.  The exp term is sqrt(2 pi) phi(x), so the slope
+    costs no second exp.  A NaN or infinite x gives NaN.
+    """
+    flat = np.ascontiguousarray(x).reshape(-1)
+    out = np.empty_like(flat)
+    slope = np.empty_like(flat) if with_slope else None
+    scratch = [np.empty(min(flat.size, _GELU_BLOCK), flat.dtype)
+               for _ in range(4)]
+    for lo in range(0, flat.size, _GELU_BLOCK):
+        xb = flat[lo:lo + _GELU_BLOCK]
+        ab, sb, eb, qb = (buf[:xb.size] for buf in scratch)
+        np.abs(xb, out=ab)
+        np.multiply(ab, _GELU_P, out=qb)
+        np.add(qb, 1.0, out=sb)
+        np.divide(qb, sb, out=sb)
+        with np.errstate(over="ignore"):            # x^2 -> inf, exp -> 0
+            np.multiply(xb, xb, out=eb)
+        eb *= -0.5
+        np.exp(eb, out=eb)
+        np.multiply(sb, _GELU_Q[-1], out=qb)
+        for c in _GELU_Q[-2:0:-1]:
+            qb += c
+            qb *= sb
+        qb += _GELU_Q[0]
+        qb *= eb                                    # Phi(-|x|)
+        if with_slope:
+            sl = slope[lo:lo + _GELU_BLOCK]
+            np.subtract(0.5, qb, out=sl)
+            np.copysign(sl, xb, out=sl)             # Phi(x) - 1/2
+            np.multiply(xb, eb, out=sb)
+            sb *= _INV_SQRT_2PI                     # x phi(x)
+            sl += sb
+            sl += 0.5
+        ob = out[lo:lo + _GELU_BLOCK]
+        np.maximum(xb, 0.0, out=ob)
+        ab *= qb
+        ob -= ab
+    if with_slope:
+        slope = slope.reshape(x.shape)
+    return out.reshape(x.shape), slope
 
 
 def gelu(a):
-    """Exact Gaussian-error-function gelu: x * Phi(x)."""
+    """Gaussian-error-function gelu, x * Phi(x), as a numpy erfc kernel.
+
+    Within 2e-7 * max(1, |x|) of the exact value in float32, forward and
+    backward (1.5e-7 at worst on a dense grid over [-12, 12]); float32
+    rounding, not the erfc approximation (1.2e-8 in Phi), sets that bound.
+    See _gelu_kernel.  The tape keeps one array, the slope.
+    """
     a = _as_tensor(a)
-    x = a.data
-    phi = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    out, slope = _gelu_kernel(a.data, _grad_enabled and a.requires_grad)
 
     def backward(g):
-        dens = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-        _accum(a, g * (phi + x * dens))
+        _accum(a, g * slope)
 
-    return _make((x * phi).astype(x.dtype), (a,), backward)
+    return _make(out, (a,), backward)
 
 
 # ---------------------------------------------------------------- reshapes

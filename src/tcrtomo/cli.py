@@ -82,15 +82,26 @@ def _load_model(path, expect_kind):
 
 
 def _load_measurements(path):
-    """Dataset or sinogram-set directory -> (sinograms, gt or None, size)."""
-    from .artifacts import DATASET, SINOGRAM, read_meta
+    """Dataset or sinogram-set directory -> (sinograms, gt or None, size).
+
+    The size must also meet ReconConfig's bound; one that does not is a
+    bad entry of path/meta.json, not of the user's recon config.
+    """
+    from .artifacts import DATASET, SINOGRAM, entries, read_meta
     from .datasets import load_external_sinogram, read_dataset
+    from .pipeline import ReconConfig
+    from .spec import check_value, field_named
     meta = read_meta(path, DATASET, SINOGRAM)
     if meta["format"] == DATASET:
         ds = read_dataset(path, meta)
-        return ds.sinograms, ds.gt, ds.geometry.image_size
-    sinos, image_size = load_external_sinogram(path, meta)
-    return sinos, None, image_size
+        sinos, gts, size = ds.sinograms, ds.gt, ds.geometry.image_size
+        key = "/geometry/image_size"
+    else:
+        sinos, size = load_external_sinogram(path, meta)
+        gts, key = None, "/image_size"
+    with entries(path):
+        check_value(field_named(ReconConfig, "image_size"), size, key)
+    return sinos, gts, size
 
 
 def _result_items(path):

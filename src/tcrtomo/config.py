@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 from .errors import ConfigError, MissingArtifactError
 from .geometry import ScanGeometry
 from .pipeline import ReconConfig
-from .spec import check_value, fields_from_dict, spec, under
+from .spec import check_value, field_named, fields_from_dict, spec, under
 from .stt import SttConfig
 from .training import TrainConfig, prediction_train_config
 from .uar import MODES, UarConfig, UarTrainConfig
@@ -112,16 +112,12 @@ def _derive(tree, leaf):
             for key, v in tree.items()}
 
 
-def _field(owner, name):
-    return next(f for f in fields(owner) if f.name == name)
-
-
 def _default(owner, name):
     value = getattr(owner, name)
     return list(value) if isinstance(value, tuple) else value
 
 
-SCHEMA = _derive(_SECTIONS, _field)
+SCHEMA = _derive(_SECTIONS, field_named)
 DEFAULTS = _derive(_SECTIONS, _default)
 
 

@@ -13,7 +13,6 @@ pipeline.
 """
 
 import os
-from dataclasses import fields
 
 import numpy as np
 
@@ -21,10 +20,10 @@ from .artifacts import DATASET, SINOGRAM, entries, read_f32, read_meta
 from .artifacts import write_f32, write_meta
 from .errors import DatasetFormatError
 from .geometry import ScanGeometry
-from .spec import check_value
+from .spec import check_value, field_named
 
 # a sinogram set's image_size takes ScanGeometry's bound
-_IMAGE_SIZE = next(f for f in fields(ScanGeometry) if f.name == "image_size")
+_IMAGE_SIZE = field_named(ScanGeometry, "image_size")
 
 
 class Sinogram:

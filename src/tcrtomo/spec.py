@@ -17,8 +17,8 @@ import typing
 
 from .errors import ConfigError
 
-__all__ = ["spec", "check_value", "check_fields", "fields_to_dict",
-           "fields_from_dict", "under"]
+__all__ = ["spec", "field_named", "check_value", "check_fields",
+           "fields_to_dict", "fields_from_dict", "under"]
 
 
 def spec(default=dataclasses.MISSING, *, minimum=None, above=None,
@@ -38,6 +38,11 @@ def _fits(kind, value):
         return isinstance(value, str)
     number = numbers.Integral if kind is int else numbers.Real
     return isinstance(value, number) and not isinstance(value, bool)
+
+
+def field_named(cls, name):
+    """The dataclass field `name` of cls, whose spec check_value reads."""
+    return next(f for f in dataclasses.fields(cls) if f.name == name)
 
 
 def check_value(f, value, path):

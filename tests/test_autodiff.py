@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from tcrtomo import autodiff as ad
 from tcrtomo.autodiff import Tensor
@@ -92,6 +93,98 @@ def test_grad_relu_leaky_gelu():
     x = t64(raw)
     ad.gradcheck(lambda: ad.tsum(ad.leaky_relu(x, 0.1)), [x])
     ad.gradcheck(lambda: ad.tsum(ad.gelu(x)), [x])
+
+
+# --------------------------------------- gelu kernel against scipy's erf
+
+def erf_gelu(x):
+    """The scipy-erf gelu that the kernel replaced, in float64:
+    (x Phi(x), Phi(x) + x phi(x))."""
+    x = np.asarray(x, dtype=np.float64)
+    cdf = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
+    return x * cdf, cdf + x * np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+
+
+def gelu_and_slope(x):
+    t = Tensor(x, requires_grad=True)
+    y = ad.gelu(t)
+    y.backward(np.ones_like(y.data))
+    return y.data, t.grad
+
+
+def assert_gelu_near_erf(x, tol):
+    """Forward and backward within tol * max(1, |x|) of the oracle."""
+    y, slope = gelu_and_slope(x)
+    assert (y.shape, y.dtype, slope.dtype) == (x.shape, x.dtype, x.dtype)
+    scale = tol * np.maximum(1.0, np.abs(np.asarray(x, dtype=np.float64)))
+    want_y, want_slope = erf_gelu(x)
+    assert np.all(np.abs(y - want_y) <= scale)
+    assert np.all(np.abs(slope - want_slope) <= scale)
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float32, 2e-7),
+                                        (np.float64, 1.5e-8)])
+def test_gelu_matches_erf_oracle(dtype, tol):
+    """float32 within 2e-7 * max(1, |x|); float64 shows the approximation
+    alone, 1.2e-8 in Phi, on a dense grid over [-12, 12] and normal draws."""
+    x = np.concatenate([np.linspace(-12.0, 12.0, 2_400_001),
+                        rand(1_000_000, 11), rand(100_000, 12, scale=4.0)])
+    assert_gelu_near_erf(x.astype(dtype), tol)
+
+
+def test_gelu_propagates_nan():
+    x = np.array([np.nan, 0.5, -3.0, np.nan, 0.0], dtype=np.float32)
+    y, slope = gelu_and_slope(x)
+    nan = np.isnan(x)
+    assert np.array_equal(np.isnan(y), nan)
+    assert np.array_equal(np.isnan(slope), nan)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_gelu_block_edges(offset):
+    """Sizes around one block, and a value's result does not depend on
+    where in a block it falls (bitwise causality rests on that)."""
+    n = ad._GELU_BLOCK + offset
+    x = rand(n, 13, scale=3.0).astype(np.float32)
+    assert_gelu_near_erf(x, 2e-7)
+    y, slope = gelu_and_slope(x)
+    for shift in (1, 7, n - 3):
+        y_tail, slope_tail = gelu_and_slope(x[shift:])
+        assert np.array_equal(y_tail, y[shift:])
+        assert np.array_equal(slope_tail, slope[shift:])
+
+
+def test_gelu_empty_scalar_and_transposed():
+    empty = np.zeros((0, 3), dtype=np.float32)
+    assert gelu_and_slope(empty)[0].shape == (0, 3)
+    assert_gelu_near_erf(np.array(-0.7, dtype=np.float32), 2e-7)
+    x = rand((300, 500), 14, scale=2.0).astype(np.float32).T
+    assert not x.flags.c_contiguous
+    assert_gelu_near_erf(x, 2e-7)
+    for got, want in zip(gelu_and_slope(x),
+                         gelu_and_slope(np.ascontiguousarray(x))):
+        assert np.array_equal(got, want)
+
+
+def test_gelu_tapes_one_array(monkeypatch):
+    """The backward keeps the slope and nothing else; off the tape the
+    slope is not computed."""
+    x = Tensor(rand((4, 6), 15).astype(np.float32), requires_grad=True)
+    held = [c.cell_contents for c in ad.gelu(x)._backward.__closure__
+            if isinstance(c.cell_contents, np.ndarray)]
+    assert len(held) == 1 and held[0].shape == x.shape
+    kernel, slopes = ad._gelu_kernel, []
+
+    def spy(a, with_slope):
+        slopes.append(with_slope)
+        return kernel(a, with_slope)
+
+    monkeypatch.setattr(ad, "_gelu_kernel", spy)
+    ad.gelu(Tensor(x.data))
+    with ad.no_grad():
+        ad.gelu(x)
+    ad.gelu(x)
+    assert slopes == [False, False, True]
 
 
 def test_grad_reshape_transpose_slice_concat():

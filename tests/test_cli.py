@@ -21,11 +21,12 @@ from tcrtomo.config import (default_config, geometry_from, load_config,
                             train_config_from, uar_configs_from,
                             validate_config)
 from tcrtomo.datasets import (load_external_sinogram, read_dataset,
-                              write_sinogram_set)
+                              write_dataset, write_sinogram_set)
 from tcrtomo.errors import (ConfigError, DatasetFormatError,
                             MissingArtifactError)
 from tcrtomo.geometry import ScanGeometry, angle_schedule, operator_for_angles
 from tcrtomo.optim import adamw_step, init_adamw
+from tcrtomo.phantoms import generate_dataset
 from tcrtomo.pipeline import ReconResult, load_result, save_result
 from tcrtomo.solvers import l1_tcr_fista
 from tcrtomo.stt import SttConfig, init_stt_params
@@ -274,6 +275,29 @@ class TestExitCodes:
         payload = stderr_payload(capsys)
         assert payload["error"] == "format-mismatch"
         assert named in payload["message"]
+
+    @pytest.mark.parametrize("kind", ["dataset", "sinogram-set"])
+    def test_image_size_below_recon_bound_is_3(self, work, tmp_path, capsys,
+                                               kind):
+        """An input whose image size loads (>= 2) but is below
+        reconstruction's bound of 8 exits 3 naming its meta.json entry,
+        not a recon key the user never wrote."""
+        src = tmp_path / "in"
+        if kind == "dataset":
+            geom = ScanGeometry(**{**TINY_CONFIG["geometry"], "image_size": 4})
+            write_dataset(generate_dataset(geom, 1, seed=0), src)
+            key = "/geometry/image_size"
+        else:
+            write_sinogram_set(read_dataset(work.data / "test").sinograms, 4,
+                               src)
+            key = "/image_size"
+        assert run_cli("reconstruct", "--config", work.cfg, "--input", src,
+                       "--refine", work.refine, "--predict", work.predict,
+                       "--out", tmp_path / "r") == 3
+        payload = stderr_payload(capsys)
+        assert payload["error"] == "format-mismatch"
+        assert str(src / "meta.json") in payload["message"]
+        assert f"{key}: must be >= 8, got 4" in payload["message"]
 
     @pytest.mark.parametrize("case", ["meta-json", "payload", "config"])
     def test_unreadable_file_is_3(self, work, tmp_path, capsys, case):
