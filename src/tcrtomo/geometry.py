@@ -13,7 +13,9 @@ pixel values, so the whole transform for one time step is a sparse matrix;
 the adjoint is its exact transpose, which makes <Ax, y> == <x, A^T y> hold to
 rounding error by construction.  Each operator keeps the transpose as a
 second CSR matrix, built once, so an adjoint is a row-wise product like a
-forward projection rather than a scatter through a CSC view.
+forward projection rather than a scatter through a CSC view.  Both products
+call scipy's CSR matvec kernel directly, the kernel `matrix @ x` runs, so
+they are bitwise what the scipy product gives without its dispatch cost.
 
 Angle schedules are time dependent: a base fan of n_a(t) angles equispaced in
 [0, pi) rotates by t * delta between frames (modulo pi), which models a
@@ -26,6 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+# the kernel behind csr_matrix @ vector; private to scipy, so only this
+# module imports it
+from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
 from .spec import check_fields, fields_from_dict, fields_to_dict, spec
 
@@ -151,7 +156,12 @@ def _system_matrix(angles, offsets, size):
 
 
 class LinearOperator:
-    """Minimal forward/adjoint pair interface used by the solvers."""
+    """Minimal forward/adjoint pair interface used by the solvers.
+
+    forward maps an in_shape array to an out_shape one and adjoint back.
+    Neither promises a fresh array: an operator may return a view or a
+    cached buffer, so callers never write into what it returns.
+    """
 
     in_shape = None
     out_shape = None
@@ -196,7 +206,13 @@ class MatrixOperator(LinearOperator):
 
 
 class RadonOperator(LinearOperator):
-    """Radon transform for one fixed set of angles as a sparse matrix."""
+    """Radon transform for one fixed set of angles as a sparse matrix.
+
+    forward and adjoint convert their input to float64, check its shape and
+    run scipy's CSR matvec kernel on matrix / matrix_t into a fresh zeroed
+    output: bitwise matrix @ x.ravel() and matrix_t @ y.ravel().  Neither
+    writes into its input or the operator's arrays.
+    """
 
     def __init__(self, angles, offsets, image_size):
         # own copies: a cached operator must not follow later edits of the
@@ -215,14 +231,22 @@ class RadonOperator(LinearOperator):
         if x.shape != self.in_shape:
             raise ValueError(
                 f"image shape {x.shape} does not match operator {self.in_shape}")
-        return (self.matrix @ x.ravel()).reshape(self.out_shape)
+        return _matvec(self.matrix, x, self.out_shape)
 
     def adjoint(self, y):
         y = np.asarray(y, dtype=np.float64)
         if y.shape != self.out_shape:
             raise ValueError(
                 f"sinogram shape {y.shape} does not match operator {self.out_shape}")
-        return (self.matrix_t @ y.ravel()).reshape(self.in_shape)
+        return _matvec(self.matrix_t, y, self.in_shape)
+
+
+def _matvec(m, v, out_shape):
+    """m @ v.ravel() for a float64 CSR matrix, shaped out_shape."""
+    out = np.zeros(out_shape)
+    _csr_matvec(m.shape[0], m.shape[1], m.indptr, m.indices, m.data,
+                np.ascontiguousarray(v), out)
+    return out
 
 
 # Least recently used operators beyond this many are dropped.  A whole test

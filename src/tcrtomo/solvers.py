@@ -28,15 +28,26 @@ each time, so rounding does not accumulate; it differs from a direct
 projection only in the last bits.  The adjoint multiplies by the
 operator's cached transpose (see geometry).
 
+An iteration costs about what its two projections cost: besides them, a
+FISTA iteration makes about 18 elementwise numpy calls and PDHG about 40,
+with no Python-level loop over pixels.  Each step runs in-place ufuncs on
+arrays the solve allocated itself (its temporaries and the objective's
+scratch buffers); the discrepancy is sqrt(r . r), bitwise
+np.linalg.norm(r), and r . r is also the data term.  The L1 shrink is
+soft_threshold's, reached through prox_shifted_l1.  A solver never writes
+into an array that op.forward or op.adjoint returned: the operator
+protocol does not promise a fresh array.
+
 Stop reasons: "max_iter" (the budget ran out); "discrepancy_increase"
 (l2_tcr's early stop, which drops that step); "stationary" (FISTA's
 iterate is a float fixed point, so the full budget would return it
 bitwise); "converged" (PDHG's primal-dual residuals are below PDHG_TOL
 relative; PDHG balances its primal and dual steps by the block norms of
-K = (A, grad)).  A run whose final iterate or discrepancy is not finite
-raises ValueError.
+K = (A, grad), and reports both residuals of its last iteration).  A run
+whose final iterate or discrepancy is not finite raises ValueError.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,7 +64,10 @@ class SolveReport:
     its length is iterations + 1.  objectives traces the full objective for
     solvers that track it (FISTA, PDHG).  alpha_crit, set by FISTA, is
     ||A^T (A x0 - psi)||_inf: x0 = prior solves the L1 problem exactly when
-    alpha >= alpha_crit (the Lasso lambda_max).
+    alpha >= alpha_crit (the Lasso lambda_max).  primal_residual and
+    dual_residual, set by PDHG, are its stop test's two relative residuals
+    at the last iteration: both are at most PDHG_TOL exactly when the run
+    stopped as "converged".
     """
 
     iterations: int = 0
@@ -62,14 +76,21 @@ class SolveReport:
     objectives: list = field(default_factory=list)
     objective: float = float("nan")
     alpha_crit: float = float("nan")
+    primal_residual: float = float("nan")
+    dual_residual: float = float("nan")
 
 
 def soft_threshold(v, lam):
-    """Proximal map of lam * ||.||_1: sign(v) * max(|v| - lam, 0)."""
+    """Proximal map of lam * ||.||_1: sign(v) * max(|v| - lam, 0).
+
+    Computed as v - clip(v, -lam, lam), which equals that form bitwise
+    except for the sign of zero: an entry with |v| <= lam gives +0 (the
+    sign form gave -0 for negative v).
+    """
     if lam < 0:
         raise ValueError(f"threshold must be >= 0, got {lam}")
     v = np.asarray(v)
-    return np.sign(v) * np.maximum(np.abs(v) - lam, 0.0)
+    return v - np.minimum(np.maximum(v, -lam), lam)
 
 
 def prox_shifted_l1(v, lam, anchor):
@@ -116,50 +137,57 @@ def _iterate(op, psi, x, max_iter, step, l1=None, tv=None, monotone=False,
     gradient is computed once and serves both the step and the objective.
     Traces ||r|| of each kept iterate and, given l1 = (alpha, prior) or
     tv, the objective 1/2 ||r||^2 + beta ||grad x||_1 +
-    alpha ||x - prior||_1 summed left to right.  monotone drops an iterate
-    whose discrepancy would increase and stops the run there.  After each
-    kept step, stop(x_new, r_new, g_new, moved) may return a stop reason;
-    moved is False when the discrepancy did not change.  The run then ends
-    on that iterate.  Raises ValueError if the returned iterate or its
+    alpha ||x - prior||_1 summed left to right.  ||r||^2 is r . r, whose
+    square root is the discrepancy; the two L1 terms are summed from
+    scratch buffers the run owns.  monotone drops an iterate whose
+    discrepancy would increase and stops the run there.  After each kept
+    step, stop(x_new, r_new, g_new, moved) may return a stop reason; moved
+    is False when the discrepancy did not change.  The run then ends on
+    that iterate.  Raises ValueError if the returned iterate or its
     discrepancy is not finite.
     """
     report = SolveReport()
+    l1_buf = None if l1 is None else np.empty(x.shape)
+    tv_buf = None if tv is None else np.empty((2,) + x.shape)
 
     def gradient(x):
         return None if tv is None else grad2d(x)
 
-    def keep(x, r, g, d):
+    def keep(x, g, rr, d):
         report.discrepancies.append(d)
         if l1 is not None or tv is not None:
-            obj = 0.5 * float(np.sum(r ** 2))
+            obj = 0.5 * rr
             if tv is not None:
-                obj += tv * float(np.sum(np.abs(g)))
+                obj += tv * float(np.abs(g, out=tv_buf).sum())
             if l1 is not None:
                 alpha, prior = l1
-                obj += alpha * float(np.sum(np.abs(x - prior)))
+                np.subtract(x, prior, out=l1_buf)
+                obj += alpha * float(np.abs(l1_buf, out=l1_buf).sum())
             report.objectives.append(obj)
             report.objective = obj
 
     r = op.forward(x) - psi
     g = gradient(x)
-    d = float(np.linalg.norm(r.ravel()))
-    keep(x, r, g, d)
+    rr = _sq(r)
+    d = math.sqrt(rr)
+    keep(x, g, rr, d)
     for _ in range(max_iter):
         x_new = step(x, r, g)
         r_new = op.forward(x_new) - psi
-        d_new = float(np.linalg.norm(r_new.ravel()))
+        rr_new = _sq(r_new)
+        d_new = math.sqrt(rr_new)
         if monotone and d_new > d:
             report.stop_reason = "discrepancy_increase"
             break
         g_new = gradient(x_new)
         reason = stop(x_new, r_new, g_new, d_new != d) if stop else None
-        x, r, g, d = x_new, r_new, g_new, d_new
-        keep(x, r, g, d)
+        x, r, g, rr, d = x_new, r_new, g_new, rr_new, d_new
+        keep(x, g, rr, d)
         report.iterations += 1
         if reason:
             report.stop_reason = reason
             break
-    if not (np.isfinite(d) and np.isfinite(x).all()):
+    if not (math.isfinite(d) and np.isfinite(x).all()):
         raise ValueError(f"non-finite iterate after {report.iterations} "
                          f"iterations (discrepancy {d})")
     return x, report
@@ -180,8 +208,13 @@ def l2_tcr(op, psi, prior, alpha, x0=None, max_iter=19, tau=None):
     def step(x, r, _):
         grad = op.adjoint(r)
         if alpha > 0:
-            grad = grad + alpha * (x - prior)
-        return x - tau * grad
+            v = np.subtract(x, prior)
+            v *= alpha
+            v += grad  # A^T r + alpha (x - prior)
+            v *= tau
+        else:
+            v = np.multiply(grad, tau)
+        return np.subtract(x, v, out=v)
 
     x, report = _iterate(op, psi, x, max_iter, step, monotone=True)
     d = report.discrepancies[-1]
@@ -215,20 +248,30 @@ def l1_tcr_fista(op, psi, prior, alpha, x0=None, max_iter=200):
     y = x
     h = 1.0
     m = r_prev = None  # y = x on the first step, so A y - psi = r
+    r_y = np.empty(psi.shape)  # A y - psi from the second step on
+    v = np.empty(x.shape)  # the gradient step y - tau A^T r_y
     last = None  # (x_{k-1}, y_{k-1}, A y_{k-1} - psi) of the last step
     alpha_crit = None
 
     def step(x, r, _):
         nonlocal y, h, m, r_prev, last, alpha_crit
-        r_y = r if r_prev is None else r + m * (r - r_prev)
-        grad = op.adjoint(r_y)
         if r_prev is None:
+            grad = op.adjoint(r)
             alpha_crit = float(np.max(np.abs(grad)))
-        x_new = prox_shifted_l1(y - tau * grad, tau * alpha, prior)
-        last = (x, y, r_y)
-        h_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * h * h))
+            last = (x, y, r)
+        else:
+            np.subtract(r, r_prev, out=r_y)
+            np.multiply(r_y, m, out=r_y)
+            np.add(r_y, r, out=r_y)
+            grad = op.adjoint(r_y)
+            last = (x, y, r_y)
+        np.multiply(grad, tau, out=v)
+        x_new = prox_shifted_l1(np.subtract(y, v, out=v), tau * alpha, prior)
+        h_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * h * h))
         m = (h - 1.0) / h_new
-        y = x_new + m * (x_new - x)
+        y = np.subtract(x_new, x)
+        y *= m
+        y += x_new
         h = h_new
         r_prev = r
         return x_new
@@ -298,10 +341,11 @@ def l1_tv_tcr_pdhg(op, psi, prior, alpha, beta, x0=None, max_iter=400):
 
     Stops with stop_reason "converged" once both primal-dual residuals
     (Goldstein, Li & Yuan 2015) are small relative to their terms:
-      primal  ||x - x_new|| / tau  <=  PDHG_TOL ||K^T y||
+      primal  ||x - x_new|| / (tau ||K^T y||)  <=  PDHG_TOL
       dual    ||(y - y_new) / sigma + K (xbar - x_new)||
-                  <=  PDHG_TOL (||(A x_new, grad x_new)|| + ||psi||)
-    else after max_iter iterations ("max_iter").
+                / (||(A x_new, grad x_new)|| + ||psi||)  <=  PDHG_TOL
+    else after max_iter iterations ("max_iter").  The report keeps both
+    residuals of the last iteration, computed once after the loop.
     """
     psi, prior, x = _prepare(op, psi, prior, x0, max_iter, alpha=alpha,
                              beta=beta)
@@ -313,45 +357,78 @@ def l1_tv_tcr_pdhg(op, psi, prior, alpha, beta, x0=None, max_iter=400):
     else:
         c, norm_k = 1.0, np.sqrt(norm_a2)
     tau, sigma = 0.99 * c / norm_k, 0.99 / (c * norm_k)
-    psi_norm = np.sqrt(_sq(psi))
+    psi_norm = math.sqrt(_sq(psi))
     y1 = np.zeros(op.out_shape)
     y2 = np.zeros((2,) + tuple(op.in_shape))
     r_prev = g_prev = None
-    last = None  # what the stop test needs from the last step
+    last = None  # what the residuals need from the last step
+    kept = None  # (r_new, g_new) of the last kept iterate
 
     def step(x, r, g):
         nonlocal y1, y2, r_prev, g_prev, last
         y_old = (y1, y2)
-        r_bar = r if r_prev is None else 2.0 * r - r_prev
-        y1 = (y1 + sigma * r_bar) / (1.0 + sigma)
+        r_bar = r if r_prev is None else _extrapolate(r, r_prev)
+        y1 = np.multiply(r_bar, sigma)
+        y1 += y_old[0]
+        y1 /= 1.0 + sigma
         kty = op.adjoint(y1)
         g_bar = None
         if g is not None:
-            g_bar = g if g_prev is None else 2.0 * g - g_prev
-            y2 = np.clip(y2 + sigma * g_bar, -beta, beta)
-            kty = kty - div2d(y2[0], y2[1])
-        x_new = prox_shifted_l1(x - tau * kty, tau * alpha, prior)
+            g_bar = g if g_prev is None else _extrapolate(g, g_prev)
+            y2 = np.multiply(g_bar, sigma)
+            y2 += y_old[1]
+            np.maximum(y2, -beta, out=y2)
+            np.minimum(y2, beta, out=y2)
+            kty = np.subtract(kty, div2d(y2[0], y2[1]))
+        v = np.multiply(kty, tau)
+        x_new = prox_shifted_l1(np.subtract(x, v, out=v), tau * alpha, prior)
         last = (x, kty, r_bar, g_bar, y_old)
         r_prev, g_prev = r, g
         return x_new
 
-    def stop(x_new, r_new, g_new, _):
-        x, kty, r_bar, g_bar, (y1_old, y2_old) = last
-        if _sq(x - x_new) > (PDHG_TOL * tau) ** 2 * _sq(kty):
-            return None
+    def primal_residual(x_new):
+        x, kty = last[:2]
+        return _ratio(math.sqrt(_sq(x - x_new)) / tau, math.sqrt(_sq(kty)))
+
+    def dual_residual(r_new, g_new):
+        _, _, r_bar, g_bar, (y1_old, y2_old) = last
         dual = _sq((y1_old - y1) / sigma + r_bar - r_new)
         kx = _sq(r_new + psi)
         if g_new is not None:
             dual += _sq((y2_old - y2) / sigma + g_bar - g_new)
             kx += _sq(g_new)
-        if np.sqrt(dual) <= PDHG_TOL * (np.sqrt(kx) + psi_norm):
+        return _ratio(math.sqrt(dual), math.sqrt(kx) + psi_norm)
+
+    def stop(x_new, r_new, g_new, _):
+        nonlocal kept
+        kept = (r_new, g_new)
+        if (primal_residual(x_new) <= PDHG_TOL
+                and dual_residual(r_new, g_new) <= PDHG_TOL):
             return "converged"
         return None
 
-    return _iterate(op, psi, x, max_iter, step, l1=(alpha, prior),
-                    tv=beta if beta > 0 else None, stop=stop)
+    x, report = _iterate(op, psi, x, max_iter, step, l1=(alpha, prior),
+                         tv=beta if beta > 0 else None, stop=stop)
+    report.primal_residual = primal_residual(x)
+    report.dual_residual = dual_residual(*kept)
+    return x, report
+
+
+def _extrapolate(v, v_prev):
+    """2 v - v_prev in a fresh array."""
+    out = np.multiply(v, 2.0)
+    out -= v_prev
+    return out
+
+
+def _ratio(num, den):
+    """num / den, with 0 / 0 = 0 and num / 0 = inf for num > 0."""
+    if den > 0:
+        return num / den
+    return 0.0 if num == 0 else math.inf
 
 
 def _sq(v):
-    """Squared Euclidean norm of an array."""
-    return float(np.vdot(v, v))
+    """Squared Euclidean norm: v . v in memory order, as np.linalg.norm."""
+    v = v.ravel(order="K")
+    return float(v.dot(v))

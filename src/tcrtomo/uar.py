@@ -120,7 +120,12 @@ def init_uar_params(mode, cfg=None, seed=0):
     (channels 4 -> width -> width -> 1: state, step-size channel,
     projected image, measured data), an unshared primal net p{l}
     (3 -> width -> width -> 1), and trainable step sizes sigma{l}/tau{l},
-    both starting at STEP_INIT.
+    both starting at STEP_INIT.  The last conv c2 of every dual and primal
+    net starts at zero, weight and bias, so each residual branch is a no-op
+    at init and a random-init generator returns its FBP exactly: Fixup's
+    zero-init of each residual branch's last layer (Zhang, Dauphin & Ma
+    2019).  Without it the unrolled updates compound with depth.  c2 still
+    draws its weights first, so every other tensor keeps its random draws.
     The critic is one same-padded conv per cfg.critic_channels entry,
     global average pooling, and two dense layers down to a scalar.
     """
@@ -137,6 +142,8 @@ def init_uar_params(mode, cfg=None, seed=0):
         add_conv(params, rng, f"gen.p{layer}.c0", 3, gc, kernel)
         add_conv(params, rng, f"gen.p{layer}.c1", gc, gc, kernel)
         add_conv(params, rng, f"gen.p{layer}.c2", gc, 1, kernel)
+        for net in ("d", "p"):  # the c2 bias is zero like every conv bias
+            params[f"gen.{net}{layer}.c2.w"].data.fill(0.0)
         params[f"gen.sigma{layer}"] = Tensor(
             np.full((1,), STEP_INIT, dtype=np.float32), requires_grad=True)
         params[f"gen.tau{layer}"] = Tensor(

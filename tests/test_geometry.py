@@ -7,11 +7,13 @@ import pytest
 from scipy.ndimage import map_coordinates
 
 from tcrtomo import geometry
-from tcrtomo.geometry import (MatrixOperator, RadonOperator, ScanGeometry,
-                              angle_schedule, fbp, operator_for_angles,
-                              operator_norm, radon_adjoint, radon_forward)
+from tcrtomo.geometry import (LinearOperator, MatrixOperator, RadonOperator,
+                              ScanGeometry, angle_schedule, fbp,
+                              operator_for_angles, operator_norm,
+                              radon_adjoint, radon_forward)
 from tcrtomo.metrics import psnr
 from tcrtomo.phantoms import disc_image
+from tcrtomo.solvers import l1_tcr_fista, l1_tv_tcr_pdhg, l2_tcr
 
 
 def default_geom(**kw):
@@ -168,6 +170,85 @@ def test_adjoint_is_the_cached_transpose(size, n_offsets):
         lhs = float(np.vdot(op.forward(x), y))
         rhs = float(np.vdot(x, aty))
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
+
+
+class ReadOnlyOperator(LinearOperator):
+    """Wraps an operator and hands out its results read-only."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.in_shape = inner.in_shape
+        self.out_shape = inner.out_shape
+
+    def forward(self, x):
+        out = self.inner.forward(x)
+        out.setflags(write=False)
+        return out
+
+    def adjoint(self, y):
+        out = self.inner.adjoint(y)
+        out.setflags(write=False)
+        return out
+
+    def norm_ata(self):
+        return self.inner.norm_ata()
+
+
+class TestProjectorKernel:
+    """forward/adjoint call scipy's CSR kernel; nobody writes their output."""
+
+    @staticmethod
+    def _op():
+        geom = default_geom(image_size=32, n_steps=8, n_offsets=47)
+        return operator_for_angles(angle_schedule(geom, 3), geom.offsets, 32)
+
+    @staticmethod
+    def _inputs(shape, rng):
+        base = rng.standard_normal(shape)
+        big = rng.standard_normal((2 * shape[0], 3 * shape[1]))
+        return {"float64": base,
+                "float32": base.astype(np.float32),
+                "transposed": np.ascontiguousarray(base.T).T,
+                "strided": big[::2, ::3]}
+
+    def test_equals_scipy_product_bitwise(self):
+        op = self._op()
+        arrays = [op.matrix.data, op.matrix.indices, op.matrix.indptr,
+                  op.matrix_t.data, op.matrix_t.indices, op.matrix_t.indptr]
+        kept = [a.copy() for a in arrays]
+        rng = np.random.default_rng(4)
+        for apply, mat, shape, out_shape in (
+                (op.forward, op.matrix, op.in_shape, op.out_shape),
+                (op.adjoint, op.matrix_t, op.out_shape, op.in_shape)):
+            for kind, v in self._inputs(shape, rng).items():
+                assert v.shape == shape, kind
+                before = v.copy()
+                got = apply(v)
+                assert got.shape == out_shape and got.dtype == np.float64
+                assert np.array_equal(got.ravel(), mat @ v.ravel()), kind
+                assert np.array_equal(v, before), kind
+            for wrong in ((shape[0] + 1, shape[1]), (shape[0] * shape[1],)):
+                with pytest.raises(ValueError):
+                    apply(np.zeros(wrong))
+        for a, b in zip(arrays, kept):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("solver,weights", [
+        (l2_tcr, (0.1,)), (l1_tcr_fista, (1e-3,)),
+        (l1_tv_tcr_pdhg, (1e-3, 0.01))], ids=["l2", "fista", "pdhg"])
+    def test_solvers_never_write_operator_outputs(self, solver, weights):
+        op = self._op()
+        img = disc_image(32, radius=0.5, center=(0.1, -0.2), value=0.8)
+        psi = op.forward(img) + 0.01 * np.random.default_rng(5).standard_normal(
+            op.out_shape)
+        prior = disc_image(32, radius=0.45, center=(0.1, -0.2), value=0.8)
+        x, rep = solver(ReadOnlyOperator(op), psi, prior, *weights, x0=prior,
+                        max_iter=40)
+        x_ref, rep_ref = solver(op, psi, prior, *weights, x0=prior,
+                                max_iter=40)
+        assert np.array_equal(x, x_ref)
+        assert rep.discrepancies == rep_ref.discrepancies
+        assert rep.objectives == rep_ref.objectives
 
 
 def test_adjoint_footprint():

@@ -4,7 +4,8 @@ Every trained or reconstructed output starts from init_stt_params or
 init_uar_params, so the order in which they draw from the generator is
 part of the output.  The reference initialisers below draw in that order
 directly with kaiming_conv and trunc_normal; the shipped ones must give
-the same names, in the same order, with bitwise equal tensors.
+the same names, in the same order, with bitwise equal tensors.  The UAR
+generator's last convs draw their weights and are then zeroed.
 """
 
 import numpy as np
@@ -71,6 +72,9 @@ def ref_init_uar(mode, cfg, seed):
         ref.conv(f"gen.p{layer}.c0", 3, gc, k)
         ref.conv(f"gen.p{layer}.c1", gc, gc, k)
         ref.conv(f"gen.p{layer}.c2", gc, 1, k)
+        # Fixup: each residual branch's last conv starts at zero
+        for net in ("d", "p"):
+            ref.arrays[f"gen.{net}{layer}.c2.w"][...] = 0.0
         for step in ("sigma", "tau"):
             ref.arrays[f"gen.{step}{layer}"] = np.full(
                 (1,), STEP_INIT, dtype=np.float32)

@@ -1,5 +1,7 @@
 """Variational solver oracles: closed forms, descent, cross-checks."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,9 @@ from tcrtomo import solvers
 from tcrtomo.geometry import (LinearOperator, MatrixOperator, ScanGeometry,
                               angle_schedule, operator_for_angles)
 from tcrtomo.phantoms import disc_image
-from tcrtomo.solvers import (div2d, grad2d, l1_tcr_fista, l1_tv_tcr_pdhg,
-                             l2_tcr, prox_shifted_l1, soft_threshold)
+from tcrtomo.solvers import (PDHG_TOL, div2d, grad2d, l1_tcr_fista,
+                             l1_tv_tcr_pdhg, l2_tcr, prox_shifted_l1,
+                             soft_threshold)
 
 
 def scalar_op(a=1.0):
@@ -22,11 +25,19 @@ def small_radon(size=32, n_angles=6, n_offsets=40, seed=0):
 
 
 def without_stop(monkeypatch, solver, *args, **kw):
-    """The solver's full-budget run: _iterate with its early stop dropped."""
+    """The solver's full-budget run: _iterate with its stop reasons dropped.
+
+    The stop test still sees every kept iterate, as PDHG's final residuals
+    need, but never ends the run.
+    """
     iterate = solvers._iterate
+
+    def ignoring(stop):
+        return lambda *s: stop(*s) and None
+
     with monkeypatch.context() as m:
         m.setattr(solvers, "_iterate",
-                  lambda *a, stop=None, **k: iterate(*a, **k))
+                  lambda *a, stop, **k: iterate(*a, stop=ignoring(stop), **k))
         return solver(*args, **kw)
 
 
@@ -328,6 +339,31 @@ def test_pdhg_objective_window_monotone():
     w = 20
     means = [obj[i:i + w].mean() for i in range(0, len(obj) - w, w)]
     assert all(means[i + 1] <= means[i] + 1e-9 for i in range(len(means) - 1))
+
+
+def test_pdhg_keeps_its_final_residuals():
+    op = small_radon()
+    img = random_image(seed=12)
+    psi = op.forward(img)
+    prior = np.zeros_like(img)
+    _, rep = l1_tv_tcr_pdhg(op, psi, prior, alpha=0.02, beta=0.02)
+    assert rep.stop_reason == "converged"
+    assert max(rep.primal_residual, rep.dual_residual) <= PDHG_TOL
+    # one iteration short of converging, the stop test had not passed
+    _, cut = l1_tv_tcr_pdhg(op, psi, prior, alpha=0.02, beta=0.02,
+                            max_iter=rep.iterations - 1)
+    assert cut.stop_reason == "max_iter"
+    assert max(cut.primal_residual, cut.dual_residual) > PDHG_TOL
+    assert min(cut.primal_residual, cut.dual_residual) > 0
+    # exact data at x0 = prior: K^T y and both residuals are zero
+    _, exact = l1_tv_tcr_pdhg(op, op.forward(img), img, alpha=0.02, beta=0.0,
+                              x0=img)
+    assert (exact.stop_reason, exact.iterations) == ("converged", 1)
+    assert exact.primal_residual == exact.dual_residual == 0.0
+    for solver, weights in ((l2_tcr, (0.1,)), (l1_tcr_fista, (0.02,))):
+        _, other = solver(op, psi, prior, *weights, max_iter=5)
+        assert math.isnan(other.primal_residual)
+        assert math.isnan(other.dual_residual)
 
 
 def test_pdhg_validation():

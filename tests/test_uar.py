@@ -12,11 +12,11 @@ from tcrtomo.errors import ConfigError
 from tcrtomo.geometry import ScanGeometry, operator_for_angles
 from tcrtomo.phantoms import generate_dataset
 from tcrtomo.spec import fields_from_dict
-from tcrtomo.uar import (SequenceScanOperator, StaticScanOperator, UarConfig,
-                         UarTrainConfig, critic_params, critic_value,
-                         gen_loss, generator_params, init_uar_params,
-                         reg_loss, sequence_operator, train_uar,
-                         uar_generator, uar_reconstruct)
+from tcrtomo.uar import (MODES, SequenceScanOperator, StaticScanOperator,
+                         UarConfig, UarTrainConfig, critic_params,
+                         critic_value, gen_loss, generator_params,
+                         init_uar_params, reg_loss, sequence_operator,
+                         train_uar, uar_generator, uar_reconstruct)
 from tcrtomo.uar import _critic_input_grad_norm
 
 TINY = UarConfig(unroll=2, gamma_channels=4, critic_channels=(4, 4, 4, 4, 4, 4),
@@ -169,11 +169,29 @@ class TestGenerator:
             "static2d", UarConfig(unroll=20, gamma_channels=2,
                                   critic_channels=(2,) * 6, critic_hidden=4),
             seed=6)
+        # at init every depth returns the FBP; move the last convs off zero
         rng = np.random.default_rng(3)
+        for params in (shallow, deep):
+            for name, t in params.items():
+                if ".c2.w" in name:
+                    t.data[...] = rng.normal(0.0, 0.1, t.data.shape)
         psi = op.forward(rng.random((12, 12)))
         a = uar_reconstruct(shallow, psi, op)
         b = uar_reconstruct(deep, psi, op)
         assert not np.allclose(a, b)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_random_init_returns_fbp(self, mode):
+        offsets = np.linspace(-1.0, 1.0, 23)
+        ops = [operator_for_angles(np.linspace(0, np.pi, n, endpoint=False),
+                                   offsets, 16) for n in (5, 3)]
+        aop = (SequenceScanOperator(ops) if mode == "dynamic3d"
+               else StaticScanOperator(ops[0]))
+        params = init_uar_params(mode, TINY, seed=4)
+        rng = np.random.default_rng(5)
+        psi = aop.forward(rng.random(aop.image_shape))
+        out = uar_reconstruct(params, psi, aop)
+        assert np.array_equal(out, aop.fbp(psi).astype(np.float32))
 
     def test_shape_mismatch_rejected(self):
         op = _static_op()
