@@ -26,8 +26,7 @@ for e in (0, 5, 10, 25, 40, 70, 85, 99):
 geom = ScanGeometry(image_size=16, n_steps=4, n_angles_init=8,
                     n_angles_rest=3, n_offsets=23)
 ds = generate_dataset(geom, 8, seed=3)
-model_cfg = SttConfig(model_dim=16, heads=2, layers=1, image_size=16,
-                      max_context=8)
+model_cfg = SttConfig(model_dim=16, heads=2, layers=1, image_size=16)
 cfg = TrainConfig(epochs=6, batch_size=4, seed=0, warmup=2)
 params, log = train_refinement(ds, cfg, model_cfg)
 

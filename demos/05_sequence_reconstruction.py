@@ -20,8 +20,7 @@ geom = ScanGeometry(image_size=16, n_steps=6, n_angles_init=12,
 train_ds = generate_dataset(geom, 64, seed=1, split="train")
 test_ds = generate_dataset(geom, 1, seed=2, split="test")
 
-model_cfg = SttConfig(model_dim=32, heads=2, layers=2, image_size=16,
-                      max_context=8)
+model_cfg = SttConfig(model_dim=32, heads=2, layers=2, image_size=16)
 print("training refinement ...")
 re_params, _ = train_refinement(
     train_ds, TrainConfig(epochs=20, batch_size=8, seed=0, warmup=2),

@@ -225,8 +225,7 @@ def _trainer_inputs(args, cfg, name):
         geometry = ScanGeometry.from_dict(meta["geometry"])
     section = cfg[name]
     with under("/" + name):
-        model_cfg = stt_config_from(section, geometry.image_size,
-                                    max_context=max(64, geometry.n_steps + 1))
+        model_cfg = stt_config_from(section, geometry.image_size)
         tcfg = train_config_from(section, cfg["seed"], out_dir=args.out,
                                  log_path=os.path.join(args.out, "log.csv"))
     ds = read_dataset(args.data, meta)

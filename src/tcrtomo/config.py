@@ -209,10 +209,10 @@ def geometry_from(cfg):
     return _build(ScanGeometry, cfg["geometry"], "/geometry")
 
 
-def stt_config_from(section, image_size, max_context=64):
+def stt_config_from(section, image_size):
     """SttConfig of a trainer section; error paths start at /model."""
     return _build(SttConfig, section["model"], "/model",
-                  image_size=image_size, max_context=max_context)
+                  image_size=image_size)
 
 
 def train_config_from(section, seed, out_dir=None, log_path=None):

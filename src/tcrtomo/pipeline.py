@@ -24,7 +24,7 @@ import numpy as np
 
 from .artifacts import RESULT, entries, read_f32, read_meta, write_f32
 from .artifacts import write_meta
-from .errors import ConfigError, NumericalError
+from .errors import NumericalError
 from .geometry import operator_for_angles
 from .metrics import psnr, ssim
 from .solvers import l1_tcr_fista, l1_tv_tcr_pdhg, l2_tcr
@@ -118,21 +118,6 @@ def _initial_recon(op, psi, cfg):
                           max_iter=cfg.max_iter_pdhg)
 
 
-def _check_models(cfg, n_frames, refine_model, predict_model):
-    for label, (params, mcfg) in (("refine", refine_model),
-                                  ("predict", predict_model)):
-        if mcfg.image_size != cfg.image_size:
-            raise ConfigError(f"{label}.image_size",
-                              f"checkpoint is {mcfg.image_size}, "
-                              f"reconstruction needs {cfg.image_size}")
-        check_stt_params(params, mcfg, label)
-    _, pcfg = predict_model
-    if pcfg.max_context < n_frames - 1:
-        raise ConfigError("predict.max_context",
-                          f"{pcfg.max_context} cannot cover {n_frames - 1} "
-                          "history frames")
-
-
 def tcr_reconstruct(sino, cfg, refine_model, predict_model, gt=None,
                     trace=None):
     """Reconstruct a full measured sequence.
@@ -141,17 +126,20 @@ def tcr_reconstruct(sino, cfg, refine_model, predict_model, gt=None,
     refine_model / predict_model: (params, SttConfig) pairs.
     gt: optional (T, H, W) ground truth; fills per-step metric rows.
     trace: optional callable receiving dataflow events, used by tests to
-        audit causality.
+        audit causality. bench/ derives its stage and frame times from
+        these tuples, so changing them needs a benchmark change first
+        (ROADMAP items 4 and 5).
 
     Returns a ReconResult. Solver failures carry the step index.
     """
     n_frames = len(sino.frames)
     if n_frames < 2:
         raise ValueError("sinogram must cover at least 2 time steps")
-    _check_models(cfg, n_frames, refine_model, predict_model)
     size = cfg.image_size
     re_params, re_cfg = refine_model
     pre_params, pre_cfg = predict_model
+    check_stt_params(re_params, re_cfg, "refine", size)
+    check_stt_params(pre_params, pre_cfg, "predict", size)
 
     def emit(*event):
         if trace is not None:

@@ -57,13 +57,13 @@ class SttConfig:
     model_dim must divide evenly into heads; image_size must be divisible
     by 8 (three stride-2 encoder stages). window=None means unbounded
     causal context; an integer bounds how far back attention reaches.
+    No field caps the sequence length.
     """
 
     model_dim: int = spec(64, minimum=1)
     heads: int = spec(4, minimum=1)
     layers: int = spec(2, minimum=1)
     image_size: int = spec(64)
-    max_context: int = spec(64, minimum=1)
     window: int | None = spec(None, minimum=1)
     enc_channels: tuple[int, ...] = spec((16, 32, 64), minimum=1, length=3)
 
@@ -79,7 +79,13 @@ class SttConfig:
         return self.image_size // 8
 
     to_dict = fields_to_dict
-    from_dict = classmethod(fields_from_dict)
+
+    @classmethod
+    def from_dict(cls, d):
+        """Inverse of to_dict. Checkpoints written while the model had a
+        history cap also carry "max_context"; that one key is dropped."""
+        return fields_from_dict(
+            cls, {k: v for k, v in d.items() if k != "max_context"})
 
 
 def _stt_layers(cfg, conv, dense, norm):
@@ -138,9 +144,15 @@ def stt_param_shapes(cfg):
     return shapes
 
 
-def check_stt_params(params, cfg, label):
-    """Raise ConfigError at `<label>.params/<name>` unless params holds
-    exactly the tensors of stt_param_shapes(cfg), each of its shape."""
+def check_stt_params(params, cfg, label, image_size):
+    """The one check that a checkpoint fits a run: raise ConfigError at
+    `<label>.image_size` unless cfg.image_size is image_size, and at
+    `<label>.params/<name>` unless params holds exactly the tensors of
+    stt_param_shapes(cfg), each of its shape."""
+    if cfg.image_size != image_size:
+        raise ConfigError(f"{label}.image_size",
+                          f"checkpoint is {cfg.image_size}, "
+                          f"the run needs {image_size}")
     shapes = stt_param_shapes(cfg)
     for name, shape in shapes.items():
         if name not in params:
@@ -163,12 +175,9 @@ _ENCODER_REACH = 6
 _SAME_PAD = ((1, 1), (1, 1))
 
 
-def _check_frames(cfg, frames, history):
-    """Size and finiteness of (..., H, W) frames; history <= max_context."""
+def _check_frames(cfg, frames):
+    """Size and finiteness of (..., H, W) frames, of any number."""
     h, w = frames.shape[-2:]
-    if history > cfg.max_context:
-        raise ValueError(
-            f"sequence length {history} exceeds max context {cfg.max_context}")
     if h != cfg.image_size or w != cfg.image_size:
         raise ValueError(
             f"frame size {h}x{w} does not match configured {cfg.image_size}")
@@ -277,7 +286,7 @@ def stt_apply(params, cfg, frames):
     t = frames.shape[1]
     if t < 1:
         raise ValueError("need at least one input frame")
-    _check_frames(cfg, frames.data, t)
+    _check_frames(cfg, frames.data)
 
     query = tslice(frames, (slice(None), slice(t - 1, t)))
     return _run(params, cfg, concat([frames, query], axis=1),
@@ -293,8 +302,9 @@ class Predictor:
     values unchanged (the mask is causal), so a push runs only the new
     slots (the old query slot, now real, and the new query slot) through
     the blocks against each block's cached roped K/V, encodes them with
-    the _ENCODER_REACH slots they depend on, and decodes the last. With
-    cfg.window set the cache keeps the last `window` slots.
+    the _ENCODER_REACH slots they depend on, and decodes the last. The
+    cache grows by one slot per frame, unless cfg.window caps it at the
+    last `window` slots.
     """
 
     def __init__(self, params, cfg):
@@ -316,7 +326,7 @@ class Predictor:
                              f"got shape {frames.shape}")
         n = frames.shape[0]
         t = self.length + n
-        _check_frames(self.cfg, frames, t)
+        _check_frames(self.cfg, frames)
 
         real = np.concatenate([self._recent, frames])
         seq = np.concatenate([real, frames[-1:]])[None]
@@ -350,7 +360,7 @@ def refine(params, cfg, noisy_pair):
     noisy_pair = np.asarray(noisy_pair, dtype=np.float32)
     if noisy_pair.ndim != 3 or noisy_pair.shape[0] != 2:
         raise ValueError("refine expects exactly 2 frames")
-    _check_frames(cfg, noisy_pair, 2)
+    _check_frames(cfg, noisy_pair)
     with no_grad():
         return _run(params, cfg, noisy_pair[None], np.arange(2))[0].data[0]
 

@@ -187,7 +187,9 @@ def _fit(dataset, val_dataset, cfg, model_cfg, kind, salt, prepare, batch,
     columns); val_loss(params, val_data) gives the validation loss. The
     val row repeats the schedule columns named in val_columns.
     """
-    for label, ds in (("dataset", dataset), ("val dataset", val_dataset)):
+    for label, ds in (("dataset", dataset), ("val_dataset", val_dataset)):
+        if ds is not None and len(ds) == 0:
+            raise ConfigError(label, "needs at least one item")
         if ds is not None and ds.geometry.image_size != model_cfg.image_size:
             raise ConfigError("model.image_size",
                               f"{model_cfg.image_size} does not match "
@@ -259,7 +261,7 @@ def train_refinement(dataset, cfg, model_cfg=None, val_dataset=None):
         g_ratio = gt_ratio(e)
         use_gt = rng.random(len(idx)) < g_ratio
         x = np.where(use_gt[:, None, None, None], gt[idx], lw[idx])
-        _check_frames(model_cfg, x, 2)
+        _check_frames(model_cfg, x)
         diff = _run(params, model_cfg, x, np.arange(2))[0] - Tensor(gt[idx])
         loss = scale(tsum(diff * diff), 0.5 / len(idx))
         refused = _update(params, optimizer, loss, lr)
@@ -297,11 +299,8 @@ def train_prediction(dataset, refine_params, refine_cfg, cfg, model_cfg=None,
     """
     if model_cfg is None:
         model_cfg = refine_cfg
-    size = dataset.geometry.image_size
-    if refine_cfg.image_size != size:
-        raise ConfigError("refine.image_size",
-                          f"{refine_cfg.image_size} does not match dataset {size}")
-    check_stt_params(refine_params, refine_cfg, "refine")
+    check_stt_params(refine_params, refine_cfg, "refine",
+                     dataset.geometry.image_size)
 
     def prepare(ds):
         gt = np.stack(ds.gt).astype(np.float32)
@@ -324,7 +323,7 @@ def train_prediction(dataset, refine_params, refine_cfg, cfg, model_cfg=None,
             t = s + 2
             active = [j for j in range(len(idx)) if roll[j] > s]
             seq = np.stack([history[j] + history[j][-1:] for j in active])
-            _check_frames(model_cfg, seq, t)
+            _check_frames(model_cfg, seq)
             pred, _ = _run(params, model_cfg, seq, np.arange(t + 1), decode=1)
             target = gt[idx[active], t][:, None]
             diff = pred - Tensor(target)

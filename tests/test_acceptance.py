@@ -307,8 +307,7 @@ def test_03_gradient_checks():
 # ---------------------------------------------------------- criterion 4
 
 def _tiny_models(seed=3):
-    cfg = SttConfig(model_dim=16, heads=2, layers=2, image_size=16,
-                    max_context=12)
+    cfg = SttConfig(model_dim=16, heads=2, layers=2, image_size=16)
     return init_stt_params(cfg, seed=seed), cfg
 
 
@@ -433,8 +432,7 @@ def desk():
     test_ds = generate_dataset(DESK_GEOM, 20, seed=103, split="test")
     test10_ds = generate_dataset(DESK_GEOM_10, 20, seed=103, split="test")
 
-    mcfg = SttConfig(model_dim=64, heads=4, layers=2, image_size=32,
-                     max_context=16)
+    mcfg = SttConfig(model_dim=64, heads=4, layers=2, image_size=32)
     re_params, _ = train_refinement(
         train_ds, TrainConfig(epochs=30, batch_size=8, seed=7), mcfg)
     pre_params, _ = train_prediction(
@@ -628,8 +626,7 @@ def test_09_determinism(tmp_path):
     ds = generate_dataset(geom, 2, seed=21)
     data_dir = tmp_path / "data"
     write_dataset(ds, str(data_dir))
-    cfg = SttConfig(model_dim=16, heads=2, layers=1, image_size=16,
-                    max_context=8)
+    cfg = SttConfig(model_dim=16, heads=2, layers=1, image_size=16)
     for kind, seed in (("refine", 22), ("predict", 23)):
         save_checkpoint(str(tmp_path / kind), init_stt_params(cfg, seed=seed),
                         extra={"kind": kind, "model": cfg.to_dict()})

@@ -179,9 +179,9 @@ class TestConverters:
 
     def test_stt(self):
         cfg = load_config(preset="paper")
-        mcfg = stt_config_from(cfg["train_predict"], 64, max_context=11)
+        mcfg = stt_config_from(cfg["train_predict"], 64)
         assert (mcfg.model_dim, mcfg.heads, mcfg.layers) == (512, 8, 6)
-        assert mcfg.image_size == 64 and mcfg.max_context == 11
+        assert mcfg.image_size == 64
 
     def test_train(self):
         cfg = default_config()
@@ -694,6 +694,42 @@ class TestReconstructCli:
                        "--data", work.data / "train", "--refine",
                        old["refine"], "--out", tmp_path / "p") == 0
         assert tree_bytes(tmp_path / "p" / "final") == tree_bytes(work.predict)
+
+    def test_checkpoint_with_history_cap_still_runs(self, work, tmp_path,
+                                                    capsys):
+        """Checkpoints written while the model had a history cap store
+        "max_context": 64 in their model entry. They load as the same
+        models: reconstruct writes the same result, and train-predict
+        trains the same prediction model. Any other unknown model key is
+        still a bad entry."""
+        capped = {}
+        for role, path in (("refine", work.refine), ("predict", work.predict)):
+            params, extra, _ = load_checkpoint(path)
+            extra["model"]["max_context"] = 64
+            capped[role] = tmp_path / role
+            save_checkpoint(capped[role], params, extra=extra)
+        out = tmp_path / "r"
+        assert run_cli("reconstruct", "--config", work.cfg, "--seed", 5,
+                       "--input", work.data / "test", "--refine",
+                       capped["refine"], "--predict", capped["predict"],
+                       "--out", out) == 0
+        for item in os.listdir(work.results):
+            assert tree_bytes(out / item) == tree_bytes(work.results / item)
+        assert run_cli("train-predict", "--config", work.cfg, "--seed", 5,
+                       "--data", work.data / "train", "--refine",
+                       capped["refine"], "--out", tmp_path / "p") == 0
+        assert tree_bytes(tmp_path / "p" / "final") == tree_bytes(work.predict)
+
+        meta = json.loads((capped["refine"] / "meta.json").read_text())
+        meta["extra"]["model"]["max_contxt"] = 64
+        (capped["refine"] / "meta.json").write_text(json.dumps(meta))
+        capsys.readouterr()
+        assert run_cli("reconstruct", "--input", work.data / "test",
+                       "--refine", capped["refine"], "--predict",
+                       capped["predict"], "--out", tmp_path / "bad") == 3
+        payload = stderr_payload(capsys)
+        assert payload["error"] == "format-mismatch"
+        assert "max_contxt" in payload["message"]
 
     def test_alpha_zero_matches_direct_solver(self, work, tmp_path):
         """With no coupling the CLI output equals the bare FISTA solve."""

@@ -361,6 +361,15 @@ GEOMETRY_JSON = {
 }
 STT_JSON = {
     None: '{"model_dim": 64, "heads": 4, "layers": 2, "image_size": 64, '
+          '"window": null, "enc_channels": [16, 32, 64]}',
+    "desk": '{"model_dim": 64, "heads": 4, "layers": 2, "image_size": 32, '
+            '"window": null, "enc_channels": [16, 32, 64]}',
+    "paper": '{"model_dim": 512, "heads": 8, "layers": 6, "image_size": 64, '
+             '"window": null, "enc_channels": [16, 32, 64]}',
+}
+# the same, as checkpoints wrote them while the model had a history cap
+STT_JSON_CAPPED = {
+    None: '{"model_dim": 64, "heads": 4, "layers": 2, "image_size": 64, '
           '"max_context": 64, "window": null, "enc_channels": [16, 32, 64]}',
     "desk": '{"model_dim": 64, "heads": 4, "layers": 2, "image_size": 32, '
             '"max_context": 64, "window": null, '
@@ -380,10 +389,11 @@ def test_to_dict_bytes_unchanged(preset):
     geom = geometry_from(cfg)
     assert json.dumps(geom.to_dict()) == GEOMETRY_JSON[preset]
     for section in ("train_refine", "train_predict"):
-        model = stt_config_from(cfg[section], geom.image_size,
-                                max_context=max(64, geom.n_steps + 1))
+        model = stt_config_from(cfg[section], geom.image_size)
         assert json.dumps(model.to_dict()) == STT_JSON[preset]
         assert SttConfig.from_dict(json.loads(STT_JSON[preset])) == model
+        capped = json.loads(STT_JSON_CAPPED[preset])
+        assert SttConfig.from_dict(capped) == model
     back = ScanGeometry.from_dict(json.loads(GEOMETRY_JSON[preset]))
     assert json.dumps(back.to_dict()) == GEOMETRY_JSON[preset]
 
@@ -398,7 +408,7 @@ def test_bare_defaults_serialize_unchanged():
 # ------------------------------------------- settable fields only
 
 # values each config builder fixes per run, not read from the config
-PER_RUN = {"image_size", "max_context", "seed", "out_dir", "log_path"}
+PER_RUN = {"image_size", "seed", "out_dir", "log_path"}
 
 # each config dataclass and the config section it is built from
 SECTION_OF = {

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from tcrtomo.datasets import Sinogram
 from tcrtomo.errors import ConfigError, NumericalError
 from tcrtomo.geometry import MatrixOperator, ScanGeometry, operator_for_angles
 from tcrtomo.phantoms import generate_dataset
@@ -106,6 +109,32 @@ class TestStructure:
                                 res.reconstructions[:t].astype(np.float32))
             got = res.predictions[t - 1]
             assert np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want))
+
+    def test_windowed_model_streams_a_long_scan(self, setup, monkeypatch):
+        """A window=2 prediction model reconstructs 70 steps, the 10-step
+        scan tiled seven times: its cache never holds more than two slots,
+        and the step-69 prior is predict_next on the whole history."""
+        import tcrtomo.pipeline as pipeline
+        _, ds, rm, _ = setup
+        sino = ds.sinograms[0]
+        long_scan = Sinogram(sino.frames * 7, sino.angles * 7, sino.offsets)
+        cfg = replace(MODEL_CFG, window=2)
+        pm = (init_stt_params(cfg, seed=2), cfg)
+        slots = []
+
+        class Watched(Predictor):
+            def push(self, frames):
+                out = super().push(frames)
+                slots.append({k.shape[1] for kv in self._cache for k in kv})
+                return out
+
+        monkeypatch.setattr(pipeline, "Predictor", Watched)
+        res = tcr_reconstruct(long_scan, _cfg(), rm, pm)
+        assert res.reconstructions.shape == (70, 16, 16)
+        assert slots == [{1}] + [{2}] * 68
+        want = predict_next(*pm, res.reconstructions[:69].astype(np.float32))
+        got = res.predictions[68]
+        assert np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want))
 
     def test_future_measurement_perturbation_cannot_reach_past(self, setup):
         _, ds, rm, pm = setup
@@ -369,11 +398,6 @@ class TestConfigAndPersistence:
         bad_model = (init_stt_params(big, seed=0), big)
         with pytest.raises(ConfigError, match="image_size"):
             tcr_reconstruct(ds.sinograms[0], _cfg(), bad_model, pm)
-        short = SttConfig(model_dim=16, heads=2, layers=1, image_size=16,
-                          max_context=4, enc_channels=(2, 3, 4))
-        short_model = (init_stt_params(short, seed=0), short)
-        with pytest.raises(ConfigError, match="max_context"):
-            tcr_reconstruct(ds.sinograms[0], _cfg(), rm, short_model)
         incomplete = ({}, MODEL_CFG)
         with pytest.raises(ConfigError, match="lacks"):
             tcr_reconstruct(ds.sinograms[0], _cfg(), incomplete, pm)

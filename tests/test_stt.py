@@ -7,9 +7,10 @@ from tcrtomo.autodiff import (Tensor, causal_attention, conv3d, gelu,
                               gradcheck, layer_norm, matmul, mse_loss,
                               reshape, rope_apply, scale, transpose, tslice,
                               tsum)
-from tcrtomo.stt import (Predictor, SttConfig, _run, init_stt_params,
-                         predict_next, refine, rollout, stt_apply,
-                         stt_forward, stt_param_shapes)
+from tcrtomo.errors import ConfigError
+from tcrtomo.stt import (Predictor, SttConfig, _run, check_stt_params,
+                         init_stt_params, predict_next, refine, rollout,
+                         stt_apply, stt_forward, stt_param_shapes)
 
 DESK = SttConfig(model_dim=64, heads=4, layers=2, image_size=32)
 TINY = SttConfig(model_dim=16, heads=2, layers=1, image_size=16,
@@ -33,8 +34,28 @@ class TestConfig:
 
     def test_roundtrip(self):
         cfg = SttConfig(model_dim=32, heads=2, layers=1, image_size=16,
-                        max_context=12, window=4, enc_channels=(4, 8, 16))
+                        window=4, enc_channels=(4, 8, 16))
         assert SttConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_from_dict_drops_only_the_old_history_cap(self):
+        cfg = SttConfig(model_dim=32, heads=2, layers=1, image_size=16)
+        assert "max_context" not in cfg.to_dict()
+        assert SttConfig.from_dict({**cfg.to_dict(), "max_context": 4}) == cfg
+        with pytest.raises(TypeError, match="max_contxt"):
+            SttConfig.from_dict({**cfg.to_dict(), "max_contxt": 4})
+
+    def test_checkpoint_must_fit_the_run(self):
+        cfg = SttConfig(model_dim=16, heads=2, layers=1, image_size=16,
+                        enc_channels=(2, 3, 4))
+        params = init_stt_params(cfg)
+        check_stt_params(params, cfg, "predict", 16)
+        with pytest.raises(ConfigError, match="predict.image_size") as err:
+            check_stt_params(params, cfg, "predict", 32)
+        assert err.value.path == "predict.image_size"
+        del params["head.b"]
+        with pytest.raises(ConfigError, match="lacks") as err:
+            check_stt_params(params, cfg, "refine", 16)
+        assert err.value.path == "refine.params/head.b"
 
 
 class TestShapes:
@@ -56,11 +77,8 @@ class TestShapes:
 
     def test_context_and_finiteness_errors(self):
         cfg = SttConfig(model_dim=16, heads=2, layers=1, image_size=16,
-                        max_context=3, enc_channels=(2, 3, 4))
+                        enc_channels=(2, 3, 4))
         params = init_stt_params(cfg)
-        x = np.zeros((4, 16, 16), dtype=np.float32)
-        with pytest.raises(ValueError, match="context"):
-            stt_forward(params, cfg, x)
         y = np.zeros((2, 16, 16), dtype=np.float32)
         y[1, 3, 3] = np.nan
         with pytest.raises(ValueError, match="finite"):
@@ -332,18 +350,47 @@ class TestPredictor:
     @pytest.mark.parametrize("window", [None, 2, 3])
     def test_push_matches_predict_next(self, window):
         cfg = SttConfig(model_dim=64, heads=4, layers=2, image_size=32,
-                        max_context=10, window=window)
+                        window=window)
         params = init_stt_params(cfg, seed=14)
         x = np.random.default_rng(13).normal(size=(10, 32, 32)).astype(
             np.float32)
         predictor = Predictor(params, cfg)
-        for t in range(1, cfg.max_context + 1):
+        for t in range(1, 11):
             got = predictor.push(x[t - 1])
             want = predict_next(params, cfg, x[:t])
             assert got.shape == want.shape and got.dtype == want.dtype
             assert np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want))
             cached = {k.shape[1] for pair in predictor._cache for k in pair}
             assert cached == {t if window is None else min(t, window)}
+
+    def test_rope_phases_hold_at_large_positions(self):
+        """The same 16 frames give the same prior after 0 and after 2000
+        leading frames: a window=3 model reads them only through relative
+        phases, which rope_angles keeps in float64. The qkv weights are
+        scaled so that attention is far from uniform; at random init the
+        logits are ~1e-4 and the prior would not depend on position at
+        all. With the phases rounded to float32 the two priors differ by
+        1.3e-5 relative; here by 7.5e-8."""
+        cfg = SttConfig(model_dim=32, heads=4, layers=2, image_size=16,
+                        window=3, enc_channels=(2, 3, 4))
+        params = init_stt_params(cfg, seed=9)
+        for i in range(cfg.layers):
+            params[f"blk{i}.qkv.w"].data *= 100
+        rng = np.random.default_rng(109)
+        tail = rng.normal(size=(16, 16, 16)).astype(np.float32)
+        lead = rng.normal(size=(2000, 16, 16)).astype(np.float32)
+
+        def last_prior(n_lead):
+            predictor = Predictor(params, cfg)
+            for start in range(0, n_lead, 250):
+                predictor.push(lead[start:start + 250])
+            for frame in tail:
+                prior = predictor.push(frame)
+            assert predictor.length == n_lead + 16
+            return prior
+
+        want, got = last_prior(0), last_prior(2000)
+        assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
 
     def test_push_several_frames_then_one(self):
         params = init_stt_params(DESK, seed=15)
@@ -358,8 +405,9 @@ class TestPredictor:
 
     def test_input_checks(self):
         cfg = SttConfig(model_dim=16, heads=2, layers=1, image_size=16,
-                        max_context=3, enc_channels=(2, 3, 4))
-        predictor = Predictor(init_stt_params(cfg), cfg)
+                        enc_channels=(2, 3, 4))
+        params = init_stt_params(cfg)
+        predictor = Predictor(params, cfg)
         frame = np.zeros((16, 16), dtype=np.float32)
         bad = frame.copy()
         bad[3, 3] = np.inf
@@ -371,7 +419,11 @@ class TestPredictor:
             predictor.push(np.zeros((0, 16, 16), dtype=np.float32))
         predictor.push(np.stack([frame, frame]))
         predictor.push(frame)
-        with pytest.raises(ValueError, match="context"):
-            predictor.push(frame)
+        with pytest.raises(ValueError, match="finite"):
+            predictor.push(np.stack([frame, bad]))
         # a rejected push leaves the stream where it was
         assert predictor.length == 3
+        assert {k.shape[1] for pair in predictor._cache for k in pair} == {3}
+        got = predictor.push(frame)
+        want = predict_next(params, cfg, np.zeros((4, 16, 16), np.float32))
+        assert np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want))

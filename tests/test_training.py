@@ -282,6 +282,30 @@ class TestPredictionLoop:
         assert min(losses[5:]) < losses[0]
 
 
+class TestEmptyDatasets:
+    """An empty training or validation set fails by name, before any
+    Landweber pair is computed."""
+
+    @pytest.mark.parametrize("empty", ["dataset", "val_dataset"])
+    @pytest.mark.parametrize("trainer", ["refine", "predict"])
+    def test_empty_set_is_config_error(self, monkeypatch, trainer, empty):
+        def no_pairs(ds):
+            raise AssertionError("landweber_pairs ran")
+
+        monkeypatch.setattr(training, "landweber_pairs", no_pairs)
+        full, none = _tiny_dataset(), _tiny_dataset(n_items=0)
+        ds, val = (none, full) if empty == "dataset" else (full, none)
+        with pytest.raises(ConfigError, match="at least one item") as err:
+            if trainer == "refine":
+                train_refinement(ds, TrainConfig(epochs=1), TINY_MODEL,
+                                 val_dataset=val)
+            else:
+                train_prediction(ds, init_stt_params(TINY_MODEL, seed=7),
+                                 TINY_MODEL, prediction_train_config(epochs=1),
+                                 val_dataset=val)
+        assert err.value.path == empty
+
+
 class TestStructure:
     def test_trainers_decode_only_the_slots_their_loss_reads(self,
                                                              monkeypatch):
