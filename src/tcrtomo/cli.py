@@ -29,7 +29,9 @@ import csv
 import json
 import os
 import re
+import struct
 import sys
+import zlib
 
 __all__ = ["main", "write_pgm"]
 
@@ -125,31 +127,38 @@ def _result_items(path):
     raise MissingArtifactError(f"no reconstruction results under {path}")
 
 
+def _gray8(image):
+    """write_pgm's pixels: uint8, [0,1] mapped linearly to 0..255, clipped."""
+    import numpy as np
+    img = np.asarray(image, dtype=np.float64)
+    if img.ndim != 2:
+        raise ValueError(f"image writers need a 2-D image, got shape {img.shape}")
+    return np.round(np.clip(img, 0.0, 1.0) * 255.0).astype(np.uint8)
+
+
 def write_pgm(path, image):
     """Write a 2-D image as binary PGM (P5), linearly mapping [0,1] to 0..255.
 
     Values outside [0,1] are clipped; rows are stored top to bottom.
     """
-    import numpy as np
-    img = np.asarray(image, dtype=np.float64)
-    if img.ndim != 2:
-        raise ValueError(f"PGM writer needs a 2-D image, got shape {img.shape}")
-    pix = np.round(np.clip(img, 0.0, 1.0) * 255.0).astype(np.uint8)
+    pix = _gray8(image)
     h, w = pix.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(np.ascontiguousarray(pix).tobytes())
+        fh.write(pix.tobytes())
 
 
 def _write_png(path, image):
-    import numpy as np
-    try:
-        from matplotlib import image as mpimg
-    except ImportError:
-        from .errors import ConfigError
-        raise ConfigError("/plot/png", "matplotlib is required for PNG output")
-    mpimg.imsave(path, np.clip(np.asarray(image, dtype=np.float64), 0.0, 1.0),
-                 cmap="gray", vmin=0.0, vmax=1.0)
+    """Write a 2-D image as 8-bit grayscale PNG with write_pgm's pixels."""
+    pix = _gray8(image)
+    h, w = pix.shape
+    rows = b"".join(b"\0" + row.tobytes() for row in pix)  # filter type 0
+    with open(path, "wb") as fh:
+        fh.write(b"\x89PNG\r\n\x1a\n")
+        for tag, data in ((b"IHDR", struct.pack(">IIBBBBB", w, h, 8, 0, 0, 0, 0)),
+                          (b"IDAT", zlib.compress(rows, 9)), (b"IEND", b"")):
+            fh.write(struct.pack(">I", len(data)) + tag + data
+                     + struct.pack(">I", zlib.crc32(tag + data)))
 
 
 def _frame_grid(gt, result, pad=1):
@@ -470,7 +479,7 @@ def _build_parser():
     p.add_argument("--item", type=int, metavar="N",
                    help="result item to render (default: first)")
     p.add_argument("--png", action="store_true",
-                   help="also write a PNG (requires matplotlib)")
+                   help="also write a PNG")
     p.set_defaults(func=cmd_plot)
     return parser
 

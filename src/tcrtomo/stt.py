@@ -13,15 +13,16 @@ dimension, per-patch temporal attention (spatial patches ride the batch
 axis) with rotary position embeddings and a causal mask, and a per-slot
 2-D conv decoder whose skip connections all consume 1x1 projections of
 the final transformer feature map, plus the raw input frame at full
-resolution. The three stages are _encode, _blocks and _decode; _run is
-the one way they run, on the slots a caller reads.
+resolution. The three stages are _encode, _blocks and _decode; _run, the
+one way they run, checks the frames, appends the query slot when asked
+and runs the slots a caller reads.
 
 stt_apply (taped, batched) runs all T+1 slots: the reference, through
 stt_forward and predict_next. refine and the refinement trainer run the
 pair alone; the prediction trainer runs T+1 slots and decodes slot T.
-Predictor streams one sequence, as the pipeline and rollout do: it caches
-each block's keys and values of the real slots, so a push runs the two
-new slots and decodes the last, and cfg.window bounds the cache.
+Predictor streams one sequence, as the pipeline and rollout do: it keeps
+each block's attended keys and values but the query slot's, so a push
+runs the two new slots, decodes the last and copies no cache.
 """
 
 from dataclasses import dataclass
@@ -169,9 +170,9 @@ def check_stt_params(params, cfg, label, image_size):
 
 
 # Temporal kernel 3, left-padded, in each of the three encoder convs: the
-# tokens of a slot depend on it and the 6 slots before it.
+# tokens of a slot depend on it and the 3 * 2 = 6 slots before it.
 _CAUSAL_PAD = ((2, 0), (1, 1), (1, 1))
-_ENCODER_REACH = 6
+_ENCODER_REACH = 3 * _CAUSAL_PAD[0][0]
 _SAME_PAD = ((1, 1), (1, 1))
 
 
@@ -208,7 +209,7 @@ def _blocks(params, cfg, tok, positions, cache=None):
     cache, if given, holds one (k, v) pair per block: the roped keys and
     values (N, c, heads, d/heads) of the c slots right before
     positions[0], which the new slots attend to as well. Returns the
-    tokens and the new slots' (k, v) pair of each block.
+    tokens and each block's attended (k, v): the cache, then the new slots.
     """
     n, s, d = tok.shape
     heads = cfg.heads
@@ -221,10 +222,10 @@ def _blocks(params, cfg, tok, positions, cache=None):
                             (n, s, heads, d // heads)) for j in range(3))
         q = rope_apply(q, positions)
         k = rope_apply(k, positions)
-        kv.append((k, va))
         if cache is not None:
             k = concat([cache[i][0], k], axis=1)
             va = concat([cache[i][1], va], axis=1)
+        kv.append((k, va))
         att = causal_attention(q, k, va, window=cfg.window)
         att = reshape(att, (n, s, d))
         tok = add(tok, linear(att, params, f"blk{i}.proj"))
@@ -260,11 +261,15 @@ def _decode(params, cfg, tok, seq):
     return reshape(out, (b, s, h, w))
 
 
-def _run(params, cfg, seq, positions, cache=None, decode=None):
-    """Encode the slot frames seq (B, s, H, W), run the blocks on the last
-    len(positions) slots at those positions (and the cache, see _blocks),
-    and decode the last `decode` of them (all when None). Returns the
-    frames and each block's (k, v) of the slots it ran."""
+def _run(params, cfg, seq, positions, cache=None, decode=None, query=False):
+    """Check the slot frames seq (B, s, H, W), array or Tensor, and with
+    query append a copy of the last (the query slot). Encode them, run the
+    blocks on the last len(positions) slots at those positions (and the
+    cache, see _blocks), and decode the last `decode` of them (all when
+    None). Returns the frames and each block's attended (k, v)."""
+    _check_frames(cfg, seq.data if isinstance(seq, Tensor) else seq)
+    if query:
+        seq = concat([seq, tslice(seq, (slice(None), slice(-1, None)))], axis=1)
     ran = (slice(None), slice(-len(positions), None))
     tok, kv = _blocks(params, cfg, tslice(_encode(params, cfg, seq), ran),
                       positions, cache)
@@ -286,11 +291,7 @@ def stt_apply(params, cfg, frames):
     t = frames.shape[1]
     if t < 1:
         raise ValueError("need at least one input frame")
-    _check_frames(cfg, frames.data)
-
-    query = tslice(frames, (slice(None), slice(t - 1, t)))
-    return _run(params, cfg, concat([frames, query], axis=1),
-                np.arange(t + 1))[0]
+    return _run(params, cfg, frames, np.arange(t + 1), query=True)[0]
 
 
 class Predictor:
@@ -303,8 +304,8 @@ class Predictor:
     slots (the old query slot, now real, and the new query slot) through
     the blocks against each block's cached roped K/V, encodes them with
     the _ENCODER_REACH slots they depend on, and decodes the last. The
-    cache grows by one slot per frame, unless cfg.window caps it at the
-    last `window` slots.
+    cache, views of the K/V attention read less the query slot, grows by
+    one slot per frame, unless cfg.window caps it at `window` slots.
     """
 
     def __init__(self, params, cfg):
@@ -313,9 +314,7 @@ class Predictor:
         self.length = 0
         self._recent = np.zeros((0, cfg.image_size, cfg.image_size),
                                 dtype=np.float32)
-        empty = np.zeros((cfg.grid ** 2, 0, cfg.heads,
-                          cfg.model_dim // cfg.heads), dtype=np.float32)
-        self._cache = [(empty, empty)] * cfg.layers
+        self._cache = None
 
     def push(self, frames):
         frames = np.asarray(frames, dtype=np.float32)
@@ -324,22 +323,19 @@ class Predictor:
         if frames.ndim != 3 or frames.shape[0] < 1:
             raise ValueError(f"expected (H, W) or (n, H, W) frames, "
                              f"got shape {frames.shape}")
-        n = frames.shape[0]
-        t = self.length + n
+        # before the concatenation, which a wrong frame size would break
         _check_frames(self.cfg, frames)
+        t = self.length + frames.shape[0]
 
         real = np.concatenate([self._recent, frames])
-        seq = np.concatenate([real, frames[-1:]])[None]
         with no_grad():
-            out, kv = _run(self.params, self.cfg, seq,
-                           np.arange(self.length, t + 1), self._cache, 1)
+            out, kv = _run(self.params, self.cfg, real[None],
+                           np.arange(self.length, t + 1), self._cache, 1,
+                           query=True)
 
-        keep = slice(None if self.cfg.window is None else -self.cfg.window,
-                     None)
-        self._cache = [
-            (np.concatenate([ck, k.data[:, :n]], axis=1)[:, keep],
-             np.concatenate([cv, v.data[:, :n]], axis=1)[:, keep])
-            for (ck, cv), (k, v) in zip(self._cache, kv)]
+        window = self.cfg.window
+        keep = (slice(None), slice(None if window is None else -window - 1, -1))
+        self._cache = [(k.data[keep], v.data[keep]) for k, v in kv]
         self._recent = real[-_ENCODER_REACH:]
         self.length = t
         return out.data[0, 0]
@@ -360,7 +356,6 @@ def refine(params, cfg, noisy_pair):
     noisy_pair = np.asarray(noisy_pair, dtype=np.float32)
     if noisy_pair.ndim != 3 or noisy_pair.shape[0] != 2:
         raise ValueError("refine expects exactly 2 frames")
-    _check_frames(cfg, noisy_pair)
     with no_grad():
         return _run(params, cfg, noisy_pair[None], np.arange(2))[0].data[0]
 

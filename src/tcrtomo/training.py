@@ -21,8 +21,8 @@ from .geometry import operator_for_angles
 from .optim import adamw_step, init_adamw, lr_cosine
 from .solvers import l2_tcr
 from .spec import check_fields, spec
-from .stt import (SttConfig, _check_frames, _run, check_stt_params,
-                  init_stt_params, refine, rollout)
+from .stt import (SttConfig, _run, check_stt_params, init_stt_params, refine,
+                  rollout)
 
 __all__ = [
     "TrainConfig",
@@ -261,7 +261,6 @@ def train_refinement(dataset, cfg, model_cfg=None, val_dataset=None):
         g_ratio = gt_ratio(e)
         use_gt = rng.random(len(idx)) < g_ratio
         x = np.where(use_gt[:, None, None, None], gt[idx], lw[idx])
-        _check_frames(model_cfg, x)
         diff = _run(params, model_cfg, x, np.arange(2))[0] - Tensor(gt[idx])
         loss = scale(tsum(diff * diff), 0.5 / len(idx))
         refused = _update(params, optimizer, loss, lr)
@@ -317,34 +316,27 @@ def train_prediction(dataset, refine_params, refine_cfg, cfg, model_cfg=None,
         tf, cap = teacher_forcing_ratio(e), max_rollout(e)
         roll = np.where(rng.random(len(idx)) < rollout_prob(e), cap, 1)
         roll = np.minimum(roll, gt.shape[1] - 2)
-        history = [list(refined[i]) for i in idx]
+        history = np.empty((len(idx),) + gt.shape[1:], dtype=np.float32)
+        history[:, :2] = refined[idx]
         losses, refused = [], 0
         for s in range(int(roll.max())):
             t = s + 2
-            active = [j for j in range(len(idx)) if roll[j] > s]
-            seq = np.stack([history[j] + history[j][-1:] for j in active])
-            _check_frames(model_cfg, seq)
-            pred, _ = _run(params, model_cfg, seq, np.arange(t + 1), decode=1)
-            target = gt[idx[active], t][:, None]
-            diff = pred - Tensor(target)
+            active = np.flatnonzero(roll > s)
+            pred, _ = _run(params, model_cfg, history[active, :t],
+                           np.arange(t + 1), decode=1, query=True)
+            target = gt[idx[active], t]
+            diff = pred - Tensor(target[:, None])
             loss = scale(tsum(diff * diff), 1.0 / len(active))
             refused += _update(params, optimizer, loss, lr)
             losses.append((loss.item(), len(active)))
 
             use_gt = rng.random(len(active)) < tf
-            pred_np = pred.data[:, 0]
-            sources = []
-            for j, a in enumerate(active):
-                if use_gt[j]:
-                    history[a].append(gt[idx[a], t])
-                    sources.append("gt")
-                else:
-                    history[a].append(pred_np[j].astype(np.float32))
-                    sources.append("pred")
+            history[active, t] = np.where(use_gt[:, None, None], target,
+                                          pred.data[:, 0])
             if on_step is not None:
                 on_step({"epoch": e, "target": t,
-                         "samples": [int(idx[a]) for a in active],
-                         "sources": sources})
+                         "samples": idx[active].tolist(),
+                         "sources": ["gt" if u else "pred" for u in use_gt]})
         return losses, refused, {"tf_ratio": tf, "rollout": cap}
 
     def val_loss(params, data):

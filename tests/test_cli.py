@@ -6,8 +6,10 @@ import itertools
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
+import zlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -916,12 +918,33 @@ class TestPlotCli:
         assert float(rows[1]["psnr_prior"]) > 0
 
     def test_png_output(self, work, tmp_path):
-        pytest.importorskip("matplotlib")
-        out = tmp_path / "plots4"
-        assert run_cli("plot", "--results", work.results, "--out", out,
-                       "--png") == 0
+        """The PNG is 8-bit grayscale at the PGM's size, its rows without
+        their filter byte are the PGM's pixel bytes, and a second run
+        writes the same file."""
+        out, again = tmp_path / "plots4", tmp_path / "plots5"
+        for d in (out, again):
+            assert run_cli("plot", "--results", work.results, "--out", d,
+                           "--png") == 0
         png = (out / "item_000.png").read_bytes()
+        assert png == (again / "item_000.png").read_bytes()
         assert png[:8] == b"\x89PNG\r\n\x1a\n"
+        chunks, pos = {}, 8
+        while pos < len(png):
+            (size,) = struct.unpack(">I", png[pos:pos + 4])
+            tag, data = png[pos + 4:pos + 8], png[pos + 8:pos + 8 + size]
+            (crc,) = struct.unpack(">I", png[pos + 8 + size:pos + 12 + size])
+            assert crc == zlib.crc32(tag + data)
+            chunks[tag] = chunks.get(tag, b"") + data
+            pos += 12 + size
+        assert list(chunks) == [b"IHDR", b"IDAT", b"IEND"]
+        _, dims, _, pixels = (out / "item_000.pgm").read_bytes().split(b"\n", 3)
+        w, h = map(int, dims.split())
+        assert struct.unpack(">IIBBBBB", chunks[b"IHDR"]) == (w, h, 8, 0, 0,
+                                                              0, 0)
+        rows = np.frombuffer(zlib.decompress(chunks[b"IDAT"]),
+                             np.uint8).reshape(h, w + 1)
+        assert not rows[:, 0].any()
+        assert rows[:, 1:].tobytes() == pixels
 
     def test_item_directory_selects_its_stored_item(self, work, tmp_path,
                                                     capsys):

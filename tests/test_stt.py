@@ -1,3 +1,4 @@
+from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 
 from tcrtomo.autodiff import (Tensor, causal_attention, conv3d, gelu,
                               gradcheck, layer_norm, matmul, mse_loss,
-                              reshape, rope_apply, scale, transpose, tslice,
-                              tsum)
+                              no_grad, reshape, rope_apply, scale, transpose,
+                              tslice, tsum)
 from tcrtomo.errors import ConfigError
 from tcrtomo.stt import (Predictor, SttConfig, _run, check_stt_params,
                          init_stt_params, predict_next, refine, rollout,
@@ -295,6 +296,31 @@ class TestGradients:
             lambda out: tslice(out, (slice(None), slice(t, t + 1))))
         assert got == want
 
+    @pytest.mark.parametrize("taped", [True, False], ids=["taped", "no_grad"])
+    def test_query_slot_is_the_last_frame_appended(self, taped):
+        """_run(..., query=True) is _run on the frames with the last slot
+        appended by hand, bit for bit: frames, attended K/V and, on the
+        tape, every parameter gradient."""
+        params = init_stt_params(TINY, seed=17)
+        x = np.random.default_rng(17).normal(size=(2, 3, 16, 16)).astype(
+            np.float32)
+        by_hand = np.concatenate([x, x[:, -1:]], axis=1)
+        runs = []
+        for seq, query in ((x, True), (by_hand, False)):
+            for p in params.values():
+                p.grad = None
+            with nullcontext() if taped else no_grad():
+                out, kv = _run(params, TINY, seq, np.arange(4), query=query)
+            grads = []
+            if taped:
+                tsum(out * out).backward()
+                grads = [p.grad for p in params.values()]
+            runs.append([out.data] + [a.data for pair in kv for a in pair]
+                        + grads)
+        got, want = runs
+        assert len(got) == len(want) == 3 + (len(params) if taped else 0)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
 
 class TestWrappers:
     @pytest.mark.parametrize("cfg", [DESK, replace(DESK, window=1)],
@@ -362,6 +388,23 @@ class TestPredictor:
             assert np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want))
             cached = {k.shape[1] for pair in predictor._cache for k in pair}
             assert cached == {t if window is None else min(t, window)}
+
+    def test_unwindowed_stream_beyond_ten_frames(self):
+        """64 frames pushed one at a time without a window: after push t
+        every cached K/V holds exactly t slots, and pushes 16, 32 and 64
+        equal predict_next on the same history within 1e-5."""
+        params = init_stt_params(TINY, seed=16)
+        x = np.random.default_rng(16).normal(size=(64, 16, 16)).astype(
+            np.float32)
+        predictor = Predictor(params, TINY)
+        for t in range(1, 65):
+            got = predictor.push(x[t - 1])
+            assert {k.shape[1] for pair in predictor._cache
+                    for k in pair} == {t}
+            if t in (16, 32, 64):
+                want = predict_next(params, TINY, x[:t])
+                assert np.max(np.abs(got - want)) <= 1e-5 * np.max(
+                    np.abs(want))
 
     def test_rope_phases_hold_at_large_positions(self):
         """The same 16 frames give the same prior after 0 and after 2000
