@@ -10,17 +10,23 @@ Payloads default to float32; explicit reductions (sum/mean/losses, norm
 statistics) accumulate in float64 before casting back.  float64 payloads are
 fully supported, which is what the finite-difference gradient checks use.
 
-Convolutions are im2col matmuls over one column layout, (C*prod(k), N*P)
-gathered in (C, *k, N, *out) order.  The forward pass is one GEMM per
-sample over strided views of it, so a sample's result never depends on
-the batch it came in; the weight gradient is one GEMM over all columns.
-A conv's input gradient (skipped when the input needs none) is also the
-forward pass of conv_transpose2d/3d, whose backward is a plain conv.  At
-stride 1 it is itself a conv, of the output gradient with the flipped,
-channel-swapped kernel, on the same forward kernel; a strided conv's goes
-through col2im, the adjoint of im2col, which scatters W^T g back onto the
-input windows.  The forward keeps its columns on the tape only when the
-weight needs a gradient, the one reader of them.
+Convolutions are GEMMs, one per sample in the forward pass, so a sample's
+result never depends on the batch it came in.  A conv with stride 1 on
+every axis reads shifted slabs of its zero-padded input: on the input
+flattened over its spatial axes, each kernel offset's columns are one
+contiguous run per channel, and the output is computed over the padded
+row width, then cropped.  Whichever side has fewer channels is stacked
+over the kernel offsets for one GEMM, and that temporary is never kept:
+the forward tapes only the padded input, 1/prod(k) the size of im2col
+columns.  A strided conv (the STT encoders) gathers im2col columns,
+(C*prod(k), N*P) in (C, *k, N, *out) order, and tapes them.  Either way
+the forward keeps what its GEMMs read only when the weight needs a
+gradient, the one reader of it.  A conv's input gradient (skipped when
+the input needs none) is also the forward pass of conv_transpose2d/3d,
+whose backward is a plain conv.  At stride 1 it is itself a stride-1
+conv, of the output gradient with the flipped, channel-swapped kernel;
+a strided conv's goes through col2im, the adjoint of im2col, which
+scatters W^T g back onto the input windows.
 The transposes are first-class ops so gradient-of-gradient graphs (e.g. a
 gradient penalty) can be built on tape.
 
@@ -622,13 +628,136 @@ def _conv_out_shape(in_sp, ksize, stride, pad):
                  for n, k, s, p in zip(in_sp, ksize, stride, pad))
 
 
-def _conv_gemm(w, cols, out_sp):
-    """W times the columns, one GEMM per sample: (N, Co, *out).
+def _check_kernel_fits(what, shape, ksize, pad):
+    """Raise ValueError unless the kernel fits the padded spatial axes."""
+    padded = tuple(n + p[0] + p[1] for n, p in zip(shape[2:], pad))
+    if any(k > n for k, n in zip(ksize, padded)):
+        raise ValueError(
+            f"kernel {tuple(ksize)} is larger than the {what} {tuple(shape)} "
+            f"padded by {pad} (spatial {padded})")
 
-    Each sample's (C*prod(k), P) block is a strided view of the columns,
-    so a sample's rounding is that of the same conv run on it alone,
+
+def _lower(x, ksize, stride, pad):
+    """What a conv's GEMMs read, and the output's spatial shape.
+
+    At stride 1 on every axis that is the zero-padded input itself, made
+    C-contiguous: the GEMMs read shifted slabs of it (see _slab_gemm), so
+    nothing is gathered to keep.  A strided conv's are _im2col's columns.
+    """
+    xp = _pad_input(x, pad)
+    if any(s != 1 for s in stride):
+        return _im2col(xp, ksize, stride)
+    out_sp = tuple(n - k + 1 for n, k in zip(xp.shape[2:], ksize))
+    return np.ascontiguousarray(xp), out_sp
+
+
+def _slab_layout(sp, out_sp):
+    """Element strides of a C-contiguous spatial shape sp, and the span
+    of a stride-1 conv's slabs on it: the flat distance from the first
+    output cell to the last, plus one."""
+    flat = tuple(math.prod(sp[i + 1:]) for i in range(len(sp)))
+    return flat, sum((o - 1) * f for o, f in zip(out_sp, flat)) + 1
+
+
+def _strided(a, shape, strides):
+    """View of the C-contiguous a with the given shape and element strides."""
+    return np.ndarray(shape, a.dtype, a, 0,
+                      tuple(s * a.itemsize for s in strides))
+
+
+def _cells(y, flat, out_sp):
+    """The C-contiguous y (A, B, span), computed over the padded row
+    width, as a view of its output cells (A, B, *out_sp): the cells past
+    each row's end are cropped."""
+    return _strided(y, y.shape[:2] + tuple(out_sp),
+                    (y.shape[1] * y.shape[2], y.shape[2]) + flat)
+
+
+def _slabs(xp, flat, ksize, span):
+    """View (N, C, *k, span) of xp: [n, c, *o] is channel c's slab at
+    kernel offset o, so (C, *k) flattened is the row order of W as
+    (Co, C*prod(k))."""
+    n, c = xp.shape[:2]
+    size = math.prod(xp.shape[2:])
+    return _strided(xp, (n, c) + tuple(ksize) + (span,),
+                    (c * size, size) + flat + (1,))
+
+
+def _shifts(flat, ksize):
+    """Flat index of each kernel offset, in kernel order."""
+    return [sum(o * f for o, f in zip(off, flat))
+            for off in np.ndindex(*ksize)]
+
+
+def _slab_gemm(w, xp, out_sp):
+    """Stride-1 conv of the padded, C-contiguous xp (N, C, *sp): (N, Co, *out).
+
+    Counted over the padded row width (by the flat index j in sp of its
+    first input cell), output cell j reads channel c at j + shift(o) for
+    kernel offset o.  So an offset's columns are one slab per channel:
+    `span` contiguous values from shift(o).  The cells past each output
+    row's end read across the row's end; they are computed and cropped.
+    Whichever side has fewer channels is stacked over the offsets, so the
+    temporary is prod(k)*min(C, Co) rows and nothing of it is kept:
+    with C <= Co the slabs (_slabs), copied as (C*prod(k), span) per sample;
+    with C > Co the weights, as (prod(k)*Co, C) times the whole input,
+    whose offset blocks are then summed at their shifts.  Each sample is
+    its own GEMM, as in _conv_gemm.
+    """
+    n, c = xp.shape[:2]
+    co, ksize = w.shape[0], w.shape[2:]
+    flat, span = _slab_layout(xp.shape[2:], out_sp)
+    if c <= co:
+        stacked = np.ascontiguousarray(_slabs(xp, flat, ksize, span))
+        y = np.matmul(w.reshape(co, -1), stacked.reshape(n, -1, span))
+    else:
+        w_rows = np.moveaxis(w, (0, 1), (-2, -1)).reshape(-1, c)  # (*o, co)
+        stacked = np.matmul(w_rows, xp.reshape(n, c, -1))
+        stacked = stacked.reshape(n, -1, co, stacked.shape[-1])
+        y = stacked[:, 0, :, :span].copy()    # offset 0 is shifted by 0
+        for k, s in enumerate(_shifts(flat, ksize)[1:], 1):
+            y += stacked[:, k, :, s:s + span]
+    del stacked  # freed before the cropped copy is allocated
+    return np.ascontiguousarray(_cells(y, flat, out_sp))
+
+
+def _slab_dw(xp, g, w_shape):
+    """Weight gradient of _slab_gemm, stacking the same side.
+
+    g (N, Co, *out) is laid on its cells of a zeroed (Co, N, span) and
+    contracted over samples and cells, in one GEMM, with the slabs copied
+    as (C*prod(k), N*span) (C <= Co), or with the input after g is laid
+    at every offset's shift (C > Co).
+    """
+    n, c = xp.shape[:2]
+    co, ksize = w_shape[0], w_shape[2:]
+    flat, span = _slab_layout(xp.shape[2:], g.shape[2:])
+    gy = np.zeros((co, n, span), dtype=g.dtype)
+    _cells(gy, flat, g.shape[2:])[...] = g.swapaxes(0, 1)
+    if c <= co:
+        slabs = np.moveaxis(_slabs(xp, flat, ksize, span), 0, -2)
+        slabs = np.ascontiguousarray(slabs).reshape(-1, n * span)
+        return (slabs @ gy.reshape(co, -1).T).T.reshape(w_shape)
+    size = math.prod(xp.shape[2:])
+    z = np.zeros((math.prod(ksize), co, n, size), dtype=g.dtype)
+    for k, s in enumerate(_shifts(flat, ksize)):
+        z[k, :, :, s:s + span] = gy
+    xf = np.ascontiguousarray(xp.reshape(n, c, size).swapaxes(0, 1))
+    dw = (z.reshape(-1, n * size) @ xf.reshape(c, -1).T).reshape(
+        tuple(ksize) + (co, c))
+    return np.ascontiguousarray(np.moveaxis(dw, (-2, -1), (0, 1)))
+
+
+def _conv_gemm(w, cols, out_sp):
+    """W times what _lower built, one GEMM per sample: (N, Co, *out).
+
+    A padded input (stride 1) goes to _slab_gemm.  From _im2col's columns
+    each sample's (C*prod(k), P) block is a strided view of them.  Either
+    way a sample's rounding is that of the same conv run on it alone,
     whatever the batch size.
     """
+    if cols.ndim != 2:
+        return _slab_gemm(w, cols, out_sp)
     co, p = w.shape[0], int(np.prod(out_sp))
     per_sample = cols.reshape(cols.shape[0], -1, p).transpose(1, 0, 2)
     out = np.matmul(w.reshape(co, -1), per_sample)
@@ -636,13 +765,16 @@ def _conv_gemm(w, cols, out_sp):
 
 
 def _conv_forward(x, w, stride, pad):
-    """conv of x by w, (N, Co, *out), and the columns it was read from."""
-    cols, out_sp = _im2col(_pad_input(x, pad), w.shape[2:], stride)
+    """conv of x by w, (N, Co, *out), and what its GEMMs read (_lower)."""
+    cols, out_sp = _lower(x, w.shape[2:], stride, pad)
     return _conv_gemm(w, cols, out_sp), cols
 
 
 def _conv_dw(cols, g, w_shape):
-    """Weight gradient: one GEMM of the columns with g as (Co, N*P)."""
+    """Weight gradient from what _lower built: _slab_dw for a padded
+    input, else one GEMM of the columns with g as (Co, N*P)."""
+    if cols.ndim != 2:
+        return _slab_dw(cols, g, w_shape)
     n, co = g.shape[:2]
     g2 = np.ascontiguousarray(g.reshape(n, co, -1).transpose(1, 0, 2))
     return (cols @ g2.reshape(co, -1).T).T.reshape(w_shape)
@@ -676,12 +808,11 @@ def _col2im(g, w, stride, pad, in_sp):
 def _conv_input_grad(g, w, stride, pad, in_sp):
     """Input gradient of a conv of w: (N, C, *in_sp) from g (N, Co, *out).
 
-    At stride 1 on every axis this is a conv of g, padded by k - 1 - p on
-    each side (cropped where p > k - 1), with the spatially flipped,
-    channel-swapped kernel, on the forward kernel: one gather and one GEMM
-    per sample instead of col2im's one small GEMM per kernel offset.  A
-    strided conv's gradient would need g dilated by the stride first,
-    which multiplies the work; it keeps _col2im.
+    At stride 1 on every axis this is a stride-1 conv of g, padded by
+    k - 1 - p on each side (cropped where p > k - 1), with the spatially
+    flipped, channel-swapped kernel: _slab_gemm's GEMMs on shifted slabs
+    of the padded g.  A strided conv's gradient would need g dilated by
+    the stride first, which multiplies the work; it keeps _col2im.
     """
     if any(s != 1 for s in stride):
         return _col2im(g, w, stride, pad, in_sp)
@@ -690,8 +821,8 @@ def _conv_input_grad(g, w, stride, pad, in_sp):
     g = g[(slice(None), slice(None))
           + tuple(slice(max(-b, 0), n - max(-a, 0))
                   for n, (b, a) in zip(g.shape[2:], tpad))]
-    gp = _pad_input(g, [(max(b, 0), max(a, 0)) for b, a in tpad])
-    cols, out_sp = _im2col(gp, ksize, (1,) * len(ksize))
+    cols, out_sp = _lower(g, ksize, stride,
+                          [(max(b, 0), max(a, 0)) for b, a in tpad])
     wf = np.flip(w, axis=tuple(range(2, w.ndim))).swapaxes(0, 1)
     return _conv_gemm(wf, cols, out_sp)
 
@@ -712,9 +843,10 @@ def _conv_nd(a, w, b, stride, pad, nd):
         raise ValueError(
             f"input channels {a.data.shape[1]} != weight channels {w.data.shape[1]}")
     stride, pad = _norm_stride_pad(stride, pad, nd)
+    _check_kernel_fits("input", a.data.shape, w.data.shape[2:], pad)
     out, cols = _conv_forward(a.data, w.data, stride, pad)
     if not _needs_grad(w):
-        cols = None  # only the weight gradient reads the columns
+        cols = None  # only the weight gradient reads them
     parents = [a, w]
     if b is not None:
         b = _as_tensor(b, like=a)
@@ -759,6 +891,8 @@ def _conv_transpose_nd(a, w, stride, pad, nd, output_size):
         output_size = tuple((n - 1) * s + k - p[0] - p[1]
                             for n, s, k, p in zip(in_sp, stride, ksize, pad))
     output_size = tuple(int(v) for v in output_size)
+    _check_kernel_fits("output", a.data.shape[:1] + w.data.shape[1:2]
+                       + output_size, ksize, pad)
     got = _conv_out_shape(output_size, ksize, stride, pad)
     if min(output_size) < 1 or got != in_sp:
         raise ValueError(
@@ -767,7 +901,7 @@ def _conv_transpose_nd(a, w, stride, pad, nd, output_size):
     out = _conv_input_grad(a.data, w.data, stride, pad, output_size)
 
     def backward(g):
-        cols, g_sp = _im2col(_pad_input(g, pad), ksize, stride)
+        cols, g_sp = _lower(g, ksize, stride, pad)
         if _needs_grad(w):
             _accum(w, _conv_dw(cols, a.data, w.data.shape))
         if _needs_grad(a):

@@ -14,7 +14,9 @@ trained on histories of two or more frames only.
 The predictions stream: one stt.Predictor per sequence receives frame
 t-1 once it is solved, and keeps each attention block's keys and values
 of the frames before it (the last `window` of them when the model sets
-one). So a step's predictor cost does not grow with t.
+one). So a step runs only its new slots through the transformer and
+decodes one; only attention reads the whole cache, which grows by one
+slot per frame unless `window` caps it.
 """
 
 import os

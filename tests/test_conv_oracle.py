@@ -5,13 +5,14 @@ padded input per kernel offset, contracted with that offset's weights.
 Its weight gradient contracts the same slices with the output gradient.
 The input gradient is the earlier construction: dilate the output
 gradient by the stride, pad it by k - 1 - p, and correlate it with the
-spatially flipped, channel-swapped kernel.  The shipped path gathers
-im2col columns for the forward pass and the weight gradient.  Its input
-gradient is that same construction on the forward kernel at stride 1,
-and scatters W^T g back onto the input windows with col2im when the conv
-is strided; col2im, which serves every stride, stays the oracle of the
-stride-1 path.  All must agree on every conv shape the STT and the UAR
-models use, in float64 and in float32.
+spatially flipped, channel-swapped kernel.  The shipped path runs a
+stride-1 conv as GEMMs on shifted slabs of the padded input, for the
+forward pass, both gradients and conv_transpose; its input gradient is
+that same construction on the forward kernel.  A strided conv gathers
+im2col columns and scatters W^T g back onto the input windows with
+col2im.  im2col and col2im, which serve every stride, stay the oracles
+of the stride-1 path.  All must agree on every conv shape the STT and
+the UAR models use, in float64 and in float32.
 """
 
 import numpy as np
@@ -122,14 +123,23 @@ def _stt_shapes(batch=2, slots=3):
     }
 
 
+def _paper_shapes():
+    """The paper-scale decoder's first conv, C >> Co, on one slot."""
+    cfg = SttConfig(model_dim=512, heads=8, layers=6, image_size=64)
+    d, c2, g = cfg.model_dim, cfg.enc_channels[2], cfg.grid
+    return {"paper-dec0": ((1, d, g, g), (c2, d, 3, 3)) + _SAME2}
+
+
 def _uar_shapes(size=32, steps=4, offsets=47):
     """Same-padded 3x3 convs of the UAR generator and critic, 2-D and 3-D,
     and the dual nets' convs over the data box (angles, offsets) of a
     3-angle and a 20-angle scan.  The gamma nets take 4 (dual) or 3
-    (primal) channels in and give 1 out."""
+    (primal) channels in and give 1 out; the critic's first conv takes
+    the one-channel image."""
     cfg = UarConfig()
     gc, cc = cfg.gamma_channels, cfg.critic_channels
     return {
+        "uar2d-critic-in": ((1, 1, size, size), (cc[0], 1, 3, 3)) + _SAME2,
         "uar2d-gamma-in": ((1, 4, size, size), (gc, 4, 3, 3)) + _SAME2,
         "uar2d-primal-in": ((1, 3, size, size), (gc, 3, 3, 3)) + _SAME2,
         "uar2d-gamma-mid": ((1, gc, size, size), (gc, gc, 3, 3)) + _SAME2,
@@ -145,7 +155,7 @@ def _uar_shapes(size=32, steps=4, offsets=47):
     }
 
 
-SHAPES = {**_stt_shapes(), **_uar_shapes()}
+SHAPES = {**_stt_shapes(), **_paper_shapes(), **_uar_shapes()}
 TOLERANCE = {np.float64: 1e-12, np.float32: 1e-5}
 
 
@@ -198,6 +208,74 @@ def test_stride1_input_grad_matches_col2im(name, dtype):
     ref = ad._col2im(g, w, stride, pad, x.shape[2:])
     assert got.dtype == ref.dtype == dtype
     assert _rel_err(got, ref) <= TOLERANCE[dtype]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32],
+                         ids=["float64", "float32"])
+@pytest.mark.parametrize("name", [n for n, s in SHAPES.items()
+                                  if all(v == 1 for v in s[2])])
+def test_stride1_slabs_match_im2col(name, dtype):
+    """Forward, weight gradient, input gradient and conv_transpose's
+    backward of the stride-1 path against _im2col's columns through
+    _conv_gemm and _conv_dw."""
+    x, w, g, stride, pad = _case(name, dtype, 12)
+    conv, conv_t = _conv(x.ndim - 2), _conv_t(x.ndim - 2)
+    ksize, in_sp = w.shape[2:], x.shape[2:]
+    cols, out_sp = ad._im2col(ad._pad_input(x, pad), ksize, stride)
+    tpad = [(k - 1 - p[0], k - 1 - p[1]) for k, p in zip(ksize, pad)]
+    g_cols, _ = ad._im2col(ad._pad_input(g, tpad), ksize, stride)
+    wf = np.flip(w, axis=tuple(range(2, w.ndim))).swapaxes(0, 1)
+    tol = TOLERANCE[dtype]
+
+    xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    out = conv(xt, wt, stride=stride, padding=pad)
+    out.backward(g)
+    assert _rel_err(out.data, ad._conv_gemm(w, cols, out_sp)) <= tol
+    assert _rel_err(wt.grad, ad._conv_dw(cols, g, w.shape)) <= tol
+    assert _rel_err(xt.grad, ad._conv_gemm(wf, g_cols, in_sp)) <= tol
+
+    at, wt = Tensor(g, requires_grad=True), Tensor(w, requires_grad=True)
+    conv_t(at, wt, stride=stride, padding=pad, output_size=in_sp).backward(x)
+    assert _rel_err(at.grad, ad._conv_gemm(w, cols, out_sp)) <= tol
+    assert _rel_err(wt.grad, ad._conv_dw(cols, g, w.shape)) <= tol
+
+
+def test_stride1_conv_gathers_no_columns(monkeypatch):
+    """A stride-1 conv and conv_transpose, forward and backward, never
+    call _im2col, and the forward tapes the padded input, not columns."""
+    monkeypatch.setattr(ad, "_im2col", None)
+    for name in ("uar2d-gamma-mid", "uar3d-gamma-out", "dec1", "head"):
+        x, w, g, stride, pad = _case(name, np.float32, 13)
+        conv, conv_t = _conv(x.ndim - 2), _conv_t(x.ndim - 2)
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        out = conv(xt, wt, stride=stride, padding=pad)
+        closure = dict(zip(out._backward.__code__.co_freevars,
+                           out._backward.__closure__))
+        taped = closure["cols"].cell_contents
+        assert taped.shape == ad._pad_input(x, pad).shape
+        out.backward(g)
+        at, wt = Tensor(g, requires_grad=True), Tensor(w, requires_grad=True)
+        conv_t(at, wt, stride=stride, padding=pad,
+               output_size=x.shape[2:]).backward(x)
+        assert xt.grad is not None and at.grad is not None
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_kernel_larger_than_padded_input_rejected(stride):
+    """Checked before either path runs, naming input, kernel and padding."""
+    pad = ((0, 0), (1, 0))
+    for c in (1, 16):
+        x, w = Tensor(np.ones((1, c, 2, 2))), Tensor(np.ones((16, c, 3, 3)))
+        with pytest.raises(ValueError, match=(
+                rf"kernel \(3, 3\) .* input \(1, {c}, 2, 2\) padded by "
+                r"\(\(0, 0\), \(1, 0\)\)")):
+            ad.conv2d(x, w, stride=stride, padding=pad)
+        # padded by one more row it fits: one output cell
+        assert ad.conv2d(x, w, stride=stride, padding=((1, 0), (1, 0))).shape \
+            == (1, 16, 1, 1)
+        with pytest.raises(ValueError, match=r"kernel \(3, 3\) .* output"):
+            ad.conv_transpose2d(Tensor(np.ones((1, 16, 1, 1))), w,
+                                stride=stride, padding=pad, output_size=(2, 2))
 
 
 def test_stride1_input_grad_with_padding_wider_than_kernel():
