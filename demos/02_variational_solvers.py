@@ -41,12 +41,12 @@ print(f"l1, alpha 0.1      : psnr {psnr(truth, frozen):6.2f} dB "
 
 x1, rep1 = l1_tcr_fista(op, psi, prior, 0.01, x0=prior, max_iter=200)
 print(f"l1, alpha 0.01     : psnr {psnr(truth, x1):6.2f} dB, "
-      f"{rep1.iterations:3d} iters, objective {rep1.objectives[-1]:.4f}")
+      f"{rep1.iterations:3d} iters, objective {rep1.objective:.4f}")
 
 xtv, reptv = l1_tv_tcr_pdhg(op, psi, prior, 0.01, 0.005, x0=prior,
                             max_iter=400)
 print(f"l1 + tv coupling   : psnr {psnr(truth, xtv):6.2f} dB, "
-      f"{reptv.iterations:3d} iters, objective {reptv.objectives[-1]:.4f}")
+      f"{reptv.iterations:3d} iters, objective {reptv.objective:.4f}")
 
 # all three must not lose data consistency relative to the prior itself
 d_prior = np.linalg.norm(op.forward(prior) - psi)

@@ -293,7 +293,8 @@ def sqrt(a):
 
 def leaky_relu(a, slope=0.1):
     a = _as_tensor(a)
-    factor = np.where(a.data > 0, 1.0, slope).astype(a.data.dtype)
+    typed = a.data.dtype.type  # the slope in the payload's dtype, no cast
+    factor = np.where(a.data > 0, typed(1.0), typed(slope))
 
     def backward(g):
         _accum(a, g * factor)

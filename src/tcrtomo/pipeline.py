@@ -171,7 +171,8 @@ def tcr_reconstruct(sino, cfg, refine_model, predict_model, gt=None,
     for t in range(n_frames):
         phase, prior = "init", refined[0]
         if t > 0:
-            emit("predict", t, tuple(range(t)))
+            if trace is not None:  # the history tuple only for a listener
+                emit("predict", t, tuple(range(t)))
             phase = "loop"
             prior = predictions[t - 1] = predictor.push(
                 recon[t - 1].astype(np.float32))

@@ -14,10 +14,12 @@ shape as long as it matches the operator.
 All three run one loop, _iterate.  A solver supplies its preamble
 (_prepare, step sizes), a step(x, r, g) -> x_new closure that holds its
 own state and, optionally, a stop test.  The loop projects each kept
-iterate once: r = A x - psi gives the discrepancy, the objective's data
-term and the next step's r.  For PDHG it also takes the kept iterate's
-gradient g once, for the objective's TV term and the next step.  Each
-trace entry is the value a separate projection of that iterate would give.
+iterate once: r = A x - psi gives the discrepancy and the next step's r.
+For PDHG it also takes the kept iterate's gradient g once, for the next
+step.  Each trace entry is the value a separate projection of that
+iterate would give.  The loop knows no penalty: it sets the report's
+objective to the data term 1/2 r . r of the iterate it returns, and each
+solver adds its own penalty once, after the loop.
 
 FISTA and PDHG step from an extrapolated point (FISTA's y, PDHG's xbar),
 an affine combination of the last two kept iterates.  Its residual (and
@@ -29,14 +31,13 @@ projection only in the last bits.  The adjoint multiplies by the
 operator's cached transpose (see geometry).
 
 An iteration costs about what its two projections cost: besides them, a
-FISTA iteration makes about 18 elementwise numpy calls and PDHG about 40,
+FISTA iteration makes about 15 elementwise numpy calls and PDHG about 35,
 with no Python-level loop over pixels.  Each step runs in-place ufuncs on
-arrays the solve allocated itself (its temporaries and the objective's
-scratch buffers); the discrepancy is sqrt(r . r), bitwise
-np.linalg.norm(r), and r . r is also the data term.  The L1 shrink is
-soft_threshold's, reached through prox_shifted_l1.  A solver never writes
-into an array that op.forward or op.adjoint returned: the operator
-protocol does not promise a fresh array.
+arrays the solve allocated itself; the discrepancy is sqrt(r . r),
+bitwise np.linalg.norm(r).  The L1 shrink is soft_threshold's, reached
+through prox_shifted_l1.  A solver never writes into an array that
+op.forward or op.adjoint returned: the operator protocol does not promise
+a fresh array.
 
 Stop reasons: "max_iter" (the budget ran out); "discrepancy_increase"
 (l2_tcr's early stop, which drops that step); "stationary" (FISTA's
@@ -61,19 +62,18 @@ class SolveReport:
     """Trace of one solver run.
 
     discrepancies[i] is ||A x_i - psi|| for the kept iterates x_0..x_n, so
-    its length is iterations + 1.  objectives traces the full objective for
-    solvers that track it (FISTA, PDHG).  alpha_crit, set by FISTA, is
-    ||A^T (A x0 - psi)||_inf: x0 = prior solves the L1 problem exactly when
-    alpha >= alpha_crit (the Lasso lambda_max).  primal_residual and
-    dual_residual, set by PDHG, are its stop test's two relative residuals
-    at the last iteration: both are at most PDHG_TOL exactly when the run
-    stopped as "converged".
+    its length is iterations + 1.  objective is the solver's full objective
+    at the returned iterate, its data term 1/2 ||A x_n - psi||^2 plus its
+    penalty.  alpha_crit, set by FISTA, is ||A^T (A x0 - psi)||_inf:
+    x0 = prior solves the L1 problem exactly when alpha >= alpha_crit (the
+    Lasso lambda_max).  primal_residual and dual_residual, set by PDHG, are
+    its stop test's two relative residuals at the last iteration: both are
+    at most PDHG_TOL exactly when the run stopped as "converged".
     """
 
     iterations: int = 0
     stop_reason: str = "max_iter"
     discrepancies: list = field(default_factory=list)
-    objectives: list = field(default_factory=list)
     objective: float = float("nan")
     alpha_crit: float = float("nan")
     primal_residual: float = float("nan")
@@ -129,48 +129,30 @@ def _prepare(op, psi, prior, x0, max_iter, **weights):
     return psi, prior, x
 
 
-def _iterate(op, psi, x, max_iter, step, l1=None, tv=None, monotone=False,
+def _iterate(op, psi, x, max_iter, step, tv=False, monotone=False,
              stop=None):
     """x <- step(x, r, g), r = A x - psi, max_iter times -> (x, SolveReport).
 
-    g is grad x when tv = beta is given, else None; each kept iterate's
-    gradient is computed once and serves both the step and the objective.
-    Traces ||r|| of each kept iterate and, given l1 = (alpha, prior) or
-    tv, the objective 1/2 ||r||^2 + beta ||grad x||_1 +
-    alpha ||x - prior||_1 summed left to right.  ||r||^2 is r . r, whose
-    square root is the discrepancy; the two L1 terms are summed from
-    scratch buffers the run owns.  monotone drops an iterate whose
-    discrepancy would increase and stops the run there.  After each kept
-    step, stop(x_new, r_new, g_new, moved) may return a stop reason; moved
-    is False when the discrepancy did not change.  The run then ends on
-    that iterate.  Raises ValueError if the returned iterate or its
-    discrepancy is not finite.
+    g is grad x when tv is set, else None; each kept iterate's gradient is
+    computed once.  Traces ||r|| = sqrt(r . r) of each kept iterate, and
+    sets the report's objective to the data term 1/2 r . r of the iterate
+    it returns.  monotone drops an iterate whose discrepancy would
+    increase and stops the run there.  After each kept step,
+    stop(x_new, r_new, g_new, moved) may return a stop reason; moved is
+    False when the discrepancy did not change.  The run then ends on that
+    iterate.  Raises ValueError if the returned iterate or its discrepancy
+    is not finite.
     """
     report = SolveReport()
-    l1_buf = None if l1 is None else np.empty(x.shape)
-    tv_buf = None if tv is None else np.empty((2,) + x.shape)
 
     def gradient(x):
-        return None if tv is None else grad2d(x)
-
-    def keep(x, g, rr, d):
-        report.discrepancies.append(d)
-        if l1 is not None or tv is not None:
-            obj = 0.5 * rr
-            if tv is not None:
-                obj += tv * float(np.abs(g, out=tv_buf).sum())
-            if l1 is not None:
-                alpha, prior = l1
-                np.subtract(x, prior, out=l1_buf)
-                obj += alpha * float(np.abs(l1_buf, out=l1_buf).sum())
-            report.objectives.append(obj)
-            report.objective = obj
+        return grad2d(x) if tv else None
 
     r = op.forward(x) - psi
     g = gradient(x)
     rr = _sq(r)
     d = math.sqrt(rr)
-    keep(x, g, rr, d)
+    report.discrepancies.append(d)
     for _ in range(max_iter):
         x_new = step(x, r, g)
         r_new = op.forward(x_new) - psi
@@ -182,7 +164,7 @@ def _iterate(op, psi, x, max_iter, step, l1=None, tv=None, monotone=False,
         g_new = gradient(x_new)
         reason = stop(x_new, r_new, g_new, d_new != d) if stop else None
         x, r, g, rr, d = x_new, r_new, g_new, rr_new, d_new
-        keep(x, g, rr, d)
+        report.discrepancies.append(d)
         report.iterations += 1
         if reason:
             report.stop_reason = reason
@@ -190,6 +172,7 @@ def _iterate(op, psi, x, max_iter, step, l1=None, tv=None, monotone=False,
     if not (math.isfinite(d) and np.isfinite(x).all()):
         raise ValueError(f"non-finite iterate after {report.iterations} "
                          f"iterations (discrepancy {d})")
+    report.objective = 0.5 * rr
     return x, report
 
 
@@ -217,8 +200,6 @@ def l2_tcr(op, psi, prior, alpha, x0=None, max_iter=19, tau=None):
         return np.subtract(x, v, out=v)
 
     x, report = _iterate(op, psi, x, max_iter, step, monotone=True)
-    d = report.discrepancies[-1]
-    report.objective = 0.5 * d * d
     if alpha > 0:
         report.objective += 0.5 * alpha * float(np.sum((x - prior) ** 2))
     return x, report
@@ -287,8 +268,8 @@ def l1_tcr_fista(op, psi, prior, alpha, x0=None, max_iter=200):
             return "stationary"
         return None
 
-    x, report = _iterate(op, psi, x, max_iter, step, l1=(alpha, prior),
-                         stop=stop)
+    x, report = _iterate(op, psi, x, max_iter, step, stop=stop)
+    report.objective += alpha * _l1(x - prior)
     report.alpha_crit = alpha_crit
     return x, report
 
@@ -407,10 +388,13 @@ def l1_tv_tcr_pdhg(op, psi, prior, alpha, beta, x0=None, max_iter=400):
             return "converged"
         return None
 
-    x, report = _iterate(op, psi, x, max_iter, step, l1=(alpha, prior),
-                         tv=beta if beta > 0 else None, stop=stop)
+    x, report = _iterate(op, psi, x, max_iter, step, tv=beta > 0, stop=stop)
+    r, g = kept
+    if g is not None:
+        report.objective += beta * _l1(g)
+    report.objective += alpha * _l1(x - prior)
     report.primal_residual = primal_residual(x)
-    report.dual_residual = dual_residual(*kept)
+    report.dual_residual = dual_residual(r, g)
     return x, report
 
 
@@ -432,3 +416,8 @@ def _sq(v):
     """Squared Euclidean norm: v . v in memory order, as np.linalg.norm."""
     v = v.ravel(order="K")
     return float(v.dot(v))
+
+
+def _l1(v):
+    """||v||_1, the sum of |v|."""
+    return float(np.abs(v).sum())

@@ -397,10 +397,11 @@ def _critic_input_grad_norm(params, x):
     the dense layers, the mean pool, and transposed convolutions.  The
     result stays differentiable with respect to the critic parameters.
     """
-    dtype = params["reg.c0.w"].data.dtype
+    one, slope = np.array([1.0, LEAKY_SLOPE],
+                          dtype=params["reg.c0.w"].data.dtype)
     with no_grad():
         a = _critic_input(params, x)
-        masks = [Tensor(np.where(p.data > 0, 1.0, LEAKY_SLOPE).astype(dtype))
+        masks = [Tensor(np.where(p.data > 0, one, slope))
                  for p in _critic_layers(params, a)]
     spatial = a.data.shape[2:]
     nd = len(spatial)

@@ -1,5 +1,7 @@
 """Tape mechanics and finite-difference gradient checks for every op."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -93,6 +95,24 @@ def test_grad_relu_leaky_gelu():
     x = t64(raw)
     ad.gradcheck(lambda: ad.tsum(ad.leaky_relu(x, 0.1)), [x])
     ad.gradcheck(lambda: ad.tsum(ad.gelu(x)), [x])
+
+
+def test_leaky_relu_slope_in_the_payload_dtype():
+    # the slope array is built in float32: a float64 one cast down would
+    # peak at 12 bytes per element, the f64 array and its f32 copy
+    x = Tensor(rand((1, 32, 32, 32), 7).astype(np.float32), requires_grad=True)
+    tracemalloc.start()
+    try:
+        out = ad.leaky_relu(x, 0.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / x.data.size < 10
+    slope = np.where(x.data > 0, 1.0, 0.2).astype(np.float32)
+    assert out.data.dtype == np.float32
+    assert np.array_equal(out.data, x.data * slope)
+    ad.tsum(out).backward()
+    assert np.array_equal(x.grad, slope)
 
 
 # --------------------------------------- gelu kernel against scipy's erf

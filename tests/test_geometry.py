@@ -248,7 +248,7 @@ class TestProjectorKernel:
                                 max_iter=40)
         assert np.array_equal(x, x_ref)
         assert rep.discrepancies == rep_ref.discrepancies
-        assert rep.objectives == rep_ref.objectives
+        assert rep.objective == rep_ref.objective
 
 
 def test_adjoint_footprint():
