@@ -33,7 +33,7 @@ pre_params, _ = train_prediction(
 cfg = ReconConfig(image_size=16, solver="L1", alpha_init=0.1,
                   alpha_rest=0.1, max_iter_l1=100)
 res = tcr_reconstruct(test_ds.sinograms[0], cfg, (re_params, model_cfg),
-                      (pre_params, model_cfg), gt=test_ds.gt[0])
+                      (pre_params, model_cfg))
 
 table = evaluate(res, test_ds.gt[0], data_range=1.0)
 print("\nstep  psnr(recon)  psnr(prior)")

@@ -127,6 +127,24 @@ def _result_items(path):
     raise MissingArtifactError(f"no reconstruction results under {path}")
 
 
+def _result_and_truth(idx, path, ds, data):
+    """load_result(path), and result item idx's ground truth in dataset ds
+    read from data (None without ds); missing or misshapen is exit 3."""
+    from .errors import DatasetFormatError
+    from .pipeline import load_result
+    result, _ = load_result(path)
+    if ds is None:
+        return result, None
+    shape = result.reconstructions.shape
+    if idx >= len(ds.gt) or ds.gt[idx].shape != shape:
+        found = (f"ground truth {ds.gt[idx].shape}" if idx < len(ds.gt)
+                 else "no ground truth")
+        raise DatasetFormatError(
+            f"result item {idx} ({path}, frames {shape}) has {found} in "
+            f"{data}, a dataset of {len(ds.gt)} items")
+    return result, ds.gt[idx]
+
+
 def _gray8(image):
     """write_pgm's pixels: uint8, [0,1] mapped linearly to 0..255, clipped."""
     import numpy as np
@@ -282,7 +300,7 @@ def cmd_train_uar(args):
 
 def cmd_reconstruct(args):
     from .config import recon_config_from
-    from .pipeline import save_result, tcr_reconstruct
+    from .pipeline import evaluate, save_result, tcr_reconstruct
     if args.items is not None and args.items < 1:
         raise ValueError(f"--items must be >= 1, got {args.items}")
     # each flag overrides recon.<same name>
@@ -298,16 +316,17 @@ def cmd_reconstruct(args):
     n = len(sinos) if args.items is None else min(args.items, len(sinos))
     os.makedirs(args.out, exist_ok=True)
     for i in range(n):
-        gt = gts[i] if gts is not None else None
-        result = tcr_reconstruct(sinos[i], rcfg, refine_model, predict_model,
-                                 gt=gt)
+        result = tcr_reconstruct(sinos[i], rcfg, refine_model, predict_model)
+        line = f"item {i}: {len(sinos[i].frames)} frames reconstructed"
+        if gts is not None:  # scored as saved: float32 frames
+            result.reconstructions = result.reconstructions.astype("float32")
+            result.metrics = evaluate(
+                result, gts[i], data_range=cfg["eval"]["data_range"])["frames"]
+            line += f", last-frame psnr {result.metrics[-1]['psnr']:.2f}"
         save_result(os.path.join(args.out, f"item_{i:03d}"), result,
                     extra={"item": i, "solver": rcfg.solver,
                            "alpha_init": rcfg.alpha_init,
                            "alpha_rest": rcfg.alpha_rest})
-        line = f"item {i}: {len(sinos[i].frames)} frames reconstructed"
-        if result.metrics:
-            line += f", last-frame psnr {result.metrics[-1]['psnr']:.2f}"
         print(line)
     return 0
 
@@ -324,18 +343,13 @@ _EVAL_ROWS = (
 
 def cmd_evaluate(args):
     from .datasets import read_dataset
-    from .errors import DatasetFormatError
-    from .pipeline import aggregate_metrics, evaluate, load_result
+    from .pipeline import aggregate_metrics, evaluate
     cfg = _resolve_config(args)
     ds = read_dataset(args.data)
     tables = []
     for idx, path in _result_items(args.results):
-        result, _ = load_result(path)
-        if idx >= len(ds.gt):
-            raise DatasetFormatError(
-                f"result item {idx} has no ground truth "
-                f"(dataset holds {len(ds.gt)} items)")
-        tables.append(evaluate(result, ds.gt[idx],
+        result, gt = _result_and_truth(idx, path, ds, args.data)
+        tables.append(evaluate(result, gt,
                                data_range=cfg["eval"]["data_range"]))
     agg = aggregate_metrics(tables)
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
@@ -354,23 +368,15 @@ def cmd_evaluate(args):
 def cmd_plot(args):
     from .datasets import read_dataset
     from .errors import MissingArtifactError
-    from .pipeline import evaluate, load_result
+    from .pipeline import evaluate
     cfg = _resolve_config(args)
-    items = _result_items(args.results)
-    if args.item is None:
-        idx, path = items[0]
-    else:
-        match = [(i, p) for i, p in items if i == args.item]
-        if not match:
-            raise MissingArtifactError(
-                f"no result item {args.item} under {args.results}")
-        idx, path = match[0]
-    result, meta = load_result(path)
-    gt = None
-    if args.data:
-        ds = read_dataset(args.data)
-        if idx < len(ds.gt):
-            gt = ds.gt[idx]
+    items = dict(_result_items(args.results))
+    idx = min(items) if args.item is None else args.item
+    if idx not in items:
+        raise MissingArtifactError(
+            f"no result item {idx} under {args.results}")
+    ds = read_dataset(args.data) if args.data else None
+    result, gt = _result_and_truth(idx, items[idx], ds, args.data)
     os.makedirs(args.out, exist_ok=True)
     stem = os.path.join(args.out, f"item_{idx:03d}")
     write_pgm(stem + ".pgm", _frame_grid(gt, result))
@@ -379,20 +385,15 @@ def cmd_plot(args):
         _write_png(stem + ".png", _frame_grid(gt, result))
         wrote.append(stem + ".png")
 
-    frames = None
-    if gt is not None:
-        frames = evaluate(result, gt,
-                          data_range=cfg["eval"]["data_range"])["frames"]
-    elif meta.get("metrics"):
-        frames = meta["metrics"]
-    if frames is not None:
+    frames = result.metrics if gt is None else evaluate(
+        result, gt, data_range=cfg["eval"]["data_range"])["frames"]
+    if frames:
         csv_path = stem + "_psnr.csv"
         cols = ("step", "psnr", "ssim", "psnr_prior", "ssim_prior")
         with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=cols)
+            writer = csv.DictWriter(fh, cols, extrasaction="ignore")
             writer.writeheader()
-            for row in frames:
-                writer.writerow({k: row.get(k, "") for k in cols})
+            writer.writerows(frames)
         wrote.append(csv_path)
     print("wrote " + ", ".join(wrote))
     return 0

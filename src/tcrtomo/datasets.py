@@ -36,12 +36,19 @@ class Sinogram:
         self.frames = [np.asarray(f, dtype=np.float64) for f in frames]
         self.angles = [np.asarray(a, dtype=np.float64) for a in angles]
         self.offsets = np.asarray(offsets, dtype=np.float64)
+        # a NaN angle or offset would silently drop its rays from the
+        # projector; an infinite one, or no angle, would fail the solve
+        if not np.isfinite(self.offsets).all():
+            raise ValueError("offsets: non-finite values")
         for t, (f, a) in enumerate(zip(self.frames, self.angles)):
             if (a.ndim, self.offsets.ndim, f.shape) != (
                     1, 1, (a.size, self.offsets.size)):
                 raise ValueError(f"step {t}: frame shape {f.shape} does not "
                                  f"match angles {a.shape}, offsets "
                                  f"{self.offsets.shape}")
+            if a.size == 0 or not np.isfinite(a).all():
+                raise ValueError(f"step {t}: angles must be a non-empty list "
+                                 f"of finite values, got {a.tolist()}")
 
     @property
     def n_steps(self):

@@ -89,7 +89,8 @@ class ReconResult:
     refined: (2, H, W) refinement-model output for frames 0, 1.
     initial: (2, H, W) raw algebraic reconstructions of frames 0, 1.
     reports: one dict per step (step, phase, SolveReport).
-    metrics: per-step PSNR/SSIM rows when ground truth was supplied.
+    metrics: the per-step rows save_result writes: empty unless a caller
+        attaches evaluate's "frames" (the CLI does for dataset input).
     """
 
     reconstructions: np.ndarray
@@ -120,19 +121,19 @@ def _initial_recon(op, psi, cfg):
                           max_iter=cfg.max_iter_pdhg)
 
 
-def tcr_reconstruct(sino, cfg, refine_model, predict_model, gt=None,
-                    trace=None):
+def tcr_reconstruct(sino, cfg, refine_model, predict_model, trace=None):
     """Reconstruct a full measured sequence.
 
     sino: Sinogram with per-step projection data and angles.
     refine_model / predict_model: (params, SttConfig) pairs.
-    gt: optional (T, H, W) ground truth; fills per-step metric rows.
     trace: optional callable receiving dataflow events, used by tests to
-        audit causality. bench/ derives its stage and frame times from
-        these tuples, so changing them needs a benchmark change first
-        (ROADMAP items 4 and 5).
+        audit causality (a "predict" event's history is the predictor's:
+        the frames it holds and the one pushed next). bench/ derives its
+        stage and frame times from these tuples, so changing them needs a
+        benchmark change first (ROADMAP items 4 and 5).
 
-    Returns a ReconResult. Solver failures carry the step index.
+    Returns a ReconResult without metric rows (evaluate scores it).
+    Solver failures carry the step index.
     """
     n_frames = len(sino.frames)
     if n_frames < 2:
@@ -172,7 +173,7 @@ def tcr_reconstruct(sino, cfg, refine_model, predict_model, gt=None,
         phase, prior = "init", refined[0]
         if t > 0:
             if trace is not None:  # the history tuple only for a listener
-                emit("predict", t, tuple(range(t)))
+                emit("predict", t, tuple(range(predictor.length + 1)))
             phase = "loop"
             prior = predictions[t - 1] = predictor.push(
                 recon[t - 1].astype(np.float32))
@@ -187,12 +188,9 @@ def tcr_reconstruct(sino, cfg, refine_model, predict_model, gt=None,
             raise NumericalError(f"solver failed at step {t}: {exc}") from exc
         reports.append({"step": t, "phase": phase, "report": rep})
 
-    result = ReconResult(reconstructions=recon, predictions=predictions,
-                         refined=np.asarray(refined), initial=initial,
-                         reports=reports)
-    if gt is not None:
-        result.metrics = evaluate(result, gt)["frames"]
-    return result
+    return ReconResult(reconstructions=recon, predictions=predictions,
+                       refined=np.asarray(refined), initial=initial,
+                       reports=reports)
 
 
 # ------------------------------------------------- parameter selection
@@ -234,6 +232,9 @@ def select_alphas(validation, cfg, grid_init, grid_rest, refine_model,
 def evaluate(result, gt, data_range=1.0):
     """Per-frame and aggregate PSNR/SSIM for reconstructions and priors.
 
+    The one producer of metric rows: the CLI scores the float32 frames
+    save_result writes, at the run's eval.data_range.
+
     Returns a dict with a "frames" list (one row per time step) and
     aggregate entries: all-frames mean and std plus the last-frame value,
     for each of recon/prior x PSNR/SSIM.
@@ -255,24 +256,24 @@ def evaluate(result, gt, data_range=1.0):
                                      data_range)
         frames.append(row)
 
-    def agg(key, rows):
-        vals = np.array([r[key] for r in rows], dtype=np.float64)
-        if not np.all(np.isfinite(vals)):
-            # infinite PSNR (exact frames) has no meaningful spread
-            return float(np.mean(vals)), float("nan")
-        return float(np.mean(vals)), float(np.std(vals))
-
     table = {"frames": frames}
-    table["recon_psnr_mean"], table["recon_psnr_std"] = agg("psnr", frames)
-    table["recon_ssim_mean"], table["recon_ssim_std"] = agg("ssim", frames)
-    prior_rows = frames[1:]
-    table["prior_psnr_mean"], table["prior_psnr_std"] = agg("psnr_prior",
-                                                            prior_rows)
-    table["prior_ssim_mean"], table["prior_ssim_std"] = agg("ssim_prior",
-                                                            prior_rows)
+    for stem, key, rows in (("recon_psnr", "psnr", frames),
+                            ("recon_ssim", "ssim", frames),
+                            ("prior_psnr", "psnr_prior", frames[1:]),
+                            ("prior_ssim", "ssim_prior", frames[1:])):
+        table[stem + "_mean"], table[stem + "_std"] = _mean_std(
+            [r[key] for r in rows])
     table["last_psnr"] = frames[-1]["psnr"]
     table["last_ssim"] = frames[-1]["ssim"]
     return table
+
+
+def _mean_std(values):
+    """Mean and std of values; the spread of non-finite values (the
+    infinite PSNR of exact frames) is meaningless, so it is NaN."""
+    vals = np.asarray(values, dtype=np.float64)
+    std = float(np.std(vals)) if np.all(np.isfinite(vals)) else float("nan")
+    return float(np.mean(vals)), std
 
 
 def aggregate_metrics(tables):
@@ -282,12 +283,9 @@ def aggregate_metrics(tables):
     out = {}
     for key in ("recon_psnr_mean", "recon_ssim_mean", "prior_psnr_mean",
                 "prior_ssim_mean", "last_psnr", "last_ssim"):
-        vals = np.array([t[key] for t in tables], dtype=np.float64)
         base = key[:-5] if key.endswith("_mean") else key
-        out[base + "_mean"] = float(np.mean(vals))
-        # spread of non-finite aggregates (exact frames) is meaningless
-        out[base + "_std"] = (float(np.std(vals))
-                              if np.all(np.isfinite(vals)) else float("nan"))
+        out[base + "_mean"], out[base + "_std"] = _mean_std(
+            [t[key] for t in tables])
     return out
 
 

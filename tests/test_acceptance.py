@@ -448,9 +448,9 @@ def desk():
     rcfg = ReconConfig(image_size=32, solver="L1", alpha_init=a_init,
                        alpha_rest=a_rest)
 
-    res3 = [tcr_reconstruct(s, rcfg, refine_model, predict_model, gt=g)
+    res3 = [tcr_reconstruct(s, rcfg, refine_model, predict_model)
             for s, g in zip(test_ds.sinograms, test_ds.gt)]
-    res10 = [tcr_reconstruct(s, rcfg, refine_model, predict_model, gt=g)
+    res10 = [tcr_reconstruct(s, rcfg, refine_model, predict_model)
              for s, g in zip(test10_ds.sinograms, test10_ds.gt)]
     lw_test = landweber_pairs(test_ds)
 

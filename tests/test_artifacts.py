@@ -400,6 +400,25 @@ def _first_tensor(edit):
     return apply
 
 
+def also_naming(mutate, words):
+    """mutate, whose error must also carry words."""
+    return lambda d: mutate(d) + [words]
+
+
+def _angle_to(value):
+    return _set(value, "items", 0, "sino", 2, "angles", 0)
+
+
+def _no_angles(d):
+    """Step 2 of item 0 gets an empty angle list and a (0, n) payload."""
+    meta = json.loads((d / "meta.json").read_text())
+    entry = meta["items"][0]["sino"][2]
+    entry["angles"], entry["shape"][0] = [], 0
+    (d / "meta.json").write_text(json.dumps(meta))
+    (d / entry["file"]).write_bytes(b"")
+    return [str(d / "meta.json")]
+
+
 COMMON = [
     ("not-json", meta_text("{not json")),
     ("not-object", meta_text("[1, 2]")),
@@ -438,6 +457,11 @@ CORPUS = {
         ("offset-count", meta_edit(lambda m: m["offsets"].append(1.5))),
         ("offsets-a-number", meta_edit(_set(0.5, "offsets"))),
         ("angles-nested", meta_edit(_nest_angles)),
+        ("angle-nan", also_naming(meta_edit(_angle_to(np.nan)), "step 2")),
+        ("angle-inf", also_naming(meta_edit(_angle_to(np.inf)), "step 2")),
+        ("angles-empty", also_naming(_no_angles, "step 2")),
+        ("offset-nan", also_naming(meta_edit(_set(np.nan, "offsets", 0)),
+                                   "offsets")),
         ("payload-a-directory", as_directory("sino_0_t1.f32")),
         ("truncated", payload("sino_0_t1.f32", truncate)),
         ("overlong", payload("sino_1_t0.f32", extend)),

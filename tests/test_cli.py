@@ -29,7 +29,7 @@ from tcrtomo.errors import (ConfigError, DatasetFormatError,
 from tcrtomo.geometry import ScanGeometry, angle_schedule, operator_for_angles
 from tcrtomo.optim import adamw_step, init_adamw
 from tcrtomo.phantoms import generate_dataset
-from tcrtomo.pipeline import ReconResult, load_result, save_result
+from tcrtomo.pipeline import ReconResult, evaluate, load_result, save_result
 from tcrtomo.solvers import l1_tcr_fista
 from tcrtomo.stt import SttConfig, init_stt_params
 from test_artifacts import gt_restated, ref_save_checkpoint
@@ -300,6 +300,34 @@ class TestExitCodes:
         assert payload["error"] == "format-mismatch"
         assert str(src / "meta.json") in payload["message"]
         assert f"{key}: must be >= 8, got 4" in payload["message"]
+
+    @pytest.mark.parametrize("case", ["nan-angle", "nan-offset", "inf-angle",
+                                      "no-angles"])
+    def test_bad_scan_geometry_is_3(self, work, tmp_path, capsys, case):
+        """A sinogram set whose step 2 has a non-finite or empty angle list,
+        or whose offsets are not finite, exits 3 naming its meta.json
+        before any frame is solved."""
+        scans = tmp_path / "scans"
+        write_sinogram_set(read_dataset(work.data / "test").sinograms, 16,
+                           scans)
+        meta = json.loads((scans / "meta.json").read_text())
+        entry = meta["items"][0]["sino"][2]
+        if case == "nan-offset":
+            meta["offsets"][0] = float("nan")
+        elif case == "no-angles":
+            entry["angles"], entry["shape"][0] = [], 0
+            (scans / entry["file"]).write_bytes(b"")
+        else:
+            entry["angles"][0] = float(case[:3])
+        (scans / "meta.json").write_text(json.dumps(meta))
+        assert run_cli("reconstruct", "--config", work.cfg, "--input", scans,
+                       "--refine", work.refine, "--predict", work.predict,
+                       "--out", tmp_path / "r") == 3
+        payload = stderr_payload(capsys)
+        assert payload["error"] == "format-mismatch"
+        assert str(scans / "meta.json") in payload["message"]
+        assert ("offsets" if case == "nan-offset" else "step 2") \
+            in payload["message"]
 
     @pytest.mark.parametrize("case", ["meta-json", "payload", "config"])
     def test_unreadable_file_is_3(self, work, tmp_path, capsys, case):
@@ -603,6 +631,79 @@ class TestExitCodes:
         payload = stderr_payload(capsys)
         assert payload["error"] == "format-mismatch"
         assert "no ground truth" in payload["message"]
+
+
+class TestOneEvaluationPath:
+    """Every per-frame metric row comes from pipeline.evaluate on the
+    frames as saved, at the run's eval.data_range, and every command pairs
+    a result item with its ground truth the same way."""
+
+    @pytest.fixture(scope="class")
+    def ranged(self, work, tmp_path_factory):
+        """The work run's models reconstruct its 2-item test set under a
+        config with eval.data_range = 2.0."""
+        root = tmp_path_factory.mktemp("ranged")
+        cfg = root / "range2.json"
+        cfg.write_text(json.dumps(merge_config(
+            TINY_CONFIG, {"eval": {"data_range": 2.0}})))
+        results = root / "results"
+        assert run_cli("reconstruct", "--config", cfg, "--input",
+                       work.data / "test", "--refine", work.refine,
+                       "--predict", work.predict, "--out", results) == 0
+        return SimpleNamespace(cfg=cfg, results=results)
+
+    def test_stored_rows_are_evaluate_on_the_saved_frames(self, work,
+                                                          ranged):
+        gts = read_dataset(work.data / "test").gt
+        assert len(gts) == 2
+        for i, gt in enumerate(gts):
+            result, meta = load_result(ranged.results / f"item_{i:03d}")
+            assert meta["metrics"] == evaluate(result, gt,
+                                               data_range=2.0)["frames"]
+
+    @pytest.mark.parametrize("item", [0, 1])
+    def test_plot_rows_do_not_depend_on_data(self, work, ranged, tmp_path,
+                                             item):
+        """plot's CSV reads the same, byte for byte, whether its rows are
+        the stored ones or recomputed from the dataset."""
+        csvs = []
+        for tag, data in (("stored", []), ("recomputed",
+                                           ["--data", work.data / "test"])):
+            out = tmp_path / tag
+            assert run_cli("plot", "--config", ranged.cfg, "--results",
+                           ranged.results, "--out", out, "--item", item,
+                           *data) == 0
+            csvs.append((out / f"item_{item:03d}_psnr.csv").read_bytes())
+        assert csvs[0] == csvs[1]
+
+    @pytest.mark.parametrize("command", ["evaluate", "plot"])
+    @pytest.mark.parametrize("case", ["missing-item", "other-shape"])
+    def test_unpaired_ground_truth_is_3(self, work, tmp_path, capsys,
+                                        command, case):
+        """A dataset without result item 1, or whose frames have another
+        image size, exits 3 naming the first unpaired result item (plot
+        renders item 1) and the dataset."""
+        data = tmp_path / "data"
+        if case == "missing-item":
+            geom, n = geometry_from(load_config(path=work.cfg)), 1
+        else:
+            geom, n = ScanGeometry(**{**TINY_CONFIG["geometry"],
+                                      "image_size": 24}), 2
+        write_dataset(generate_dataset(geom, n, seed=0), data)
+        argv = ["--config", work.cfg, "--results", work.results, "--data",
+                data]
+        if command == "evaluate":
+            argv = ["evaluate", *argv, "--out", tmp_path / "m.csv"]
+        else:
+            argv = ["plot", *argv, "--out", tmp_path / "p", "--item", 1]
+        assert run_cli(*argv) == 3
+        payload = stderr_payload(capsys)
+        assert payload["error"] == "format-mismatch"
+        unpaired = 0 if (command, case) == ("evaluate", "other-shape") else 1
+        assert str(work.results / f"item_{unpaired:03d}") in payload["message"]
+        assert str(data) in payload["message"]
+        assert ("no ground truth" if case == "missing-item"
+                else "(4, 24, 24)") in payload["message"]
 
 
 class TestGenData:

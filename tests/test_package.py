@@ -1,8 +1,10 @@
 """The public surface: every exported name resolves, the README's
-module map lists every module, and its Configuration section names
-every config key."""
+module map lists every module, its Configuration section names every
+config key, and its quick start calls the API as it is."""
 
+import ast
 import importlib
+import inspect
 import pkgutil
 import re
 from pathlib import Path
@@ -48,3 +50,28 @@ def test_readme_configuration_names_every_key():
     missing = sorted({key for key in _leaves(SCHEMA)
                       if not re.search(rf"\b{key}\b", section)})
     assert missing == []
+
+
+def test_readme_quick_start_fits_the_api():
+    """Every name the quick start imports from tcrtomo resolves, and every
+    call of an imported callable binds to its signature (placeholder
+    arguments; nothing runs)."""
+    block = README.read_text().split("```python\n", 1)[1].split("```", 1)[0]
+    tree = ast.parse(block)
+    imported = {alias.asname or alias.name: getattr(tcrtomo, alias.name)
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and node.module == "tcrtomo" for alias in node.names}
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name)
+             and node.func.id in imported]
+    assert imported and calls
+    for call in calls:
+        assert not any(isinstance(a, ast.Starred) for a in call.args)
+        assert all(kw.arg is not None for kw in call.keywords)
+        try:
+            inspect.signature(imported[call.func.id]).bind(
+                *call.args, **{kw.arg: None for kw in call.keywords})
+        except TypeError as exc:
+            raise AssertionError(f"quick start line {call.lineno}: "
+                                 f"{ast.unparse(call)}: {exc}") from exc

@@ -48,12 +48,15 @@ class TestStructure:
         assert phases == [(0, "init")] + [(t, "loop") for t in range(1, 10)]
 
     def test_metrics_rows_when_gt_given(self, setup):
+        """The reconstruction scores nothing itself; evaluate, given the
+        ground truth, makes one row per step."""
         _, ds, rm, pm = setup
-        res = tcr_reconstruct(ds.sinograms[0], _cfg(), rm, pm,
-                              gt=ds.gt[0])
-        assert len(res.metrics) == 10
-        assert "psnr" in res.metrics[0] and "psnr_prior" not in res.metrics[0]
-        assert "psnr_prior" in res.metrics[5]
+        res = tcr_reconstruct(ds.sinograms[0], _cfg(), rm, pm)
+        assert res.metrics == []
+        rows = evaluate(res, ds.gt[0])["frames"]
+        assert len(rows) == 10
+        assert "psnr" in rows[0] and "psnr_prior" not in rows[0]
+        assert "psnr_prior" in rows[5]
 
     def test_trace_proves_causal_dataflow(self, setup):
         _, ds, rm, pm = setup
@@ -71,6 +74,27 @@ class TestStructure:
         # solve of t - 1 and right before the solve of t
         order = [e for e in events if e[0] in ("predict", "solve")]
         assert order[::2] == solves and order[1::2] == predicts
+
+    def test_trace_reads_the_history_from_the_predictor(self, setup,
+                                                         monkeypatch):
+        """The predict event's history is what the predictor holds, not
+        the loop index: a predictor that takes each frame twice holds
+        2(t - 1) frames before step t's push, so the event lists those and
+        the frame being pushed, 0..2t-2."""
+        import tcrtomo.pipeline as pipeline
+
+        class Doubling(Predictor):
+            def push(self, frames):
+                return super().push(np.stack([frames, frames]))
+
+        monkeypatch.setattr(pipeline, "Predictor", Doubling)
+        _, ds, rm, pm = setup
+        events = []
+        tcr_reconstruct(ds.sinograms[0], _cfg(), rm, pm, trace=events.append)
+        predicts = [e for e in events if e[0] == "predict"]
+        assert [e[1] for e in predicts] == list(range(1, 10))
+        for _, t, history in predicts:
+            assert history == tuple(range(2 * t - 1))
 
     def test_predictor_work_per_step_is_constant(self, setup, monkeypatch):
         """Each step feeds two slots of tokens through every dense layer
@@ -404,7 +428,8 @@ class TestConfigAndPersistence:
 
     def test_result_roundtrip(self, setup, tmp_path):
         _, ds, rm, pm = setup
-        res = tcr_reconstruct(ds.sinograms[0], _cfg(), rm, pm, gt=ds.gt[0])
+        res = tcr_reconstruct(ds.sinograms[0], _cfg(), rm, pm)
+        res.metrics = evaluate(res, ds.gt[0])["frames"]
         save_result(tmp_path / "out", res, extra={"solver": "L1"})
         loaded, meta = load_result(tmp_path / "out")
         assert meta["extra"]["solver"] == "L1"
