@@ -10,7 +10,7 @@ else.
 import numpy as np
 
 from tcrtomo.geometry import (ScanGeometry, angle_schedule, fbp,
-                              operator_for_angles, radon_forward)
+                              operator_for_angles)
 from tcrtomo.metrics import psnr
 from tcrtomo.phantoms import disc_image
 
@@ -19,7 +19,7 @@ img = disc_image(size, radius=1.0)
 offsets = np.linspace(-1.0, 1.0, 95)
 
 print("chord lengths of the unit disc, angle 0.35 rad")
-sino = radon_forward(img, [0.35], offsets)[0]
+sino = operator_for_angles([0.35], offsets, size).forward(img)[0]
 keep = np.abs(offsets) <= 0.8
 expected = 2.0 * np.sqrt(1.0 - offsets[keep] ** 2)
 err = np.max(np.abs(sino[keep] - expected))
@@ -42,6 +42,6 @@ print(f"adjoint identity: <Ax,y>={lhs:.6f}  <x,A'y>={rhs:.6f}")
 phantom = disc_image(size, radius=0.35, center=(0.2, -0.1), value=0.9)
 for n_angles in (60, 20, 3):
     angles = np.linspace(0.0, np.pi, n_angles, endpoint=False)
-    data = radon_forward(phantom, angles, offsets)
+    data = operator_for_angles(angles, offsets, size).forward(phantom)
     recon = fbp(data, angles, offsets, size)
     print(f"fbp from {n_angles:2d} angles: psnr {psnr(phantom, recon):6.2f} dB")

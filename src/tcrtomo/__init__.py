@@ -84,7 +84,6 @@ _EXPORTS = {
     "reg_loss": "uar",
     "gen_loss": "uar",
     "train_uar": "uar",
-    "sequence_operator": "uar",
     # metrics, persistence, config
     "psnr": "metrics",
     "ssim": "metrics",

@@ -86,11 +86,13 @@ def _load_model(path, expect_kind):
 def _load_measurements(path):
     """Dataset or sinogram-set directory -> (sinograms, gt or None, size).
 
-    The size must also meet ReconConfig's bound; one that does not is a
-    bad entry of path/meta.json, not of the user's recon config.
+    The size must also meet ReconConfig's bound, and every item must cover
+    the two initial steps; either failure is a bad entry of path/meta.json,
+    not of the user's recon config, found before any item is solved.
     """
     from .artifacts import DATASET, SINOGRAM, entries, read_meta
     from .datasets import load_external_sinogram, read_dataset
+    from .errors import DatasetFormatError
     from .pipeline import ReconConfig
     from .spec import check_value, field_named
     meta = read_meta(path, DATASET, SINOGRAM)
@@ -103,6 +105,12 @@ def _load_measurements(path):
         gts, key = None, "/image_size"
     with entries(path):
         check_value(field_named(ReconConfig, "image_size"), size, key)
+    for i, sino in enumerate(sinos):
+        if sino.n_steps < 2:
+            raise DatasetFormatError(
+                f"{os.path.join(path, 'meta.json')}: item {i} has "
+                f"{sino.n_steps} time step(s), reconstruction needs at "
+                f"least 2")
     return sinos, gts, size
 
 

@@ -172,9 +172,6 @@ class LinearOperator:
     def adjoint(self, y):
         raise NotImplementedError
 
-    def __call__(self, x):
-        return self.forward(x)
-
     def norm_ata(self):
         """Cached power-iteration estimate of ||A^T A||."""
         if getattr(self, "_norm_ata", None) is None:
@@ -259,9 +256,10 @@ _OP_CACHE = OrderedDict()
 def operator_for_angles(angles, offsets, image_size):
     """RadonOperator for an explicit angle list, cached per sampling.
 
-    Every projector of the package, radon_forward, radon_adjoint and fbp
-    included, comes from this cache.  It holds at most _OP_CACHE_SIZE
-    operators and drops the least recently used one beyond that.
+    The one way the package reaches a projector: fbp, the measurement
+    simulator, the solvers and the UAR pools all call it.  It holds at most
+    _OP_CACHE_SIZE operators and drops the least recently used one beyond
+    that.
     """
     angles = np.asarray(angles, dtype=np.float64)
     offsets = np.asarray(offsets, dtype=np.float64)
@@ -276,25 +274,6 @@ def operator_for_angles(angles, offsets, image_size):
     else:
         _OP_CACHE.move_to_end(key)
     return op
-
-
-def radon_operator(geom, t):
-    """Operator for time step t of a scan geometry.  Cached per angle set."""
-    return operator_for_angles(angle_schedule(geom, t), geom.offsets,
-                               geom.image_size)
-
-
-def radon_forward(image, angles, offsets):
-    """Forward projection through the cached operator for this sampling."""
-    image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 2 or image.shape[0] != image.shape[1]:
-        raise ValueError(f"image must be square 2-D, got shape {image.shape}")
-    return operator_for_angles(angles, offsets, image.shape[0]).forward(image)
-
-
-def radon_adjoint(sino, angles, offsets, image_size):
-    """Exact transpose of radon_forward for the same sampling."""
-    return operator_for_angles(angles, offsets, image_size).adjoint(sino)
 
 
 def operator_norm(op, tol=1e-4, max_iter=200):
@@ -364,4 +343,5 @@ def fbp(sino, angles, offsets, image_size):
 
     h = 2.0 / image_size
     scale = (math.pi / angles.size) * (d / (h * h))
-    return radon_adjoint(filt * scale, angles, offsets, image_size)
+    return operator_for_angles(angles, offsets, image_size).adjoint(
+        filt * scale)

@@ -8,7 +8,6 @@ for other data.
 import math
 
 import numpy as np
-from scipy.signal import convolve2d
 
 
 def psnr(reference, test, data_range=1.0):
@@ -56,6 +55,10 @@ def ssim(reference, test, data_range=1.0, window_size=11, sigma=1.5,
     win = _gaussian_window(window_size, sigma)
     c1 = (k1 * data_range) ** 2
     c2 = (k2 * data_range) ** 2
+
+    # imported here: scipy.signal pulls in about 50 MB of scipy that no
+    # caller of psnr, nor a trainer importing the pipeline, needs
+    from scipy.signal import convolve2d
 
     def filt(img):
         return convolve2d(img, win, mode="valid")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .datasets import Sinogram
 from .errors import GenerationError
-from .geometry import pixel_centers, radon_operator
+from .geometry import angle_schedule, operator_for_angles, pixel_centers
 
 
 @dataclass
@@ -38,18 +38,20 @@ class AffineMotion:
         sh = np.array([[1.0, self.shear], [0.0, 1.0]])
         return rot @ (scale * sh)
 
-    def cumulative(self, t):
-        """(L_t, v_t) of the t-fold composition; t = 0 is the identity."""
-        if t < 0:
-            raise ValueError(f"t must be >= 0, got {t}")
+    def trajectory(self, n_steps):
+        """Yield (L_t, v_t) of the t-fold composition for t = 0..n_steps-1.
+
+        t = 0 is the identity; each later pair is the step map applied once
+        to the previous one, so the whole sequence costs n_steps products.
+        """
         lin = np.eye(2)
         vec = np.zeros(2)
         step = self.step_matrix()
         v = np.asarray(self.translation, dtype=np.float64)
-        for _ in range(t):
+        for _ in range(n_steps):
+            yield lin, vec
             lin = step @ lin
             vec = step @ vec + v
-        return lin, vec
 
     def to_dict(self):
         return {"translation": [float(x) for x in self.translation],
@@ -92,8 +94,7 @@ def _shape_boundary(shape, n=64):
 
 def _feasible(shapes, motion, n_steps):
     pts = np.concatenate([_shape_boundary(s) for s in shapes], axis=1)
-    for t in range(n_steps):
-        lin, vec = motion.cumulative(t)
+    for lin, vec in motion.trajectory(n_steps):
         moved = lin @ pts + vec[:, None]
         if np.any(np.sum(moved * moved, axis=0) > 1.0):
             return False
@@ -159,8 +160,7 @@ def render_sequence(spec):
     xx, yy = np.meshgrid(coord, coord, indexing="xy")
     grid = np.stack([xx.ravel(), yy.ravel()])
     frames = np.empty((spec.n_steps, size, size), dtype=np.float32)
-    for t in range(spec.n_steps):
-        lin, vec = spec.motion.cumulative(t)
+    for t, (lin, vec) in enumerate(spec.motion.trajectory(spec.n_steps)):
         frames[t] = _render_frame(spec, lin, vec, grid).reshape(size, size)
     return frames
 
@@ -192,9 +192,9 @@ def simulate_measurements(frames, geom, noise_level=0.0, seed=0):
     clean = []
     angles = []
     for t in range(geom.n_steps):
-        op = radon_operator(geom, t)
-        clean.append(op.forward(frames[t]))
-        angles.append(op.angles)
+        angles.append(angle_schedule(geom, t))
+        clean.append(operator_for_angles(angles[t], geom.offsets,
+                                         geom.image_size).forward(frames[t]))
     if noise_level > 0:
         scale = noise_level * max(float(np.max(np.abs(c))) for c in clean)
         rng = np.random.default_rng(np.random.SeedSequence(seed))

@@ -32,12 +32,12 @@ from .metrics import psnr, ssim
 from .solvers import l1_tcr_fista, l1_tv_tcr_pdhg, l2_tcr
 from .spec import check_fields, spec
 from .stt import Predictor, check_stt_params, refine
-from .training import LANDWEBER_ITERS
 
 __all__ = [
     "ReconConfig",
     "ReconResult",
     "solve_step",
+    "initial_recon",
     "tcr_reconstruct",
     "select_alphas",
     "evaluate",
@@ -45,6 +45,11 @@ __all__ = [
     "save_result",
     "load_result",
 ]
+
+# Landweber budget of the frames-0/1 bootstrap: the default of
+# ReconConfig.landweber_iters, and the budget of the training pairs
+LANDWEBER_ITERS = 19
+
 
 @dataclass(frozen=True)
 class ReconConfig:
@@ -55,9 +60,9 @@ class ReconConfig:
     the same split. Initial reconstructions use plain Landweber by
     default; the "tv" mode solves a TV-regularized problem instead, for
     measured data whose raw backprojections are too streaky to refine.
-    landweber_iters defaults to training.LANDWEBER_ITERS, the budget of
-    the pairs the refinement model is trained on. Solver names may be
-    given in lower case.
+    landweber_iters defaults to LANDWEBER_ITERS, the budget of the pairs
+    the refinement model is trained on. Solver names may be given in lower
+    case.
     """
 
     image_size: int = spec(minimum=8)
@@ -113,7 +118,13 @@ def solve_step(op, psi, prior, alpha, beta, cfg):
                           max_iter=cfg.max_iter_pdhg)
 
 
-def _initial_recon(op, psi, cfg):
+def initial_recon(op, psi, cfg):
+    """Bootstrap solve of frame 0 or 1 from zero, without coupling term.
+
+    The one solve behind both the reconstruction's initial frames and the
+    training pairs of the refinement model (training.landweber_pairs).
+    Returns (x, SolveReport).
+    """
     zeros = np.zeros(op.in_shape)
     if cfg.init_mode == "landweber":
         return l2_tcr(op, psi, zeros, 0.0, max_iter=cfg.landweber_iters)
@@ -155,7 +166,7 @@ def tcr_reconstruct(sino, cfg, refine_model, predict_model, trace=None):
     for t in range(2):
         emit("initial", t)
         try:
-            x, _ = _initial_recon(operator(t), sino.frames[t], cfg)
+            x, _ = initial_recon(operator(t), sino.frames[t], cfg)
         except Exception as exc:
             raise NumericalError(
                 f"initialization failed at step {t}: {exc}") from exc

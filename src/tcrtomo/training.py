@@ -19,7 +19,7 @@ from .checkpoint import save_checkpoint
 from .errors import ConfigError, DatasetFormatError
 from .geometry import operator_for_angles
 from .optim import adamw_step, init_adamw, lr_cosine
-from .solvers import l2_tcr
+from .pipeline import ReconConfig, initial_recon
 from .spec import check_fields, spec
 from .stt import (SttConfig, _run, check_stt_params, init_stt_params, refine,
                   rollout)
@@ -45,11 +45,6 @@ LOG_COLUMNS = ("epoch", "split", "loss", "lr", "gt_ratio", "tf_ratio", "rollout"
 ADAMW_BETAS = (0.9, 0.95)
 ADAMW_WEIGHT_DECAY = 1e-2
 ADAMW_EPS = 1e-8
-
-# Landweber budget of the frames-0/1 bootstrap; ReconConfig.landweber_iters
-# defaults to it, so training and reconstruction start from the same pairs
-LANDWEBER_ITERS = 19
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -123,11 +118,13 @@ def rollout_prob(e):
 def landweber_pairs(dataset):
     """Initial reconstructions of frames 0 and 1 for every dataset item.
 
-    Plain Landweber (no coupling term) on each frame's own measurements,
-    run to the discrepancy-increase stop within LANDWEBER_ITERS steps.
-    Returns float32 (N, 2, H, W).
+    pipeline.initial_recon under the default ReconConfig: plain Landweber
+    on each frame's own measurements, run to the discrepancy-increase stop
+    within pipeline.LANDWEBER_ITERS steps, so reconstruction starts from
+    the same pairs.  Returns float32 (N, 2, H, W).
     """
     size = dataset.geometry.image_size
+    cfg = ReconConfig(image_size=size)
     pairs = []
     for i, sino in enumerate(dataset.sinograms):
         if len(sino.frames) < 2 or dataset.gt[i].shape[0] < 2:
@@ -136,8 +133,7 @@ def landweber_pairs(dataset):
         pair = []
         for t in range(2):
             op = operator_for_angles(sino.angles[t], sino.offsets, size)
-            x, _ = l2_tcr(op, sino.frames[t], np.zeros((size, size)),
-                          alpha=0.0, max_iter=LANDWEBER_ITERS)
+            x, _ = initial_recon(op, sino.frames[t], cfg)
             pair.append(x.astype(np.float32))
         pairs.append(np.stack(pair))
     return np.stack(pairs)

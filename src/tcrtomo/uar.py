@@ -43,7 +43,6 @@ __all__ = [
     "critic_params",
     "StaticScanOperator",
     "SequenceScanOperator",
-    "sequence_operator",
     "uar_generator",
     "uar_reconstruct",
     "critic_value",
@@ -282,13 +281,6 @@ class SequenceScanOperator:
         return out
 
 
-def sequence_operator(sino, image_size):
-    """SequenceScanOperator matching a Sinogram's per-step angle sets."""
-    ops = [operator_for_angles(a, sino.offsets, image_size)
-           for a in sino.angles]
-    return SequenceScanOperator(ops)
-
-
 def _operator_apply(x, aop, forward):
     """Apply the scan operator inside the graph; batched (1, 1, ...) layout."""
     if forward:
@@ -508,7 +500,9 @@ def _build_pools(dataset, mode, rng):
             gt_pool.append(np.asarray(gt[t], dtype=np.float32))
             psi_pool.append((np.asarray(sino.frames[t], dtype=np.float64), op))
         else:
-            aop = sequence_operator(sino, size)
+            aop = SequenceScanOperator(
+                [operator_for_angles(a, sino.offsets, size)
+                 for a in sino.angles])
             gt_pool.append(np.asarray(gt, dtype=np.float32))
             psi_pool.append((aop.pad(sino.frames), aop))
     return gt_pool, psi_pool

@@ -22,7 +22,7 @@ from tcrtomo import autodiff as ad
 from tcrtomo.autodiff import Tensor, gradcheck
 from tcrtomo.datasets import Sinogram, write_dataset
 from tcrtomo.geometry import (MatrixOperator, ScanGeometry, angle_schedule,
-                              operator_for_angles, radon_forward)
+                              operator_for_angles)
 from tcrtomo.checkpoint import save_checkpoint
 from tcrtomo.metrics import psnr
 from tcrtomo.phantoms import disc_image, generate_dataset
@@ -90,7 +90,7 @@ def test_01_projector_adjoint_and_chord():
         tol = 2.0 * (2.0 / size)  # two pixel widths
         err = 0.0
         for phi in (0.0, 0.35, math.pi / 4, 1.2, math.pi / 2):
-            sino = radon_forward(img, [phi], offsets)[0]
+            sino = operator_for_angles([phi], offsets, size).forward(img)[0]
             err = max(err, float(np.max(np.abs(sino[keep] - expected))))
         assert err < tol, f"size {size}: chord error {err:.4f} vs {tol:.4f}"
         chord_worst[size] = err

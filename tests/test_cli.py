@@ -22,8 +22,8 @@ from tcrtomo.config import (default_config, geometry_from, load_config,
                             merge_config, recon_config_from, stt_config_from,
                             train_config_from, uar_configs_from,
                             validate_config)
-from tcrtomo.datasets import (load_external_sinogram, read_dataset,
-                              write_dataset, write_sinogram_set)
+from tcrtomo.datasets import (Sinogram, load_external_sinogram,
+                              read_dataset, write_dataset, write_sinogram_set)
 from tcrtomo.errors import (ConfigError, DatasetFormatError,
                             MissingArtifactError)
 from tcrtomo.geometry import ScanGeometry, angle_schedule, operator_for_angles
@@ -300,6 +300,25 @@ class TestExitCodes:
         assert payload["error"] == "format-mismatch"
         assert str(src / "meta.json") in payload["message"]
         assert f"{key}: must be >= 8, got 4" in payload["message"]
+
+    def test_sinogram_set_item_below_two_steps_is_3(self, work, tmp_path,
+                                                    capsys):
+        """A sinogram-set item with one time step exits 3 naming its
+        meta.json and the item, before any item is reconstructed."""
+        sinos = read_dataset(work.data / "test").sinograms
+        short = Sinogram(sinos[1].frames[:1], sinos[1].angles[:1],
+                         sinos[1].offsets)
+        scans = tmp_path / "scans"
+        write_sinogram_set([sinos[0], short], 16, scans)
+        out = tmp_path / "r"
+        assert run_cli("reconstruct", "--config", work.cfg, "--input", scans,
+                       "--refine", work.refine, "--predict", work.predict,
+                       "--out", out) == 3
+        payload = stderr_payload(capsys)
+        assert payload["error"] == "format-mismatch"
+        assert str(scans / "meta.json") in payload["message"]
+        assert "item 1" in payload["message"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("case", ["nan-angle", "nan-offset", "inf-angle",
                                       "no-angles"])

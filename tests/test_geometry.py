@@ -1,6 +1,8 @@
 """Projection geometry: angle schedules, forward/adjoint pair, FBP."""
 
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -9,8 +11,7 @@ from scipy.ndimage import map_coordinates
 from tcrtomo import geometry
 from tcrtomo.geometry import (LinearOperator, MatrixOperator, RadonOperator,
                               ScanGeometry, angle_schedule, fbp,
-                              operator_for_angles, operator_norm,
-                              radon_adjoint, radon_forward)
+                              operator_for_angles, operator_norm)
 from tcrtomo.metrics import psnr
 from tcrtomo.phantoms import disc_image
 from tcrtomo.solvers import l1_tcr_fista, l1_tv_tcr_pdhg, l2_tcr
@@ -83,7 +84,7 @@ def test_chord_length_on_disc():
     keep = np.abs(offsets) <= 0.8
     tol = 2.0 * (2.0 / size)
     for phi in [0.0, 0.3, math.pi / 4, 1.2, math.pi / 2, 2.5]:
-        sino = radon_forward(img, [phi], offsets)[0]
+        sino = operator_for_angles([phi], offsets, size).forward(img)[0]
         expected = 2.0 * np.sqrt(1.0 - offsets[keep] ** 2)
         assert np.max(np.abs(sino[keep] - expected)) < tol, f"angle {phi}"
 
@@ -94,7 +95,7 @@ def test_center_pixel_angle_invariance():
     img = np.zeros((size, size))
     img[size // 2, size // 2] = 1.0
     offsets = np.array([0.0])
-    vals = [radon_forward(img, [phi], offsets)[0, 0]
+    vals = [operator_for_angles([phi], offsets, size).forward(img)[0, 0]
             for phi in np.linspace(0, math.pi, 13, endpoint=False)]
     vals = np.array(vals)
     # bilinear footprint is square-ish, so only near-invariance holds
@@ -124,7 +125,7 @@ def test_forward_matches_dense_ray_oracle():
     samples = map_coordinates(img, [cy, cx], order=1, mode="constant")
     oracle = samples.sum() * step
 
-    got = radon_forward(img, [phi], [sigma])[0, 0]
+    got = operator_for_angles([phi], [sigma], size).forward(img)[0, 0]
     assert got == pytest.approx(oracle, rel=1e-10)
 
 
@@ -134,8 +135,9 @@ def test_outside_disc_pixels_ignored():
     corner = img.copy()
     corner[0, 0] += 100.0  # corner pixel center lies outside the unit disc
     offsets = np.linspace(-1, 1, 50)
-    a = radon_forward(img, [0.3, 1.1], offsets)
-    b = radon_forward(corner, [0.3, 1.1], offsets)
+    op = operator_for_angles([0.3, 1.1], offsets, size)
+    a = op.forward(img)
+    b = op.forward(corner)
     assert np.array_equal(a, b)
 
 
@@ -270,7 +272,7 @@ def test_adjoint_footprint():
 
 def test_forward_shape_validation():
     with pytest.raises(ValueError):
-        radon_forward(np.zeros((8, 9)), [0.0], [0.0])
+        operator_for_angles([0.0], [0.0], 8).forward(np.zeros((8, 9)))
     op = RadonOperator([0.0, 1.0], np.linspace(-1, 1, 10), 16)
     with pytest.raises(ValueError):
         op.forward(np.zeros((8, 8)))
@@ -314,7 +316,7 @@ def test_fbp_disc_psnr():
     img = disc_image(size, radius=0.6)
     angles = np.arange(180) * math.pi / 180
     offsets = np.linspace(-1, 1, 100)
-    sino = radon_forward(img, angles, offsets)
+    sino = operator_for_angles(angles, offsets, size).forward(img)
     rec = fbp(sino, angles, offsets, size)
     assert psnr(img, rec, data_range=1.0) >= 25.0
 
@@ -328,7 +330,8 @@ def test_fbp_amplitude_calibration():
     img = np.exp(-((xx ** 2 + yy ** 2) / 0.08))
     angles = np.arange(120) * math.pi / 120
     offsets = np.linspace(-1, 1, 100)
-    rec = fbp(radon_forward(img, angles, offsets), angles, offsets, size)
+    sino = operator_for_angles(angles, offsets, size).forward(img)
+    rec = fbp(sino, angles, offsets, size)
     assert abs(rec.max() / img.max() - 1.0) < 0.05
 
 
@@ -337,12 +340,9 @@ def test_one_off_transforms_use_the_operator_cache(monkeypatch):
     angles = np.array([0.21, 1.3, 2.6])  # a sampling no other test uses
     offsets = np.linspace(-1, 1, 31)
     img = disc_image(size, radius=0.5)
-    sino = radon_forward(img, angles, offsets)  # first call fills the cache
+    op = operator_for_angles(angles, offsets, size)  # fills the cache
+    sino = op.forward(img)
     n_cached = len(geometry._OP_CACHE)
-    op = operator_for_angles(angles, offsets, size)
-    assert np.array_equal(radon_forward(img, angles, offsets), op.forward(img))
-    assert np.array_equal(radon_adjoint(sino, angles, offsets, size),
-                          op.adjoint(sino))
 
     backprojections = []
     adjoint = op.adjoint
@@ -376,10 +376,39 @@ def test_operator_cache_evicts_least_recently_used(monkeypatch):
                                                                  0.2]
 
 
+class _RadonOperatorCalls(ast.NodeVisitor):
+    """Collects (module, enclosing def) of every RadonOperator(...) call."""
+
+    def __init__(self, module, sites):
+        self.module, self.sites, self.scope = module, sites, []
+
+    def _scoped(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _scoped
+
+    def visit_Call(self, node):
+        func = node.func
+        if getattr(func, "id", getattr(func, "attr", None)) == "RadonOperator":
+            self.sites.append((self.module, ".".join(self.scope)))
+        self.generic_visit(node)
+
+
+def test_only_the_operator_cache_constructs_projectors():
+    # every caller reaches a projector through operator_for_angles
+    sites = []
+    for path in sorted(pathlib.Path(geometry.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        _RadonOperatorCalls(path.stem, sites).visit(tree)
+    assert sites == [("geometry", "operator_for_angles")]
+
+
 def test_cached_operator_keeps_its_own_sampling():
     angles = np.array([0.37, 2.2])
     offsets = np.linspace(-1, 1, 13)
-    radon_forward(np.ones((8, 8)), angles, offsets)
+    operator_for_angles(angles, offsets, 8)
     angles[0] = 2.9
     offsets[0] = -2.0
     op = operator_for_angles([0.37, 2.2], np.linspace(-1, 1, 13), 8)

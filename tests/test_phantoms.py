@@ -8,7 +8,8 @@ import pytest
 from tcrtomo.datasets import (load_external_sinogram, read_dataset,
                               write_dataset, write_sinogram_set)
 from tcrtomo.errors import DatasetFormatError, GenerationError
-from tcrtomo.geometry import ScanGeometry, radon_operator
+from tcrtomo.geometry import (ScanGeometry, angle_schedule,
+                              operator_for_angles)
 from tcrtomo.phantoms import (AffineMotion, PhantomSpec, generate_dataset,
                               mass_center, render_sequence, sample_phantom,
                               simulate_measurements)
@@ -92,6 +93,22 @@ def test_mass_center_moves_linearly_under_translation():
         ss_res = np.sum(resid ** 2)
         ss_tot = np.sum((centers[:, dim] - centers[:, dim].mean()) ** 2)
         assert 1.0 - ss_res / ss_tot >= 0.999
+
+
+def test_trajectory_matches_the_composition_from_identity():
+    # oracle: the t-fold composition rebuilt from the identity for every t
+    motion = AffineMotion(translation=(0.01, -0.02), rotation=0.03,
+                          log_scale=-0.01, shear=0.012)
+    step = motion.step_matrix()
+    v = np.asarray(motion.translation, dtype=np.float64)
+    maps = list(motion.trajectory(200))
+    assert len(maps) == 200
+    for t, (lin, vec) in enumerate(maps):
+        want_lin, want_vec = np.eye(2), np.zeros(2)
+        for _ in range(t):
+            want_lin = step @ want_lin
+            want_vec = step @ want_vec + v
+        assert np.array_equal(lin, want_lin) and np.array_equal(vec, want_vec)
 
 
 def test_rotation_preserves_mass():
@@ -213,5 +230,6 @@ def test_measurement_consistency_with_operator():
     frames = render_sequence(sample_phantom(8, image_size=32, n_steps=6))
     sino = simulate_measurements(frames, geom)
     for t in range(geom.n_steps):
-        op = radon_operator(geom, t)
+        op = operator_for_angles(angle_schedule(geom, t), geom.offsets,
+                                 geom.image_size)
         assert np.allclose(sino.frames[t], op.forward(frames[t]))

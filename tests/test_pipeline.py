@@ -7,8 +7,8 @@ from tcrtomo.datasets import Sinogram
 from tcrtomo.errors import ConfigError, NumericalError
 from tcrtomo.geometry import MatrixOperator, ScanGeometry, operator_for_angles
 from tcrtomo.phantoms import generate_dataset
-from tcrtomo.pipeline import (ReconConfig, _initial_recon, aggregate_metrics,
-                              evaluate, load_result, save_result,
+from tcrtomo.pipeline import (ReconConfig, aggregate_metrics, evaluate,
+                              initial_recon, load_result, save_result,
                               select_alphas, solve_step, tcr_reconstruct)
 from tcrtomo.solvers import l1_tcr_fista, l1_tv_tcr_pdhg, l2_tcr
 from tcrtomo.stt import (Predictor, SttConfig, init_stt_params, predict_next,
@@ -202,7 +202,7 @@ def _two_init_solves_reconstruct(sino, cfg, refine_model, predict_model):
     predictions, whose solve of frame 1 overwrites the first one."""
     n_frames, size = len(sino.frames), cfg.image_size
     ops = [operator_for_angles(a, sino.offsets, size) for a in sino.angles]
-    initial = np.stack([_initial_recon(ops[t], sino.frames[t], cfg)[0]
+    initial = np.stack([initial_recon(ops[t], sino.frames[t], cfg)[0]
                         for t in range(2)])
     refined = refine(*refine_model, initial.astype(np.float32))
     recon = np.zeros((n_frames, size, size))

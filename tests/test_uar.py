@@ -16,7 +16,7 @@ from tcrtomo.spec import fields_from_dict
 from tcrtomo.uar import (MODES, SequenceScanOperator, StaticScanOperator,
                          UarConfig, UarTrainConfig, critic_params,
                          critic_value, gen_loss, generator_params,
-                         init_uar_params, reg_loss, sequence_operator,
+                         init_uar_params, reg_loss,
                          train_uar, uar_generator, uar_reconstruct)
 from tcrtomo.uar import _critic_input_grad_norm
 
@@ -545,7 +545,10 @@ class TestTraining:
         _, extra, _ = load_checkpoint(str(tmp_path / "dyn" / "final"))
         assert extra["mode"] == "dynamic3d"
         # trained generator reconstructs a held-out sequence
-        aop = sequence_operator(ds.sinograms[2], ds.geometry.image_size)
-        psi = aop.pad(ds.sinograms[2].frames)
+        held_out = ds.sinograms[2]
+        aop = SequenceScanOperator(
+            [operator_for_angles(a, held_out.offsets, ds.geometry.image_size)
+             for a in held_out.angles])
+        psi = aop.pad(held_out.frames)
         rec = uar_reconstruct(params, psi, aop)
         assert rec.shape == (3, 16, 16) and np.isfinite(rec).all()
