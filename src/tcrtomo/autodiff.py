@@ -16,12 +16,14 @@ every axis reads shifted slabs of its zero-padded input: on the input
 flattened over its spatial axes, each kernel offset's columns are one
 contiguous run per channel, and the output is computed over the padded
 row width, then cropped.  Whichever side has fewer channels is stacked
-over the kernel offsets for one GEMM, and that temporary is never kept:
-the forward tapes only the padded input, 1/prod(k) the size of im2col
-columns.  A strided conv (the STT encoders) gathers im2col columns,
-(C*prod(k), N*P) in (C, *k, N, *out) order, and tapes them.  Either way
-the forward keeps what its GEMMs read only when the weight needs a
-gradient, the one reader of it.  A conv's input gradient (skipped when
+over the kernel offsets for one GEMM, and that temporary is never kept.
+Such a conv tapes nothing of its own: its weight gradient re-pads the
+input, which the graph holds anyway.  A strided conv (the STT encoders)
+gathers im2col columns, (C*prod(k), N*P) in (C, *k, N, *out) order, and
+tapes them when the weight needs a gradient, their one reader.  A conv
+given a slope leaky-rectifies its own fresh output in place, one tape
+node that keeps the activation once; the rectifier's slope comes from
+the sign of its output.  A conv's input gradient (skipped when
 the input needs none) is also the forward pass of conv_transpose2d/3d,
 whose backward is a plain conv.  At stride 1 it is itself a stride-1
 conv, of the output gradient with the flipped, channel-swapped kernel;
@@ -291,15 +293,36 @@ def sqrt(a):
     return _make(root, (a,), backward)
 
 
+def _check_slope(slope):
+    if not slope >= 0.0:  # NaN included
+        raise ValueError(f"leaky rectifier slope must be >= 0, got {slope}")
+
+
+def leaky_relu_slope(v, slope):
+    """1 where v > 0, else slope (NaN included), in v's dtype.
+
+    With slope >= 0 that is the leaky rectifier's derivative at its
+    input x, and also at its output x * factor: the output is > 0 exactly
+    where x is.  fmax of the 0/1 mask and the slope is one branch-free
+    pass, several times faster than np.where on a mask of random signs.
+    """
+    return np.fmax(v > 0, slope, dtype=v.dtype)
+
+
 def leaky_relu(a, slope=0.1):
+    """x where x > 0, else slope * x, for slope >= 0.
+
+    The tape keeps only the output: the backward takes the slope from its
+    sign (see leaky_relu_slope).
+    """
+    _check_slope(slope)
     a = _as_tensor(a)
-    typed = a.data.dtype.type  # the slope in the payload's dtype, no cast
-    factor = np.where(a.data > 0, typed(1.0), typed(slope))
+    out = a.data * leaky_relu_slope(a.data, slope)
 
     def backward(g):
-        _accum(a, g * factor)
+        _accum(a, g * leaky_relu_slope(out, slope))
 
-    return _make(a.data * factor, (a,), backward)
+    return _make(out, (a,), backward)
 
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -838,30 +861,44 @@ def _conv_operands(a, w, nd, op):
     return a, w
 
 
-def _conv_nd(a, w, b, stride, pad, nd):
+def _conv_nd(a, w, b, stride, pad, nd, slope):
     a, w = _conv_operands(a, w, nd, f"conv{nd}d")
     if a.data.shape[1] != w.data.shape[1]:
         raise ValueError(
             f"input channels {a.data.shape[1]} != weight channels {w.data.shape[1]}")
     stride, pad = _norm_stride_pad(stride, pad, nd)
     _check_kernel_fits("input", a.data.shape, w.data.shape[2:], pad)
+    if slope is not None:
+        _check_slope(slope)
     out, cols = _conv_forward(a.data, w.data, stride, pad)
-    if not _needs_grad(w):
-        cols = None  # only the weight gradient reads them
+    if all(s == 1 for s in stride) or not _needs_grad(w):
+        # only the weight gradient reads them, and at stride 1 it re-pads
+        # a.data, which the graph holds anyway
+        cols = None
     parents = [a, w]
     if b is not None:
         b = _as_tensor(b, like=a)
         if b.data.shape != (w.data.shape[0],):
             raise ValueError(
                 f"bias shape {b.data.shape} != ({w.data.shape[0]},)")
-        out = out + b.data.reshape((1, -1) + (1,) * nd)
+        bias = b.data.reshape((1, -1) + (1,) * nd)
+        if np.result_type(out, bias) == out.dtype:
+            out += bias  # out is this op's own fresh array
+        else:
+            out = out + bias
         parents.append(b)
+    if slope is not None:
+        out *= leaky_relu_slope(out, slope)
 
     def backward(g):
+        if slope is not None:
+            g = g * leaky_relu_slope(out, slope)
         if b is not None:
             _accum(b, g.sum(axis=(0,) + tuple(range(2, 2 + nd))))
-        if cols is not None:
-            _accum(w, _conv_dw(cols, g, w.data.shape))
+        if _needs_grad(w):
+            lowered = (cols if cols is not None else
+                       _lower(a.data, w.data.shape[2:], stride, pad)[0])
+            _accum(w, _conv_dw(lowered, g, w.data.shape))
         if _needs_grad(a):
             _accum(a, _conv_input_grad(g, w.data, stride, pad,
                                        a.data.shape[2:]))
@@ -869,15 +906,20 @@ def _conv_nd(a, w, b, stride, pad, nd):
     return _make(out, tuple(parents), backward)
 
 
-def conv2d(a, w, b=None, stride=1, padding=((0, 0), (0, 0))):
-    """2-D convolution (correlation): a (N,C,H,W), w (Co,C,kh,kw)."""
-    return _conv_nd(a, w, b, stride, padding, 2)
+def conv2d(a, w, b=None, stride=1, padding=((0, 0), (0, 0)), slope=None):
+    """2-D convolution (correlation): a (N,C,H,W), w (Co,C,kh,kw).
+
+    With a slope the output is leaky-rectified (see leaky_relu) in the
+    same tape node, so the pre-activation is never kept."""
+    return _conv_nd(a, w, b, stride, padding, 2, slope)
 
 
-def conv3d(a, w, b=None, stride=1, padding=((0, 0), (0, 0), (0, 0))):
+def conv3d(a, w, b=None, stride=1, padding=((0, 0), (0, 0), (0, 0)),
+           slope=None):
     """3-D convolution: a (N,C,D,H,W), w (Co,C,kd,kh,kw).  Causal-in-time
-    encoders pass left-heavy padding on the first spatial axis."""
-    return _conv_nd(a, w, b, stride, padding, 3)
+    encoders pass left-heavy padding on the first spatial axis.  slope as
+    in conv2d."""
+    return _conv_nd(a, w, b, stride, padding, 3, slope)
 
 
 def _conv_transpose_nd(a, w, stride, pad, nd, output_size):

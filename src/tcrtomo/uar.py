@@ -24,8 +24,8 @@ import numpy as np
 
 from .autodiff import (Tensor, add, broadcast_to, concat, conv2d, conv3d,
                        conv_transpose2d, conv_transpose3d, leaky_relu,
-                       linear_map, matmul, mul, no_grad, reshape, scale,
-                       sqrt, sub, tmean, transpose, tsum)
+                       leaky_relu_slope, linear_map, matmul, mul, no_grad,
+                       reshape, scale, sqrt, sub, tmean, transpose, tsum)
 from .checkpoint import save_checkpoint
 from .errors import ConfigError
 from .geometry import fbp, operator_for_angles
@@ -185,17 +185,17 @@ def _same_pads(w):
     return tuple((k // 2, (k - 1) // 2) for k in w.data.shape[2:])
 
 
-def _conv_same(x, w, b):
+def _conv_same(x, w, b, slope=None):
     op = conv2d if w.data.ndim == 4 else conv3d
-    return op(x, w, b, stride=1, padding=_same_pads(w))
+    return op(x, w, b, stride=1, padding=_same_pads(w), slope=slope)
 
 
 def _gamma_apply(params, prefix, x):
     """3-conv net with leaky rectifiers between layers, linear output."""
-    h = leaky_relu(_conv_same(x, params[f"{prefix}.c0.w"],
-                              params[f"{prefix}.c0.b"]), LEAKY_SLOPE)
-    h = leaky_relu(_conv_same(h, params[f"{prefix}.c1.w"],
-                              params[f"{prefix}.c1.b"]), LEAKY_SLOPE)
+    h = _conv_same(x, params[f"{prefix}.c0.w"], params[f"{prefix}.c0.b"],
+                   LEAKY_SLOPE)
+    h = _conv_same(h, params[f"{prefix}.c1.w"], params[f"{prefix}.c1.b"],
+                   LEAKY_SLOPE)
     return _conv_same(h, params[f"{prefix}.c2.w"], params[f"{prefix}.c2.b"])
 
 
@@ -362,21 +362,21 @@ def _critic_input(params, x):
 
 
 def _critic_layers(params, a):
-    """Pre-activations of the convs and, after the global mean pool, the
-    first dense layer; each layer takes the one before leaky-rectified."""
-    pre = []
+    """Leaky-rectified activations of the convs and, after the global
+    mean pool, of the first dense layer."""
+    acts = []
     for j in range(_critic_depth(params)):
-        pre.append(_conv_same(a, params[f"reg.c{j}.w"], params[f"reg.c{j}.b"]))
-        a = leaky_relu(pre[-1], LEAKY_SLOPE)
+        a = _conv_same(a, params[f"reg.c{j}.w"], params[f"reg.c{j}.b"],
+                       LEAKY_SLOPE)
+        acts.append(a)
     pooled = tmean(a, axis=tuple(range(2, a.data.ndim)))
-    pre.append(linear(pooled, params, "reg.fc1"))
-    return pre
+    acts.append(leaky_relu(linear(pooled, params, "reg.fc1"), LEAKY_SLOPE))
+    return acts
 
 
 def critic_value(params, x):
     """Critic score: leaky-rectified convs, global mean pool, 2 dense."""
-    pre = _critic_layers(params, _critic_input(params, x))
-    hidden = leaky_relu(pre[-1], LEAKY_SLOPE)
+    hidden = _critic_layers(params, _critic_input(params, x))[-1]
     return reshape(linear(hidden, params, "reg.fc2"), ())
 
 
@@ -385,16 +385,15 @@ def _critic_input_grad_norm(params, x):
 
     The tape is first-order, so the input gradient is built explicitly:
     a no-tape forward records the leaky-relu slopes at each layer (locally
-    constant, hence detached), then the gradient chains backwards through
-    the dense layers, the mean pool, and transposed convolutions.  The
-    result stays differentiable with respect to the critic parameters.
+    constant, hence detached; read off the activations' signs), then the
+    gradient chains backwards through the dense layers, the mean pool,
+    and transposed convolutions.  The result stays differentiable with
+    respect to the critic parameters.
     """
-    one, slope = np.array([1.0, LEAKY_SLOPE],
-                          dtype=params["reg.c0.w"].data.dtype)
     with no_grad():
         a = _critic_input(params, x)
-        masks = [Tensor(np.where(p.data > 0, one, slope))
-                 for p in _critic_layers(params, a)]
+        masks = [Tensor(leaky_relu_slope(act.data, LEAKY_SLOPE))
+                 for act in _critic_layers(params, a)]
     spatial = a.data.shape[2:]
     nd = len(spatial)
     conv_t = conv_transpose2d if nd == 2 else conv_transpose3d

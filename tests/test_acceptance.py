@@ -10,8 +10,6 @@ everything else is fast.
 import json
 import math
 import os
-import subprocess
-import sys
 import time
 from types import SimpleNamespace
 
@@ -38,6 +36,8 @@ from tcrtomo.training import (TrainConfig, gt_ratio, landweber_pairs,
 from tcrtomo.uar import (StaticScanOperator, UarConfig, UarTrainConfig,
                          critic_params, gen_loss, generator_params,
                          init_uar_params, reg_loss, train_uar)
+
+from fresh_process import run_tcrtomo
 
 
 def report(criterion, detail):
@@ -596,8 +596,7 @@ def test_08_adversarial_baseline_plumbing(tmp_path):
 # ---------------------------------------------------------- criterion 9
 
 def _run(args):
-    proc = subprocess.run([sys.executable, "-m", "tcrtomo"] + args,
-                          capture_output=True, text=True)
+    proc = run_tcrtomo(*args)
     assert proc.returncode == 0, proc.stderr
     return proc
 

@@ -115,6 +115,58 @@ def test_leaky_relu_slope_in_the_payload_dtype():
     assert np.array_equal(x.grad, slope)
 
 
+def ref_leaky_relu(a, slope):
+    """Reference rectifier: a node that tapes its input's slope factor
+    for the backward."""
+    typed = a.data.dtype.type
+    factor = np.where(a.data > 0, typed(1.0), typed(slope))
+
+    def backward(g):
+        ad._accum(a, g * factor)
+
+    return ad._make(a.data * factor, (a,), backward)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("slope", [0.0, 0.2])
+def test_leaky_relu_matches_taped_factor_bitwise(dtype, slope):
+    """Slope from the output equals the taped input factor bit for bit,
+    forward and backward, on random values and every special value."""
+    tiny = np.finfo(dtype).smallest_subnormal
+    special = np.array([0.0, -0.0, tiny, -tiny, np.inf, -np.inf, np.nan,
+                        -np.nan], dtype=dtype)
+    x = np.concatenate([rand((200,), 31).astype(dtype), special])
+    g = np.concatenate([rand((200,), 32).astype(dtype),
+                        np.array([1.0, -1.0] * 4, dtype=dtype)])
+    bits = np.uint32 if dtype == np.float32 else np.uint64
+    got, ref = Tensor(x, requires_grad=True), Tensor(x, requires_grad=True)
+    with np.errstate(invalid="ignore"):  # -inf * 0 at slope 0
+        out, want = ad.leaky_relu(got, slope), ref_leaky_relu(ref, slope)
+    assert out.data.dtype == dtype
+    assert np.array_equal(out.data.view(bits), want.data.view(bits))
+    out.backward(g)
+    want.backward(g)
+    assert np.array_equal(got.grad.view(bits), ref.grad.view(bits))
+
+
+def test_leaky_relu_tapes_only_its_output():
+    x = Tensor(rand((4, 6), 33).astype(np.float32), requires_grad=True)
+    out = ad.leaky_relu(x, 0.2)
+    held = [c.cell_contents for c in out._backward.__closure__
+            if isinstance(c.cell_contents, np.ndarray)]
+    assert len(held) == 1 and held[0] is out.data
+
+
+@pytest.mark.parametrize("slope", [-0.1, -1e-300, float("nan")])
+def test_leaky_relu_rejects_a_negative_slope(slope):
+    x = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
+    with pytest.raises(ValueError, match=f"slope .*{slope}"):
+        ad.leaky_relu(x, slope)
+    with pytest.raises(ValueError, match=f"slope .*{slope}"):
+        ad.conv2d(Tensor(np.ones((1, 1, 3, 3), np.float32)), x[None, None],
+                  slope=slope)
+
+
 # --------------------------------------- gelu kernel against scipy's erf
 
 def erf_gelu(x):

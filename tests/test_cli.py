@@ -7,8 +7,6 @@ import json
 import os
 import shutil
 import struct
-import subprocess
-import sys
 import zlib
 from types import SimpleNamespace
 
@@ -32,6 +30,7 @@ from tcrtomo.phantoms import generate_dataset
 from tcrtomo.pipeline import ReconResult, evaluate, load_result, save_result
 from tcrtomo.solvers import l1_tcr_fista
 from tcrtomo.stt import SttConfig, init_stt_params
+from fresh_process import run_tcrtomo
 from test_artifacts import gt_restated, ref_save_checkpoint
 
 TINY_CONFIG = {
@@ -727,13 +726,10 @@ class TestOneEvaluationPath:
 
 class TestGenData:
     def test_byte_identical_reruns(self, work, tmp_path):
-        env = dict(os.environ)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):
-            proc = subprocess.run(
-                [sys.executable, "-m", "tcrtomo", "gen-data", "--config",
-                 str(work.cfg), "--seed", "7", "--out", str(out)],
-                capture_output=True, text=True, env=env)
+            proc = run_tcrtomo("gen-data", "--config", work.cfg, "--seed", 7,
+                               "--out", out)
             assert proc.returncode == 0, proc.stderr
         assert tree_bytes(out_a) == tree_bytes(out_b)
 
@@ -741,10 +737,8 @@ class TestGenData:
         # same (config, seed) through a fresh process reproduces the
         # in-process fixture dataset bit for bit
         out = tmp_path / "redo"
-        proc = subprocess.run(
-            [sys.executable, "-m", "tcrtomo", "gen-data", "--config",
-             str(work.cfg), "--seed", "5", "--out", str(out)],
-            capture_output=True, text=True)
+        proc = run_tcrtomo("gen-data", "--config", work.cfg, "--seed", 5,
+                           "--out", out)
         assert proc.returncode == 0, proc.stderr
         assert tree_bytes(out) == tree_bytes(work.data)
 
@@ -896,13 +890,11 @@ class TestReconstructCli:
         outs = []
         for tag in ("r1", "r2"):
             out = tmp_path / tag
-            proc = subprocess.run(
-                [sys.executable, "-m", "tcrtomo", "reconstruct",
-                 "--config", str(work.cfg), "--input",
-                 str(work.data / "test"), "--refine", str(work.refine),
-                 "--predict", str(work.predict), "--out", str(out),
-                 "--items", "1", "--deterministic"],
-                capture_output=True, text=True)
+            proc = run_tcrtomo("reconstruct", "--config", work.cfg,
+                               "--input", work.data / "test",
+                               "--refine", work.refine,
+                               "--predict", work.predict, "--out", out,
+                               "--items", 1, "--deterministic")
             assert proc.returncode == 0, proc.stderr
             outs.append(out)
         assert tree_bytes(outs[0]) == tree_bytes(outs[1])

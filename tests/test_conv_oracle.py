@@ -240,24 +240,32 @@ def test_stride1_slabs_match_im2col(name, dtype):
     assert _rel_err(wt.grad, ad._conv_dw(cols, g, w.shape)) <= tol
 
 
+def _taped_arrays(out):
+    """The arrays out's backward holds besides out's own data."""
+    return [c.cell_contents for c in out._backward.__closure__
+            if isinstance(c.cell_contents, np.ndarray)
+            and c.cell_contents is not out.data]
+
+
 def test_stride1_conv_gathers_no_columns(monkeypatch):
     """A stride-1 conv and conv_transpose, forward and backward, never
-    call _im2col, and the forward tapes the padded input, not columns."""
+    call _im2col, and the conv tapes no array of its own, with or without
+    a fused rectifier: its weight gradient re-pads the input."""
     monkeypatch.setattr(ad, "_im2col", None)
     for name in ("uar2d-gamma-mid", "uar3d-gamma-out", "dec1", "head"):
-        x, w, g, stride, pad = _case(name, np.float32, 13)
-        conv, conv_t = _conv(x.ndim - 2), _conv_t(x.ndim - 2)
-        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
-        out = conv(xt, wt, stride=stride, padding=pad)
-        closure = dict(zip(out._backward.__code__.co_freevars,
-                           out._backward.__closure__))
-        taped = closure["cols"].cell_contents
-        assert taped.shape == ad._pad_input(x, pad).shape
-        out.backward(g)
+        for slope in (None, 0.2):
+            x, w, g, stride, pad = _case(name, np.float32, 13)
+            conv, conv_t = _conv(x.ndim - 2), _conv_t(x.ndim - 2)
+            xt = Tensor(x, requires_grad=True)
+            wt = Tensor(w, requires_grad=True)
+            out = conv(xt, wt, stride=stride, padding=pad, slope=slope)
+            assert _taped_arrays(out) == []
+            out.backward(g)
+            assert xt.grad is not None and wt.grad is not None
         at, wt = Tensor(g, requires_grad=True), Tensor(w, requires_grad=True)
         conv_t(at, wt, stride=stride, padding=pad,
                output_size=x.shape[2:]).backward(x)
-        assert xt.grad is not None and at.grad is not None
+        assert at.grad is not None
 
 
 @pytest.mark.parametrize("stride", [1, 2])
@@ -421,19 +429,48 @@ def test_stride1_backward_skips_input_grad_nobody_needs(monkeypatch):
                               "_conv_input_grad")
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32],
+                         ids=["float64", "float32"])
+@pytest.mark.parametrize("name", ["uar2d-gamma-mid", "uar2d-dual-in-a3",
+                                  "uar3d-critic", "enc1"])
+def test_fused_rectifier_matches_separate_node(name, dtype):
+    """conv(..., slope=s) is leaky_relu(conv(...), s) bit for bit: the
+    output and the input, weight and bias gradients."""
+    x, w, g, stride, pad = _case(name, dtype, 14)
+    b = np.random.default_rng(15).standard_normal(w.shape[0]).astype(dtype)
+    conv = _conv(x.ndim - 2)
+    runs = []
+    for fused in (True, False):
+        ts = [Tensor(v, requires_grad=True) for v in (x, w, b)]
+        if fused:
+            out = conv(*ts, stride=stride, padding=pad, slope=0.2)
+        else:
+            out = ad.leaky_relu(conv(*ts, stride=stride, padding=pad), 0.2)
+        runs.append([out.data.copy()])
+        out.backward(g)
+        runs[-1] += [t.grad for t in ts]
+    for got, want in zip(*runs):
+        assert got.dtype == want.dtype == dtype
+        assert np.array_equal(got, want)
+
+
 def test_forward_tapes_columns_only_for_the_weight_gradient():
-    x, w, g, stride, pad = _case("uar2d-gamma-mid", np.float32, 10)
+    """A strided conv tapes its im2col columns, and only when the weight
+    needs a gradient; a stride-1 conv tapes nothing either way."""
+    def taped(name, weight_needs_grad):
+        x, w, g, stride, pad = _case(name, np.float32, 10)
+        out = _conv(x.ndim - 2)(Tensor(x, requires_grad=True),
+                                Tensor(w, requires_grad=weight_needs_grad),
+                                stride=stride, padding=pad)
+        return [a.shape for a in _taped_arrays(out)]
 
-    def taped_cols(weight_needs_grad):
-        out = ad.conv2d(Tensor(x, requires_grad=True),
-                        Tensor(w, requires_grad=weight_needs_grad),
-                        stride=stride, padding=pad)
-        closure = dict(zip(out._backward.__code__.co_freevars,
-                           out._backward.__closure__))
-        return closure["cols"].cell_contents
-
-    assert taped_cols(True) is not None
-    assert taped_cols(False) is None
+    x_shape, w_shape, stride, pad = SHAPES["enc0"]
+    cols, _ = ad._im2col(ad._pad_input(np.zeros(x_shape), pad),
+                         w_shape[2:], stride)
+    assert taped("enc0", True) == [cols.shape]
+    assert taped("enc0", False) == []
+    assert taped("uar2d-gamma-mid", True) == []
+    assert taped("uar2d-gamma-mid", False) == []
 
 
 def test_conv_transpose_backward_skips_grads_nobody_needs(monkeypatch):

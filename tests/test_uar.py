@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from tcrtomo import autodiff as ad
 from tcrtomo import uar
 from tcrtomo.autodiff import Tensor, gradcheck, no_grad
 from tcrtomo.checkpoint import load_checkpoint
@@ -19,6 +20,8 @@ from tcrtomo.uar import (MODES, SequenceScanOperator, StaticScanOperator,
                          init_uar_params, reg_loss,
                          train_uar, uar_generator, uar_reconstruct)
 from tcrtomo.uar import _critic_input_grad_norm
+
+from test_autodiff import ref_leaky_relu
 
 TINY = UarConfig(unroll=2, gamma_channels=4, critic_channels=(4, 4, 4, 4, 4, 4),
                  critic_hidden=8)
@@ -228,9 +231,9 @@ class TestGenerator:
 
     def test_desk_generator_tape_size(self):
         """A taped desk generator pass (unroll 20, 32 px, 20 angles) keeps
-        at most 48 MiB alive, by tracemalloc: each conv tapes its padded
-        input, not im2col columns 9 times its size.  It measures 40.8 MiB,
-        so the bound leaves 7.2 MiB (18%); with columns taped, 118.4 MiB."""
+        at most 13 MiB alive, by tracemalloc: each conv keeps its rectified
+        output and nothing else.  It measures 10.8 MiB; with each conv's
+        padded input, pre-activation and slope array taped, 40.8 MiB."""
         op = _static_op(size=32, n_angles=20, n_offsets=47)
         params = init_uar_params("static2d", seed=0)
         psi = op.forward(np.full((32, 32), 0.4))
@@ -242,7 +245,114 @@ class TestGenerator:
         finally:
             tracemalloc.stop()
         assert theta.requires_grad
-        assert taped <= 48 * 2 ** 20, f"{taped / 2 ** 20:.1f} MiB"
+        assert taped <= 13 * 2 ** 20, f"{taped / 2 ** 20:.1f} MiB"
+
+
+def _desk_sequence():
+    geom = ScanGeometry(32, 8, 20, 3, 47)
+    return generate_dataset(geom, 1, seed=0)
+
+
+def test_desk_gen_loss_tape_size():
+    """A taped static2d gen_loss forward on a 20-angle desk item, with
+    the trainer's frozen critic, allocates at most 14 MB (tracemalloc).
+    It measures 12.0 MB; with each conv's padded input, pre-activation
+    and slope array taped, 44.8 MB."""
+    ds = _desk_sequence()
+    sino = ds.sinograms[0]
+    assert len(sino.angles[0]) == 20
+    op = StaticScanOperator(operator_for_angles(sino.angles[0], sino.offsets,
+                                                32))
+    params = init_uar_params("static2d", seed=0)
+    critic = {k: Tensor(t.data) for k, t in critic_params(params).items()}
+    gen, psi = generator_params(params), np.asarray(sino.frames[0])
+    op.fbp(psi)  # fbp's filter is built once per geometry, off the count
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loss = gen_loss(gen, critic, psi, op, alpha=0.1)
+        taped = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert loss.requires_grad
+    assert taped <= 14e6, f"{taped / 1e6:.1f} MB"
+
+
+# ------------------------------------- reference ops: the unfused tape
+
+def _ref_conv_same(x, w, b, slope=None):
+    """Same-padded stride-1 conv that tapes its padded input, then the
+    rectifier as a separate node."""
+    nd = w.data.ndim - 2
+    pad = uar._same_pads(w)
+    xp, out_sp = ad._lower(x.data, w.data.shape[2:], (1,) * nd, pad)
+    out = ad._conv_gemm(w.data, xp, out_sp) + b.data.reshape(
+        (1, -1) + (1,) * nd)
+
+    def backward(g):
+        ad._accum(b, g.sum(axis=(0,) + tuple(range(2, 2 + nd))))
+        ad._accum(w, ad._conv_dw(xp, g, w.data.shape))
+        if ad._needs_grad(x):
+            ad._accum(x, ad._conv_input_grad(g, w.data, (1,) * nd, pad,
+                                             x.data.shape[2:]))
+
+    out = ad._make(out, (x, w, b), backward)
+    return out if slope is None else ref_leaky_relu(out, slope)
+
+
+def _loss_grads(mode, cfg, psi, aop, gt):
+    """Every parameter gradient of gen_loss and of reg_loss, by name."""
+    params = init_uar_params(mode, cfg, seed=3)
+    rng = np.random.default_rng(4)
+    for name, t in params.items():  # c2 starts at zero: make every path live
+        if name.endswith(".c2.w"):
+            t.data[...] = 0.01 * rng.standard_normal(t.data.shape)
+    gen, reg = generator_params(params), critic_params(params)
+    gen_loss(gen, reg, psi, aop, alpha=0.1).backward()
+    grads = {"gen_loss " + k: t.grad for k, t in params.items()}
+    for t in params.values():
+        t.grad = None
+    fake = uar_reconstruct(gen, psi, aop)
+    reg_loss(reg, gt, fake, 0.3, 10.0).backward()
+    grads.update({"reg_loss " + k: t.grad for k, t in reg.items()})
+    return grads
+
+
+@pytest.mark.parametrize("case", ["static2d-a3", "static2d-a20", "dynamic3d"])
+def test_loss_gradients_match_unfused_reference_bitwise(case, monkeypatch):
+    """Fused conv+rectifier nodes, slopes from outputs and re-padded
+    weight gradients give the unfused tape's gradients bit for bit.  The
+    critic's input-gradient masks, read off activations, are checked
+    through reg_loss: they match the input-side factors because the
+    rectifier's backward does (test_autodiff's oracle)."""
+    if case == "dynamic3d":
+        geom = ScanGeometry(16, 4, 5, 3, 23)
+        ds = generate_dataset(geom, 1, seed=2)
+        sino = ds.sinograms[0]
+        aop = SequenceScanOperator([operator_for_angles(a, sino.offsets, 16)
+                                    for a in sino.angles])
+        psi, gt = aop.pad(sino.frames), ds.gt[0]
+        mode, cfg = "dynamic3d", UarConfig(unroll=3, gamma_channels=8,
+                                           critic_channels=(8,) * 6,
+                                           critic_hidden=16)
+    else:
+        ds = _desk_sequence()
+        sino, t = ds.sinograms[0], (0 if case == "static2d-a20" else 2)
+        assert len(sino.angles[t]) == int(case.rsplit("a", 1)[1])
+        aop = StaticScanOperator(operator_for_angles(sino.angles[t],
+                                                     sino.offsets, 32))
+        psi, gt = np.asarray(sino.frames[t]), ds.gt[0][t]
+        mode, cfg = "static2d", UarConfig()
+    got = _loss_grads(mode, cfg, psi, aop, gt)
+    monkeypatch.setattr(uar, "_conv_same", _ref_conv_same)
+    monkeypatch.setattr(uar, "leaky_relu", ref_leaky_relu)
+    want = _loss_grads(mode, cfg, psi, aop, gt)
+    assert got.keys() == want.keys()
+    for name in got:
+        assert (got[name] is None) == (want[name] is None), name
+        if got[name] is not None:
+            assert got[name].dtype == want[name].dtype, name
+            assert got[name].tobytes() == want[name].tobytes(), name
 
 
 class TestModeDuality:
