@@ -248,23 +248,26 @@ def evaluate(result, gt, data_range=1.0):
 
     Returns a dict with a "frames" list (one row per time step) and
     aggregate entries: all-frames mean and std plus the last-frame value,
-    for each of recon/prior x PSNR/SSIM.
+    for each of recon/prior x PSNR/SSIM.  SSIM uses the largest odd window
+    that fits the frame, up to 11 (7 for an 8 px frame).
     """
     gt = np.asarray(gt, dtype=np.float64)
     recon = result.reconstructions
     if gt.shape != recon.shape:
         raise ValueError(
             f"ground truth shape {gt.shape} does not match {recon.shape}")
+    side = min(gt.shape[1:])
+    window = min(11, side if side % 2 else side - 1)
     frames = []
     for t in range(gt.shape[0]):
         row = {"step": t,
                "psnr": psnr(gt[t], recon[t], data_range),
-               "ssim": ssim(gt[t], recon[t], data_range)}
+               "ssim": ssim(gt[t], recon[t], data_range, window)}
         if t >= 1:
             row["psnr_prior"] = psnr(gt[t], result.predictions[t - 1],
                                      data_range)
             row["ssim_prior"] = ssim(gt[t], result.predictions[t - 1],
-                                     data_range)
+                                     data_range, window)
         frames.append(row)
 
     table = {"frames": frames}

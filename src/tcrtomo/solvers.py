@@ -11,15 +11,16 @@ All of them return (solution, SolveReport).  Operators follow the
 forward/adjoint protocol of geometry.LinearOperator; images may have any
 shape as long as it matches the operator.
 
-All three run one loop, _iterate.  A solver supplies its preamble
-(_prepare, step sizes), a step(x, r, g) -> x_new closure that holds its
-own state and, optionally, a stop test.  The loop projects each kept
-iterate once: r = A x - psi gives the discrepancy and the next step's r.
-For PDHG it also takes the kept iterate's gradient g once, for the next
-step.  Each trace entry is the value a separate projection of that
-iterate would give.  The loop knows no penalty: it sets the report's
-objective to the data term 1/2 r . r of the iterate it returns, and each
-solver adds its own penalty once, after the loop.
+All three run one loop, _iterate, which knows only A and psi.  A solver
+supplies its preamble (_prepare, step sizes), a step(x, r) -> x_new
+closure that holds its own state and, optionally, a stop test.  The loop
+projects each kept iterate once: r = A x - psi gives the discrepancy and
+the next step's r.  Each trace entry is the value a separate projection
+of that iterate would give.  The loop knows no penalty: it sets the
+report's objective to the data term 1/2 r . r of the iterate it returns,
+and each solver adds its own penalty once, after the loop.  PDHG owns its
+TV block: it takes grad x of x0 in its preamble and of each kept iterate
+in its stop test, once each.
 
 FISTA and PDHG step from an extrapolated point (FISTA's y, PDHG's xbar),
 an affine combination of the last two kept iterates.  Its residual (and
@@ -129,41 +130,32 @@ def _prepare(op, psi, prior, x0, max_iter, **weights):
     return psi, prior, x
 
 
-def _iterate(op, psi, x, max_iter, step, tv=False, monotone=False,
-             stop=None):
-    """x <- step(x, r, g), r = A x - psi, max_iter times -> (x, SolveReport).
+def _iterate(op, psi, x, max_iter, step, monotone=False, stop=None):
+    """x <- step(x, r), r = A x - psi, max_iter times -> (x, SolveReport).
 
-    g is grad x when tv is set, else None; each kept iterate's gradient is
-    computed once.  Traces ||r|| = sqrt(r . r) of each kept iterate, and
-    sets the report's objective to the data term 1/2 r . r of the iterate
-    it returns.  monotone drops an iterate whose discrepancy would
-    increase and stops the run there.  After each kept step,
-    stop(x_new, r_new, g_new, moved) may return a stop reason; moved is
-    False when the discrepancy did not change.  The run then ends on that
-    iterate.  Raises ValueError if the returned iterate or its discrepancy
-    is not finite.
+    Traces ||r|| = sqrt(r . r) of each kept iterate, and sets the report's
+    objective to the data term 1/2 r . r of the iterate it returns.
+    monotone drops an iterate whose discrepancy would increase and stops
+    the run there.  After each kept step, stop(x_new, r_new, moved) may
+    return a stop reason; moved is False when the discrepancy did not
+    change.  The run then ends on that iterate.  Raises ValueError if the
+    returned iterate or its discrepancy is not finite.
     """
     report = SolveReport()
-
-    def gradient(x):
-        return grad2d(x) if tv else None
-
     r = op.forward(x) - psi
-    g = gradient(x)
     rr = _sq(r)
     d = math.sqrt(rr)
     report.discrepancies.append(d)
     for _ in range(max_iter):
-        x_new = step(x, r, g)
+        x_new = step(x, r)
         r_new = op.forward(x_new) - psi
         rr_new = _sq(r_new)
         d_new = math.sqrt(rr_new)
         if monotone and d_new > d:
             report.stop_reason = "discrepancy_increase"
             break
-        g_new = gradient(x_new)
-        reason = stop(x_new, r_new, g_new, d_new != d) if stop else None
-        x, r, g, rr, d = x_new, r_new, g_new, rr_new, d_new
+        reason = stop(x_new, r_new, d_new != d) if stop else None
+        x, r, rr, d = x_new, r_new, rr_new, d_new
         report.discrepancies.append(d)
         report.iterations += 1
         if reason:
@@ -188,7 +180,7 @@ def l2_tcr(op, psi, prior, alpha, x0=None, max_iter=19, tau=None):
     if tau is None:
         tau = 1.0 / (1.01 * op.norm_ata())
 
-    def step(x, r, _):
+    def step(x, r):
         grad = op.adjoint(r)
         if alpha > 0:
             v = np.subtract(x, prior)
@@ -234,7 +226,7 @@ def l1_tcr_fista(op, psi, prior, alpha, x0=None, max_iter=200):
     last = None  # (x_{k-1}, y_{k-1}, A y_{k-1} - psi) of the last step
     alpha_crit = None
 
-    def step(x, r, _):
+    def step(x, r):
         nonlocal y, h, m, r_prev, last, alpha_crit
         if r_prev is None:
             grad = op.adjoint(r)
@@ -257,7 +249,7 @@ def l1_tcr_fista(op, psi, prior, alpha, x0=None, max_iter=200):
         r_prev = r
         return x_new
 
-    def stop(x_new, r_new, _, moved):
+    def stop(x_new, r_new, moved):
         # an unchanged iterate leaves the discrepancy unchanged, so a moving
         # solve pays one float compare
         if moved:
@@ -318,7 +310,10 @@ def l1_tv_tcr_pdhg(op, psi, prior, alpha, beta, x0=None, max_iter=400):
     TV block: ||K|| = ||A|| and c = 1.  A xbar - psi = 2 r_new - r and
     grad xbar = 2 grad x_new - grad x follow by linearity from the kept
     iterates, so an iteration costs one forward and one adjoint
-    projection, one grad2d and one div2d.
+    projection, one grad2d and one div2d.  The solver owns that TV pair:
+    it takes grad x0 before the loop and grad x_new of each kept iterate
+    in its stop test, and keeps the last kept iterate's residual and
+    gradient for the final objective and residuals.
 
     Stops with stop_reason "converged" once both primal-dual residuals
     (Goldstein, Li & Yuan 2015) are small relative to their terms:
@@ -341,11 +336,12 @@ def l1_tv_tcr_pdhg(op, psi, prior, alpha, beta, x0=None, max_iter=400):
     psi_norm = math.sqrt(_sq(psi))
     y1 = np.zeros(op.out_shape)
     y2 = np.zeros((2,) + tuple(op.in_shape))
+    g = grad2d(x) if beta > 0 else None  # grad x of the last kept iterate
+    r_kept = None  # A x - psi of the last kept iterate, set by stop
     r_prev = g_prev = None
     last = None  # what the residuals need from the last step
-    kept = None  # (r_new, g_new) of the last kept iterate
 
-    def step(x, r, g):
+    def step(x, r):
         nonlocal y1, y2, r_prev, g_prev, last
         y_old = (y1, y2)
         r_bar = r if r_prev is None else _extrapolate(r, r_prev)
@@ -380,21 +376,22 @@ def l1_tv_tcr_pdhg(op, psi, prior, alpha, beta, x0=None, max_iter=400):
             kx += _sq(g_new)
         return _ratio(math.sqrt(dual), math.sqrt(kx) + psi_norm)
 
-    def stop(x_new, r_new, g_new, _):
-        nonlocal kept
-        kept = (r_new, g_new)
+    def stop(x_new, r_new, _):
+        nonlocal g, r_kept
+        if g is not None:
+            g = grad2d(x_new)
+        r_kept = r_new
         if (primal_residual(x_new) <= PDHG_TOL
-                and dual_residual(r_new, g_new) <= PDHG_TOL):
+                and dual_residual(r_new, g) <= PDHG_TOL):
             return "converged"
         return None
 
-    x, report = _iterate(op, psi, x, max_iter, step, tv=beta > 0, stop=stop)
-    r, g = kept
+    x, report = _iterate(op, psi, x, max_iter, step, stop=stop)
     if g is not None:
         report.objective += beta * _l1(g)
     report.objective += alpha * _l1(x - prior)
     report.primal_residual = primal_residual(x)
-    report.dual_residual = dual_residual(r, g)
+    report.dual_residual = dual_residual(r_kept, g)
     return x, report
 
 

@@ -25,6 +25,7 @@ from tcrtomo.datasets import (Sinogram, load_external_sinogram,
 from tcrtomo.errors import (ConfigError, DatasetFormatError,
                             MissingArtifactError)
 from tcrtomo.geometry import ScanGeometry, angle_schedule, operator_for_angles
+from tcrtomo.metrics import ssim
 from tcrtomo.optim import adamw_step, init_adamw
 from tcrtomo.phantoms import generate_dataset
 from tcrtomo.pipeline import ReconResult, evaluate, load_result, save_result
@@ -722,6 +723,35 @@ class TestOneEvaluationPath:
         assert str(data) in payload["message"]
         assert ("no ground truth" if case == "missing-item"
                 else "(4, 24, 24)") in payload["message"]
+
+
+def test_frames_smaller_than_the_ssim_window(tmp_path):
+    """An 8 px run, the smallest image size a reconstruction takes, is
+    scored with a 7 px SSIM window by reconstruct, evaluate and plot."""
+    cfg = tmp_path / "px8.json"
+    cfg.write_text(json.dumps(merge_config(TINY_CONFIG, {
+        "geometry": {"image_size": 8, "n_offsets": 11},
+        "train_refine": {"epochs": 1}, "train_predict": {"epochs": 1}})))
+    data, refine, predict, results = (tmp_path / d for d in
+                                      ("data", "refine", "predict", "res"))
+    assert run_cli("gen-data", "--config", cfg, "--seed", 5, "--out", data,
+                   "--splits", "train,test") == 0
+    assert run_cli("train-refine", "--config", cfg, "--seed", 5, "--data",
+                   data / "train", "--out", refine) == 0
+    assert run_cli("train-predict", "--config", cfg, "--seed", 5, "--data",
+                   data / "train", "--refine", refine / "final",
+                   "--out", predict) == 0
+    assert run_cli("reconstruct", "--config", cfg, "--input", data / "test",
+                   "--refine", refine / "final", "--predict",
+                   predict / "final", "--out", results) == 0
+    gt = read_dataset(data / "test").gt[1]
+    result, meta = load_result(results / "item_001")
+    assert [row["ssim"] for row in meta["metrics"]] == [
+        ssim(g, x, window_size=7) for g, x in zip(gt, result.reconstructions)]
+    assert run_cli("evaluate", "--results", results, "--data", data / "test",
+                   "--out", tmp_path / "m.csv") == 0
+    assert run_cli("plot", "--results", results, "--data", data / "test",
+                   "--out", tmp_path / "plots", "--item", 1) == 0
 
 
 class TestGenData:

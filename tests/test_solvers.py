@@ -386,6 +386,39 @@ def test_pdhg_keeps_its_final_residuals():
         assert math.isnan(other.dual_residual)
 
 
+def count_calls(monkeypatch, *names):
+    """Count the calls of the named solvers functions from here on."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*a, _fn=getattr(solvers, name), _name=name, **k):
+            calls[_name] += 1
+            return _fn(*a, **k)
+        monkeypatch.setattr(solvers, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("max_iter", [25, 400])
+@pytest.mark.parametrize("solver,weights,tv", [
+    (l1_tv_tcr_pdhg, (0.02, 0.02), True),
+    (l1_tv_tcr_pdhg, (0.02, 0.0), False),
+    (l1_tcr_fista, (0.02,), False),
+    (l2_tcr, (0.02,), False)])
+def test_tv_pair_once_per_iteration(monkeypatch, solver, weights, tv,
+                                    max_iter):
+    """A TV solve of n iterations takes grad x0 and grad of each kept
+    iterate (n + 1 grad2d) and one div per step (n div2d); a solve without
+    a TV term takes neither."""
+    op = small_radon()
+    img = random_image(seed=12)
+    psi = op.forward(img)
+    calls = count_calls(monkeypatch, "grad2d", "div2d")
+    _, rep = solver(op, psi, np.zeros_like(img), *weights, max_iter=max_iter)
+    n = rep.iterations
+    assert n >= 1
+    assert calls == ({"grad2d": n + 1, "div2d": n} if tv
+                     else {"grad2d": 0, "div2d": 0})
+
+
 def test_pdhg_validation():
     op = small_radon()
     with pytest.raises(ValueError):
