@@ -86,9 +86,10 @@ def _load_model(path, expect_kind):
 def _load_measurements(path):
     """Dataset or sinogram-set directory -> (sinograms, gt or None, size).
 
-    The size must also meet ReconConfig's bound, and every item must cover
-    the two initial steps; either failure is a bad entry of path/meta.json,
-    not of the user's recon config, found before any item is solved.
+    The size must also meet ReconConfig's bound, there must be an item,
+    and every item must cover the two initial steps; each failure is a bad
+    entry of path/meta.json, not of the user's recon config, found before
+    any item is solved.
     """
     from .artifacts import DATASET, SINOGRAM, entries, read_meta
     from .datasets import load_external_sinogram, read_dataset
@@ -105,6 +106,10 @@ def _load_measurements(path):
         gts, key = None, "/image_size"
     with entries(path):
         check_value(field_named(ReconConfig, "image_size"), size, key)
+    if not sinos:
+        raise DatasetFormatError(
+            f"{os.path.join(path, 'meta.json')}: no items, nothing to "
+            f"reconstruct")
     for i, sino in enumerate(sinos):
         if sino.n_steps < 2:
             raise DatasetFormatError(

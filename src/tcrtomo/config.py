@@ -100,9 +100,9 @@ _SECTIONS = {
                          "lambda_gp"), UarTrainConfig),
     },
     "recon": dict.fromkeys(("solver", "alpha_init", "alpha_rest", "beta_init",
-                            "beta_rest", "landweber_iters", "max_iter_l2",
-                            "max_iter_l1", "max_iter_pdhg", "init_mode",
-                            "init_tv_weight"), ReconConfig),
+                            "beta_rest", "max_iter_l2", "max_iter_l1",
+                            "max_iter_pdhg", "init_mode", "init_tv_weight"),
+                           ReconConfig),
     "eval": {"data_range": _Unowned},
 }
 

@@ -100,6 +100,15 @@ def _read_sinos(path, sino_entries, offsets):
     return Sinogram(frames, angles, offsets)
 
 
+def _items(meta):
+    """meta["items"], which must number meta["n_items"] where stated."""
+    items = meta["items"]
+    if "n_items" in meta and meta["n_items"] != len(items):
+        raise ValueError(f"n_items is {meta['n_items']!r}, items lists "
+                         f"{len(items)}")
+    return items
+
+
 def write_dataset(ds, path):
     """Write a Dataset to a directory (created if needed)."""
     os.makedirs(path, exist_ok=True)
@@ -152,7 +161,7 @@ def read_dataset(path, meta=None):
     with entries(path):
         geom = ScanGeometry.from_dict(meta["geometry"])
         items = [_read_item(path, i, item, geom)
-                 for i, item in enumerate(meta["items"])]
+                 for i, item in enumerate(_items(meta))]
         gt = [g for g, _ in items]
         sinos = [s for _, s in items]
         return Dataset(geom, gt, sinos, seed=meta["seed"],
@@ -162,6 +171,8 @@ def read_dataset(path, meta=None):
 
 def write_sinogram_set(sinograms, image_size, path):
     """Measurement-only directory: meta.json + sino_<i>_t<t>.f32 files."""
+    if not sinograms:
+        raise ValueError("a sinogram set needs at least one sinogram")
     os.makedirs(path, exist_ok=True)
     meta = {
         "endianness": "LE",
@@ -189,5 +200,5 @@ def load_external_sinogram(path, meta=None):
         check_value(_IMAGE_SIZE, meta["image_size"], "/image_size")
         offsets = np.asarray(meta["offsets"], dtype=np.float64)
         sinos = [_read_sinos(path, item["sino"], offsets)
-                 for item in meta["items"]]
+                 for item in _items(meta)]
         return sinos, meta["image_size"]

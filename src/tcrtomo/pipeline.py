@@ -37,7 +37,7 @@ __all__ = [
     "ReconConfig",
     "ReconResult",
     "solve_step",
-    "initial_recon",
+    "initial_frames",
     "tcr_reconstruct",
     "select_alphas",
     "evaluate",
@@ -46,8 +46,8 @@ __all__ = [
     "load_result",
 ]
 
-# Landweber budget of the frames-0/1 bootstrap: the default of
-# ReconConfig.landweber_iters, and the budget of the training pairs
+# Landweber budget of the frames-0/1 bootstrap, in training and in
+# reconstruction alike
 LANDWEBER_ITERS = 19
 
 
@@ -57,12 +57,11 @@ class ReconConfig:
 
     alpha_init applies to the solves of frames 0 and 1, alpha_rest to
     every later step; beta_* are the TV weights of the L1TV solver with
-    the same split. Initial reconstructions use plain Landweber by
-    default; the "tv" mode solves a TV-regularized problem instead, for
-    measured data whose raw backprojections are too streaky to refine.
-    landweber_iters defaults to LANDWEBER_ITERS, the budget of the pairs
-    the refinement model is trained on. Solver names may be given in lower
-    case.
+    the same split. The initial frames (initial_frames) use plain
+    Landweber at LANDWEBER_ITERS, as the pairs the refinement model is
+    trained on do; the "tv" init_mode solves a TV-regularized problem
+    instead, for measured data whose raw backprojections are too streaky
+    to refine. Solver names may be given in lower case.
     """
 
     image_size: int = spec(minimum=8)
@@ -72,7 +71,6 @@ class ReconConfig:
     alpha_rest: float = spec(0.1, minimum=0.0)
     beta_init: float = spec(0.0, minimum=0.0)
     beta_rest: float = spec(0.0, minimum=0.0)
-    landweber_iters: int = spec(LANDWEBER_ITERS, minimum=1)
     max_iter_l2: int = spec(19, minimum=1)
     max_iter_l1: int = spec(200, minimum=1)
     max_iter_pdhg: int = spec(400, minimum=1)
@@ -118,18 +116,37 @@ def solve_step(op, psi, prior, alpha, beta, cfg):
                           max_iter=cfg.max_iter_pdhg)
 
 
-def initial_recon(op, psi, cfg):
-    """Bootstrap solve of frame 0 or 1 from zero, without coupling term.
+def initial_frames(sino, cfg, trace=None):
+    """Bootstrap solves of frames 0 and 1 from zero, without coupling term.
 
-    The one solve behind both the reconstruction's initial frames and the
-    training pairs of the refinement model (training.landweber_pairs).
-    Returns (x, SolveReport).
+    The one map behind both the reconstruction's initial frames and the
+    training pairs of the refinement model (training.landweber_pairs):
+    each frame is solved on its own data by plain Landweber within
+    LANDWEBER_ITERS steps, or by TV-regularized PDHG when cfg.init_mode
+    is "tv". trace, if given, receives ("initial", t) before frame t's
+    solve; a failing solve is a NumericalError naming its step.
+    Returns float64 (2, H, W).
     """
-    zeros = np.zeros(op.in_shape)
-    if cfg.init_mode == "landweber":
-        return l2_tcr(op, psi, zeros, 0.0, max_iter=cfg.landweber_iters)
-    return l1_tv_tcr_pdhg(op, psi, zeros, 0.0, cfg.init_tv_weight,
-                          max_iter=cfg.max_iter_pdhg)
+    frames = []
+    for t in range(2):
+        if trace is not None:
+            trace(("initial", t))
+        try:
+            op = operator_for_angles(sino.angles[t], sino.offsets,
+                                     cfg.image_size)
+            zeros = np.zeros(op.in_shape)
+            if cfg.init_mode == "landweber":
+                x, _ = l2_tcr(op, sino.frames[t], zeros, 0.0,
+                              max_iter=LANDWEBER_ITERS)
+            else:
+                x, _ = l1_tv_tcr_pdhg(op, sino.frames[t], zeros, 0.0,
+                                      cfg.init_tv_weight,
+                                      max_iter=cfg.max_iter_pdhg)
+        except Exception as exc:
+            raise NumericalError(
+                f"initialization failed at step {t}: {exc}") from exc
+        frames.append(x)
+    return np.stack(frames)
 
 
 def tcr_reconstruct(sino, cfg, refine_model, predict_model, trace=None):
@@ -159,19 +176,7 @@ def tcr_reconstruct(sino, cfg, refine_model, predict_model, trace=None):
         if trace is not None:
             trace(event)
 
-    def operator(t):
-        return operator_for_angles(sino.angles[t], sino.offsets, size)
-
-    initial = []
-    for t in range(2):
-        emit("initial", t)
-        try:
-            x, _ = initial_recon(operator(t), sino.frames[t], cfg)
-        except Exception as exc:
-            raise NumericalError(
-                f"initialization failed at step {t}: {exc}") from exc
-        initial.append(x)
-    initial = np.stack(initial)
+    initial = initial_frames(sino, cfg, trace)
 
     emit("refine", (0, 1))
     refined = refine(re_params, re_cfg, initial.astype(np.float32))
@@ -192,7 +197,8 @@ def tcr_reconstruct(sino, cfg, refine_model, predict_model, trace=None):
                        else (cfg.alpha_rest, cfg.beta_rest))
         emit("solve", t, phase)
         try:
-            recon[t], rep = solve_step(operator(t), sino.frames[t],
+            op = operator_for_angles(sino.angles[t], sino.offsets, size)
+            recon[t], rep = solve_step(op, sino.frames[t],
                                        prior.astype(np.float64), alpha, beta,
                                        cfg)
         except Exception as exc:

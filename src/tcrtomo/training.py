@@ -17,9 +17,8 @@ import numpy as np
 from .autodiff import Tensor, scale, tsum
 from .checkpoint import save_checkpoint
 from .errors import ConfigError, DatasetFormatError
-from .geometry import operator_for_angles
 from .optim import adamw_step, init_adamw, lr_cosine
-from .pipeline import ReconConfig, initial_recon
+from .pipeline import ReconConfig, initial_frames
 from .spec import check_fields, spec
 from .stt import (SttConfig, _run, check_stt_params, init_stt_params, refine,
                   rollout)
@@ -118,24 +117,19 @@ def rollout_prob(e):
 def landweber_pairs(dataset):
     """Initial reconstructions of frames 0 and 1 for every dataset item.
 
-    pipeline.initial_recon under the default ReconConfig: plain Landweber
-    on each frame's own measurements, run to the discrepancy-increase stop
-    within pipeline.LANDWEBER_ITERS steps, so reconstruction starts from
-    the same pairs.  Returns float32 (N, 2, H, W).
+    pipeline.initial_frames under the default ReconConfig: plain
+    Landweber on each frame's own measurements, run to the
+    discrepancy-increase stop within pipeline.LANDWEBER_ITERS steps, so
+    reconstruction starts from the same pairs.  Returns float32
+    (N, 2, H, W).
     """
-    size = dataset.geometry.image_size
-    cfg = ReconConfig(image_size=size)
+    cfg = ReconConfig(image_size=dataset.geometry.image_size)
     pairs = []
     for i, sino in enumerate(dataset.sinograms):
         if len(sino.frames) < 2 or dataset.gt[i].shape[0] < 2:
             raise DatasetFormatError(
                 f"item {i} lacks the two initial frames needed for training")
-        pair = []
-        for t in range(2):
-            op = operator_for_angles(sino.angles[t], sino.offsets, size)
-            x, _ = initial_recon(op, sino.frames[t], cfg)
-            pair.append(x.astype(np.float32))
-        pairs.append(np.stack(pair))
+        pairs.append(initial_frames(sino, cfg).astype(np.float32))
     return np.stack(pairs)
 
 

@@ -445,6 +445,8 @@ CORPUS = {
         ("gt-frame-count", gt_restated(0, (3, 16, 16))),
         ("gt-image-size", gt_restated(1, (4, 16, 15))),
         ("sino-frame-count", meta_edit(_delete("items", 1, "sino", 3))),
+        ("n-items-mismatch", also_naming(meta_edit(_set(5, "n_items")),
+                                         "n_items is 5, items lists 2")),
     ],
     "sinogram": COMMON + [
         ("missing-offsets", meta_edit(_delete("offsets"))),
@@ -470,6 +472,8 @@ CORPUS = {
         ("angle-count", meta_edit(_extra_angle)),
         ("angle-count-and-shape",
          meta_edit(_extra_angle_and_row, named="sino_0_t1.f32")),
+        ("n-items-mismatch", also_naming(meta_edit(_set(3, "n_items")),
+                                         "n_items is 3, items lists 2")),
     ],
     "checkpoint": COMMON + [
         ("missing-tensors", meta_edit(_delete("tensors"))),
@@ -561,6 +565,21 @@ def test_missing_files_are_missing_artifacts(good, tmp_path, fmt):
     os.remove(path / "meta.json")
     with pytest.raises(MissingArtifactError, match="meta.json"):
         LOADERS[fmt](path)
+
+
+@pytest.mark.parametrize("fmt", ["dataset", "sinogram"])
+def test_n_items_may_be_omitted(good, tmp_path, fmt):
+    """n_items is checked where meta.json states it; a set written
+    elsewhere without it still loads all its items."""
+    path, _ = broken(good, tmp_path, fmt, meta_edit(_delete("n_items")))
+    loaded = LOADERS[fmt](path)
+    assert len(loaded if fmt == "dataset" else loaded[0]) == 2
+
+
+def test_empty_sinogram_set_is_refused(tmp_path):
+    with pytest.raises(ValueError, match="at least one sinogram"):
+        write_sinogram_set([], 16, tmp_path / "scans")
+    assert not (tmp_path / "scans").exists()
 
 
 # --------------------------------------------------------- one module

@@ -301,6 +301,41 @@ class TestExitCodes:
         assert str(src / "meta.json") in payload["message"]
         assert f"{key}: must be >= 8, got 4" in payload["message"]
 
+    def test_removed_landweber_iters_key_is_2(self, work, tmp_path, capsys):
+        """The frames-0/1 Landweber budget is a module constant, no longer
+        a recon key: a config file that sets it exits 2 at its pointer."""
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"recon": {"landweber_iters": 19}}))
+        assert run_cli("reconstruct", "--config", bad, "--input",
+                       work.data / "test", "--refine", work.refine,
+                       "--predict", work.predict, "--out", tmp_path / "r") == 2
+        payload = stderr_payload(capsys)
+        assert payload["error"] == "schema-violation"
+        assert payload["path"] == "/recon/landweber_iters"
+
+    @pytest.mark.parametrize("kind", ["dataset", "sinogram-set"])
+    def test_input_without_items_is_3(self, work, tmp_path, capsys, kind):
+        """An input whose meta.json lists no items exits 3 naming it,
+        before any checkpoint is read or the output directory made."""
+        src = tmp_path / "in"
+        if kind == "dataset":
+            copy_tree(work.data / "test", src)
+        else:
+            write_sinogram_set(read_dataset(work.data / "test").sinograms,
+                               16, src)
+        meta = json.loads((src / "meta.json").read_text())
+        meta["items"], meta["n_items"] = [], 0
+        (src / "meta.json").write_text(json.dumps(meta))
+        out = tmp_path / "r"
+        assert run_cli("reconstruct", "--config", work.cfg, "--input", src,
+                       "--refine", tmp_path / "absent", "--predict",
+                       tmp_path / "absent", "--out", out) == 3
+        payload = stderr_payload(capsys)
+        assert payload["error"] == "format-mismatch"
+        assert str(src / "meta.json") in payload["message"]
+        assert "no items" in payload["message"]
+        assert not out.exists()
+
     def test_sinogram_set_item_below_two_steps_is_3(self, work, tmp_path,
                                                     capsys):
         """A sinogram-set item with one time step exits 3 naming its

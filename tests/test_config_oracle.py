@@ -84,7 +84,6 @@ LITERAL_DEFAULTS = {
         "alpha_rest": 0.1,
         "beta_init": 0.0,
         "beta_rest": 0.0,
-        "landweber_iters": 19,
         "max_iter_l2": 19,
         "max_iter_l1": 200,
         "max_iter_pdhg": 400,
@@ -202,7 +201,6 @@ LITERAL_SCHEMA = {
         "alpha_rest": _Field("num", minimum=0.0),
         "beta_init": _Field("num", minimum=0.0),
         "beta_rest": _Field("num", minimum=0.0),
-        "landweber_iters": _Field("int", minimum=1),
         "max_iter_l2": _Field("int", minimum=1),
         "max_iter_l1": _Field("int", minimum=1),
         "max_iter_pdhg": _Field("int", minimum=1),

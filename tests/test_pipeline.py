@@ -3,13 +3,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from tcrtomo import pipeline, training
 from tcrtomo.datasets import Sinogram
 from tcrtomo.errors import ConfigError, NumericalError
 from tcrtomo.geometry import MatrixOperator, ScanGeometry, operator_for_angles
 from tcrtomo.phantoms import generate_dataset
-from tcrtomo.pipeline import (ReconConfig, aggregate_metrics, evaluate,
-                              initial_recon, load_result, save_result,
-                              select_alphas, solve_step, tcr_reconstruct)
+from tcrtomo.pipeline import (LANDWEBER_ITERS, ReconConfig, aggregate_metrics,
+                              evaluate, initial_frames, load_result,
+                              save_result, select_alphas, solve_step,
+                              tcr_reconstruct)
 from tcrtomo.solvers import l1_tcr_fista, l1_tv_tcr_pdhg, l2_tcr
 from tcrtomo.stt import (Predictor, SttConfig, init_stt_params, predict_next,
                          refine)
@@ -202,7 +204,9 @@ def _two_init_solves_reconstruct(sino, cfg, refine_model, predict_model):
     predictions, whose solve of frame 1 overwrites the first one."""
     n_frames, size = len(sino.frames), cfg.image_size
     ops = [operator_for_angles(a, sino.offsets, size) for a in sino.angles]
-    initial = np.stack([initial_recon(ops[t], sino.frames[t], cfg)[0]
+    zeros = np.zeros((size, size))
+    initial = np.stack([l2_tcr(ops[t], sino.frames[t], zeros, 0.0,
+                               max_iter=LANDWEBER_ITERS)[0]
                         for t in range(2)])
     refined = refine(*refine_model, initial.astype(np.float32))
     recon = np.zeros((n_frames, size, size))
@@ -255,14 +259,37 @@ class TestOneSolvePerFrame:
 
 class TestBootstrapParity:
     def test_training_pairs_are_the_default_initial_frames(self, setup):
-        """Under the default ReconConfig, reconstruction starts from the
-        Landweber pairs the refinement model is trained on, bit for bit."""
+        """Under the default ReconConfig, and under an L1TV one with other
+        weights (its bootstrap is Landweber too), reconstruction starts
+        from the Landweber pairs the refinement model is trained on, bit
+        for bit."""
         _, ds, rm, pm = setup
         pairs = landweber_pairs(ds)
         assert pairs.dtype == np.float32 and len(pairs) == 2
-        for pair, sino in zip(pairs, ds.sinograms):
-            initial = tcr_reconstruct(sino, _cfg(), rm, pm).initial
-            assert np.array_equal(pair, initial.astype(np.float32))
+        for cfg in (_cfg(), _cfg(solver="L1TV", alpha_init=0.03,
+                                 alpha_rest=0.2, beta_init=0.02,
+                                 beta_rest=0.01)):
+            for pair, sino in zip(pairs, ds.sinograms):
+                initial = tcr_reconstruct(sino, cfg, rm, pm).initial
+                assert np.array_equal(pair, initial.astype(np.float32))
+
+    def test_one_bootstrap_call_per_sequence(self, setup, monkeypatch):
+        """landweber_pairs and tcr_reconstruct both reach frames 0 and 1
+        through initial_frames: once per item, once per sequence."""
+        _, ds, rm, pm = setup
+        calls = []
+
+        def counted(sino, cfg, trace=None):
+            calls.append(sino)
+            return initial_frames(sino, cfg, trace)
+
+        monkeypatch.setattr(pipeline, "initial_frames", counted)
+        monkeypatch.setattr(training, "initial_frames", counted)
+        landweber_pairs(ds)
+        assert calls == ds.sinograms
+        calls.clear()
+        tcr_reconstruct(ds.sinograms[1], _cfg(), rm, pm)
+        assert calls == [ds.sinograms[1]]
 
 
 class TestAlphaZeroEquivalence:
