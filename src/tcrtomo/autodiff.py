@@ -4,9 +4,10 @@ A Tensor wraps an ndarray plus an optional backward closure and parent
 links; ops build the graph dynamically.  backward() topologically sorts the
 graph, walks it once, accumulates gradients into .grad (plain ndarrays), and
 then releases the tape: a second backward through the same graph raises
-TapeError unless retain_graph=True was passed.
+TapeError.  Tensor's operators are - and * only; every other op is called
+by name.
 
-Payloads default to float32; explicit reductions (sum/mean/losses, norm
+Payloads default to float32; explicit reductions (sum/mean, norm
 statistics) accumulate in float64 before casting back.  float64 payloads are
 fully supported, which is what the finite-difference gradient checks use.
 
@@ -105,42 +106,17 @@ class Tensor:
 
     # -------------------------------------------------------------- algebra
 
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
     def __mul__(self, other):
         return mul(self, other)
-
-    __rmul__ = __mul__
 
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("division by Tensor not supported; use reciprocal ops")
-        return scale(self, 1.0 / other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __getitem__(self, key):
-        return tslice(self, key)
-
     # ------------------------------------------------------------- backward
 
-    def backward(self, grad=None, retain_graph=False):
+    def backward(self, grad=None):
         if self._released:
-            raise TapeError("backward through a released graph; "
-                            "pass retain_graph=True to keep the tape")
+            raise TapeError("backward through a released graph")
         if grad is None:
             if self.data.size != 1:
                 raise ValueError(
@@ -182,7 +158,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-            if not retain_graph and node._parents:
+            if node._parents:
                 node._backward = None
                 node._parents = ()
                 node._released = True
@@ -309,7 +285,7 @@ def leaky_relu_slope(v, slope):
     return np.fmax(v > 0, slope, dtype=v.dtype)
 
 
-def leaky_relu(a, slope=0.1):
+def leaky_relu(a, slope):
     """x where x > 0, else slope * x, for slope >= 0.
 
     The tape keeps only the output: the backward takes the slope from its
@@ -461,60 +437,32 @@ def broadcast_to(a, shape):
 
 # -------------------------------------------------------------- reductions
 
-def tsum(a, axis=None, keepdims=False):
+def tsum(a):
     a = _as_tensor(a)
-    out = np.sum(a.data, axis=axis, keepdims=keepdims, dtype=np.float64)
-    out = np.asarray(out, dtype=a.data.dtype)
+    out = np.asarray(np.sum(a.data, dtype=np.float64), dtype=a.data.dtype)
 
     def backward(g):
-        if axis is None:
-            _accum(a, np.broadcast_to(g, a.data.shape))
-            return
-        gg = g
-        if not keepdims:
-            gg = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(gg, a.data.shape))
+        _accum(a, np.broadcast_to(g, a.data.shape))
 
     return _make(out, (a,), backward)
 
 
-def tmean(a, axis=None, keepdims=False):
+def tmean(a, axis=None):
     a = _as_tensor(a)
     if axis is None:
         count = a.data.size
     else:
         ax = (axis,) if isinstance(axis, int) else tuple(axis)
         count = int(np.prod([a.data.shape[i] for i in ax]))
-    out = np.mean(a.data, axis=axis, keepdims=keepdims, dtype=np.float64)
+    out = np.mean(a.data, axis=axis, dtype=np.float64)
     out = np.asarray(out, dtype=a.data.dtype)
 
     def backward(g):
-        if axis is None:
-            _accum(a, np.broadcast_to(g / count, a.data.shape))
-            return
-        gg = g
-        if not keepdims:
-            gg = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(gg / count, a.data.shape))
+        if axis is not None:
+            g = np.expand_dims(g, axis)
+        _accum(a, np.broadcast_to(g / count, a.data.shape))
 
     return _make(out, (a,), backward)
-
-
-def mse_loss(a, b):
-    """Mean of squared differences over all elements."""
-    a, b = _pair(a, b)
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"shape mismatch: {a.data.shape} vs {b.data.shape}")
-    diff = a.data - b.data
-    out = np.asarray(np.mean(diff * diff, dtype=np.float64), dtype=a.data.dtype)
-    n = diff.size
-
-    def backward(g):
-        gd = (2.0 / n) * g * diff
-        _accum(a, gd)
-        _accum(b, -gd)
-
-    return _make(out, (a, b), backward)
 
 
 def softmax_lastaxis(a):
@@ -531,7 +479,10 @@ def softmax_lastaxis(a):
     return _make(s, (a,), backward)
 
 
-def layer_norm(a, gamma, beta, eps=1e-5):
+LAYER_NORM_EPS = 1e-5
+
+
+def layer_norm(a, gamma, beta):
     """Normalize the last axis; gamma/beta are 1-D learned scale/shift."""
     a = _as_tensor(a)
     gamma = _as_tensor(gamma, like=a)
@@ -544,7 +495,7 @@ def layer_norm(a, gamma, beta, eps=1e-5):
     x64 = a.data.astype(np.float64)
     mu = x64.mean(axis=-1, keepdims=True)
     var = x64.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = ((x64 - mu) * inv).astype(a.data.dtype)
     out = xhat * gamma.data + beta.data
 
@@ -998,20 +949,23 @@ def linear_map(a, fwd, adj):
 
 # ------------------------------------------------------ attention plumbing
 
-def rope_angles(positions, d_head, base=10000.0):
-    """Rotation phases: positions x theta_i, theta_i = base^(-2i/d)."""
+ROPE_BASE = 10000.0
+
+
+def rope_angles(positions, d_head):
+    """Rotation phases: positions x theta_i, theta_i = ROPE_BASE^(-2i/d)."""
     if d_head % 2 != 0:
         raise ValueError(f"head size must be even for rotary pairs, got {d_head}")
     positions = np.asarray(positions, dtype=np.float64)
     i = np.arange(d_head // 2, dtype=np.float64)
-    theta = base ** (-2.0 * i / d_head)
+    theta = ROPE_BASE ** (-2.0 * i / d_head)
     return positions[:, None] * theta[None, :]
 
 
-def rope_apply(a, positions, base=10000.0):
+def rope_apply(a, positions):
     """Rotary position encoding on (..., seq, heads, d_head).
 
-    Pairs (2i, 2i+1) rotate by angle position * base^(-2i/d); relative
+    Pairs (2i, 2i+1) rotate by angle position * ROPE_BASE^(-2i/d); relative
     phases between two positions depend only on their distance.
     """
     a = _as_tensor(a)
@@ -1021,7 +975,7 @@ def rope_apply(a, positions, base=10000.0):
     if positions.shape != (seq,):
         raise ValueError(
             f"positions shape {positions.shape} does not match sequence {seq}")
-    ang = rope_angles(positions, d, base)
+    ang = rope_angles(positions, d)
     cos = np.cos(ang)[:, None, :].astype(a.data.dtype)  # (seq, 1, d/2)
     sin = np.sin(ang)[:, None, :].astype(a.data.dtype)
     x = a.data
@@ -1107,8 +1061,7 @@ def gradcheck(fn, tensors, eps=1e-3, rtol=1e-3, max_coords=None, seed=0):
     rng = np.random.default_rng(seed)
     for t in tensors:
         t.grad = None
-    out = fn()
-    out.backward(retain_graph=True)
+    fn().backward()
     worst = 0.0
     for t in tensors:
         if t.grad is None:

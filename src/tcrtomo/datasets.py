@@ -101,11 +101,21 @@ def _read_sinos(path, sino_entries, offsets):
 
 
 def _items(meta):
-    """meta["items"], which must number meta["n_items"] where stated."""
+    """meta["items"], checked against what meta.json states of them: the
+    payload dtype and endianness this module reads, n_items, and each
+    item's index.  A set written elsewhere may omit any of these keys."""
+    for key, value in (("dtype", "float32"), ("endianness", "LE")):
+        if key in meta and meta[key] != value:
+            raise ValueError(f"{key} is {meta[key]!r}, payloads are read as "
+                             f"{value!r}")
     items = meta["items"]
     if "n_items" in meta and meta["n_items"] != len(items):
         raise ValueError(f"n_items is {meta['n_items']!r}, items lists "
                          f"{len(items)}")
+    for i, item in enumerate(items):
+        if "index" in item and item["index"] != i:
+            raise ValueError(f"items[{i}].index is {item['index']!r}, "
+                             f"expected {i}")
     return items
 
 
@@ -136,7 +146,7 @@ def write_dataset(ds, path):
 def _read_item(path, i, item, geom):
     """(ground truth, Sinogram) of dataset item i, whose ground truth must
     be (n_steps, image_size, image_size) of geom and whose sinogram must
-    have n_steps frames."""
+    have n_steps frames, frame t of geom.n_angles(t) angles."""
     frames = [geom.n_steps, geom.image_size, geom.image_size]
     gt_path = os.path.join(path, item["gt"]["file"])
     if item["gt"]["shape"] != frames:
@@ -147,8 +157,14 @@ def _read_item(path, i, item, geom):
             f"{os.path.join(path, 'meta.json')}: item {i} has "
             f"{len(item['sino'])} sinogram frames, the geometry gives "
             f"n_steps {geom.n_steps}")
-    return (read_f32(gt_path, frames),
-            _read_sinos(path, item["sino"], geom.offsets))
+    gt = read_f32(gt_path, frames)
+    sino = _read_sinos(path, item["sino"], geom.offsets)
+    for t, angles in enumerate(sino.angles):
+        if angles.size != geom.n_angles(t):
+            raise DatasetFormatError(
+                f"{os.path.join(path, 'meta.json')}: item {i} step {t} lists "
+                f"{angles.size} angles, the geometry gives {geom.n_angles(t)}")
+    return gt, sino
 
 
 def read_dataset(path, meta=None):

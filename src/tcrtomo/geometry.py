@@ -276,19 +276,25 @@ def operator_for_angles(angles, offsets, image_size):
     return op
 
 
-def operator_norm(op, tol=1e-4, max_iter=200):
+# power iteration: stop at this relative eigenvalue change, or after this
+# many iterations
+NORM_TOL = 1e-4
+NORM_MAX_ITER = 200
+
+
+def operator_norm(op):
     """Power-iteration estimate of ||A^T A|| (largest eigenvalue).
 
     Deterministic start (vector of ones); stops when the relative eigenvalue
-    change drops below tol or after max_iter iterations.  Restarts from a
-    basis vector if the iteration hits an exact null vector.
+    change drops below NORM_TOL or after NORM_MAX_ITER iterations.  Restarts
+    from a basis vector if the iteration hits an exact null vector.
     """
     n = int(np.prod(op.in_shape))
     x = np.ones(n, dtype=np.float64).reshape(op.in_shape)
     x /= np.linalg.norm(x)
     lam = 0.0
     restarts = 0
-    for _ in range(max_iter):
+    for _ in range(NORM_MAX_ITER):
         y = op.adjoint(op.forward(x))
         ny = np.linalg.norm(y)
         if ny == 0.0:
@@ -302,7 +308,7 @@ def operator_norm(op, tol=1e-4, max_iter=200):
             continue
         lam_new = float(np.vdot(x, y).real)
         x = y / ny
-        if lam > 0 and abs(lam_new - lam) <= tol * abs(lam_new):
+        if lam > 0 and abs(lam_new - lam) <= NORM_TOL * abs(lam_new):
             return lam_new
         lam = lam_new
     return lam

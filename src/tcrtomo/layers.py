@@ -20,11 +20,15 @@ __all__ = [
 ]
 
 
-def trunc_normal(rng, shape, std=0.02):
-    """Normal samples with entries outside +-2 std redrawn.
+TRUNC_NORMAL_STD = 0.02
+
+
+def trunc_normal(rng, shape):
+    """Normal samples of std TRUNC_NORMAL_STD, those beyond +-2 std redrawn.
 
     Deterministic given the generator state. Returns float32.
     """
+    std = TRUNC_NORMAL_STD
     out = rng.normal(0.0, std, size=shape)
     bad = np.abs(out) > 2.0 * std
     while np.any(bad):

@@ -25,15 +25,21 @@ def psnr(reference, test, data_range=1.0):
     return 10.0 * math.log10(data_range * data_range / mse)
 
 
-def _gaussian_window(size=11, sigma=1.5):
+# SSIM's Gaussian window width and its stabilising constants
+# c1 = (K1 L)^2, c2 = (K2 L)^2 for data range L (Wang et al. 2004)
+SSIM_SIGMA = 1.5
+SSIM_K1 = 0.01
+SSIM_K2 = 0.03
+
+
+def _gaussian_window(size):
     r = np.arange(size) - (size - 1) / 2.0
-    g = np.exp(-(r * r) / (2.0 * sigma * sigma))
+    g = np.exp(-(r * r) / (2.0 * SSIM_SIGMA * SSIM_SIGMA))
     w = np.outer(g, g)
     return w / w.sum()
 
 
-def ssim(reference, test, data_range=1.0, window_size=11, sigma=1.5,
-         k1=0.01, k2=0.03):
+def ssim(reference, test, data_range=1.0, window_size=11):
     """Mean structural similarity with a Gaussian sliding window.
 
     Local means/variances/covariance are Gaussian-weighted (11x11, sigma
@@ -52,9 +58,9 @@ def ssim(reference, test, data_range=1.0, window_size=11, sigma=1.5,
     if data_range <= 0:
         raise ValueError(f"data_range must be > 0, got {data_range}")
 
-    win = _gaussian_window(window_size, sigma)
-    c1 = (k1 * data_range) ** 2
-    c2 = (k2 * data_range) ** 2
+    win = _gaussian_window(window_size)
+    c1 = (SSIM_K1 * data_range) ** 2
+    c2 = (SSIM_K2 * data_range) ** 2
 
     # imported here: scipy.signal pulls in about 50 MB of scipy that no
     # caller of psnr, nor a trainer importing the pipeline, needs

@@ -101,12 +101,19 @@ def _feasible(shapes, motion, n_steps):
     return True
 
 
-def sample_phantom(seed, image_size=64, n_steps=10, max_translation=0.03,
-                   max_rotation=0.04, max_log_scale=0.015, max_shear=0.015,
-                   max_attempts=1000):
-    """Draw a feasible PhantomSpec; raises GenerationError after max_attempts."""
+# per-step motion bounds: each parameter is drawn uniformly from [-max, max]
+MAX_TRANSLATION = 0.03
+MAX_ROTATION = 0.04
+MAX_LOG_SCALE = 0.015
+MAX_SHEAR = 0.015
+MAX_ATTEMPTS = 1000
+
+
+def sample_phantom(seed, image_size=64, n_steps=10):
+    """Draw a feasible PhantomSpec; raises GenerationError after
+    MAX_ATTEMPTS draws."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         n_shapes = int(rng.integers(3, 6))
         shapes = []
         for _ in range(n_shapes):
@@ -121,17 +128,17 @@ def sample_phantom(seed, image_size=64, n_steps=10, max_translation=0.03,
                 "intensity": float(rng.uniform(0.2, 1.0)),
             })
         motion = AffineMotion(
-            translation=(float(rng.uniform(-max_translation, max_translation)),
-                         float(rng.uniform(-max_translation, max_translation))),
-            rotation=float(rng.uniform(-max_rotation, max_rotation)),
-            log_scale=float(rng.uniform(-max_log_scale, max_log_scale)),
-            shear=float(rng.uniform(-max_shear, max_shear)),
+            translation=(float(rng.uniform(-MAX_TRANSLATION, MAX_TRANSLATION)),
+                         float(rng.uniform(-MAX_TRANSLATION, MAX_TRANSLATION))),
+            rotation=float(rng.uniform(-MAX_ROTATION, MAX_ROTATION)),
+            log_scale=float(rng.uniform(-MAX_LOG_SCALE, MAX_LOG_SCALE)),
+            shear=float(rng.uniform(-MAX_SHEAR, MAX_SHEAR)),
         )
         if _feasible(shapes, motion, n_steps):
             return PhantomSpec(seed=seed, image_size=image_size,
                                n_steps=n_steps, shapes=shapes, motion=motion)
     raise GenerationError(
-        f"no feasible phantom found for seed {seed} in {max_attempts} attempts")
+        f"no feasible phantom found for seed {seed} in {MAX_ATTEMPTS} attempts")
 
 
 def _render_frame(spec, lin, vec, grid):
@@ -165,18 +172,6 @@ def render_sequence(spec):
     return frames
 
 
-def mass_center(frame):
-    """Intensity-weighted centroid in world coordinates (x, y)."""
-    frame = np.asarray(frame, dtype=np.float64)
-    coord = pixel_centers(frame.shape[0])
-    total = frame.sum()
-    if total == 0:
-        return np.zeros(2)
-    x = float((frame.sum(axis=0) * coord).sum() / total)
-    y = float((frame.sum(axis=1) * coord).sum() / total)
-    return np.array([x, y])
-
-
 def simulate_measurements(frames, geom, noise_level=0.0, seed=0):
     """Project every frame with its per-step angles and add Gaussian noise.
 
@@ -202,8 +197,7 @@ def simulate_measurements(frames, geom, noise_level=0.0, seed=0):
     return Sinogram(clean, angles, geom.offsets)
 
 
-def generate_dataset(geom, n_items, seed, noise_level=0.0, split="train",
-                     **motion_kwargs):
+def generate_dataset(geom, n_items, seed, noise_level=0.0, split="train"):
     """Sample, render, and measure n_items phantoms deterministically.
 
     Per-item randomness comes from SeedSequence([seed, index]) so the result
@@ -215,7 +209,7 @@ def generate_dataset(geom, n_items, seed, noise_level=0.0, split="train",
     for i in range(n_items):
         item_seed = [int(seed), i]
         spec = sample_phantom(item_seed, image_size=geom.image_size,
-                              n_steps=geom.n_steps, **motion_kwargs)
+                              n_steps=geom.n_steps)
         frames = render_sequence(spec)
         sino = simulate_measurements(frames, geom, noise_level=noise_level,
                                      seed=[int(seed), i, 1])

@@ -19,6 +19,7 @@ decodes one; only attention reads the whole cache, which grows by one
 slot per frame unless `window` caps it.
 """
 
+import math
 import os
 from dataclasses import dataclass, field, replace
 
@@ -333,6 +334,26 @@ def save_result(path, result, extra=None):
         write_f32(os.path.join(path, name + ".f32"), arr)
 
 
+def _check_metric_rows(rows, n_frames):
+    """rows must be evaluate's: none, or one per frame, row t holding step
+    t and numbers psnr and ssim, and psnr_prior and ssim_prior from t = 1
+    on.  A PSNR may be +inf (an exact frame), nothing may be NaN."""
+    if not isinstance(rows, list) or len(rows) not in (0, n_frames):
+        raise ValueError(f"metrics must be a list of 0 or {n_frames} rows")
+    for t, row in enumerate(rows):
+        if (not isinstance(row, dict) or row.get("step") != t
+                or isinstance(row["step"], bool)):
+            raise ValueError(f"metrics[{t}] is not the row of step {t}")
+        keys = ("psnr", "ssim") + (("psnr_prior", "ssim_prior") if t else ())
+        for key in keys:
+            v = row.get(key)
+            if (isinstance(v, bool) or not isinstance(v, (int, float))
+                    or not (math.isfinite(v)
+                            or (v == math.inf and key.startswith("psnr")))):
+                raise ValueError(f"metrics[{t}].{key} is {v!r}, not a "
+                                 f"metric value")
+
+
 def load_result(path):
     """Read back a result directory written by save_result."""
     meta = read_meta(path, RESULT)
@@ -341,7 +362,9 @@ def load_result(path):
         recon, priors, refined, initial = (
             read_f32(os.path.join(path, name + ".f32"), (n, size, size))
             for name, n in zip(_RESULT_PAYLOADS, (t, t - 1, 2, 2)))
+        metrics = meta.get("metrics", [])
+        _check_metric_rows(metrics, t)
         result = ReconResult(reconstructions=recon.astype(np.float64),
                              predictions=priors, refined=refined,
-                             initial=initial, metrics=meta.get("metrics", []))
+                             initial=initial, metrics=metrics)
     return result, meta

@@ -64,7 +64,7 @@ class SttConfig:
     model_dim: int = spec(64, minimum=1)
     heads: int = spec(4, minimum=1)
     layers: int = spec(2, minimum=1)
-    image_size: int = spec(64)
+    image_size: int = spec(64, minimum=8)
     window: int | None = spec(None, minimum=1)
     enc_channels: tuple[int, ...] = spec((16, 32, 64), minimum=1, length=3)
 

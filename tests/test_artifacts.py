@@ -10,7 +10,12 @@ into exit 3 format-mismatch.
 """
 
 import ast
+import copy
+import csv
+import functools
 import json
+import math
+import operator
 import os
 import re
 import shutil
@@ -21,6 +26,7 @@ import numpy as np
 import pytest
 
 import tcrtomo
+from tcrtomo import cli
 from tcrtomo.checkpoint import load_checkpoint, save_checkpoint
 from tcrtomo.cli import main
 from tcrtomo.datasets import (load_external_sinogram, read_dataset,
@@ -166,6 +172,8 @@ def _result():
                             ("converged", 143), ("stationary", 1))]
     metrics = [{"step": t, "psnr": 20.0 + t, "ssim": 0.5} for t in range(4)]
     metrics[0]["psnr"] = float("inf")
+    for row in metrics[1:]:
+        row.update(psnr_prior=15.0 + row["step"], ssim_prior=0.4)
     return ReconResult(reconstructions=rng.random((4, size, size)),
                        predictions=rng.random((3, size, size),
                                               dtype=np.float32),
@@ -419,6 +427,36 @@ def _no_angles(d):
     return [str(d / "meta.json")]
 
 
+def _geometry_angles(n_init, n_rest):
+    """A geometry whose angle counts the items' angle lists do not hold."""
+    def edit(meta):
+        meta["geometry"].update(n_angles_init=n_init, n_angles_rest=n_rest)
+    return edit
+
+
+def _metric(value, t, *keys):
+    """Set the stored metric row t (or its entry keys[0]) to value."""
+    return meta_edit(_set(value, "metrics", t, *keys))
+
+
+# stored metric rows: load_result reads them, and plot without --data
+# writes them to the _psnr.csv
+METRIC_CASES = [
+    ("metrics-a-string", meta_edit(_set("x", "metrics"))),
+    ("metrics-null", meta_edit(_set(None, "metrics"))),
+    ("metrics-row-a-string", _metric("x", 1)),
+    ("metrics-row-missing", meta_edit(_delete("metrics", 3))),
+    ("metrics-step-mismatch", _metric(2, 1, "step")),
+    ("metrics-psnr-a-word", _metric("x", 2, "psnr")),
+    ("metrics-psnr-a-bool", _metric(True, 2, "psnr")),
+    ("metrics-ssim-null", _metric(None, 0, "ssim")),
+    ("metrics-ssim-nan", _metric(np.nan, 3, "ssim")),
+    ("metrics-ssim-inf", _metric(np.inf, 3, "ssim")),
+    ("metrics-psnr-minus-inf", _metric(-np.inf, 1, "psnr")),
+    ("metrics-prior-missing", meta_edit(_delete("metrics", 1,
+                                                "psnr_prior"))),
+]
+
 COMMON = [
     ("not-json", meta_text("{not json")),
     ("not-object", meta_text("[1, 2]")),
@@ -447,6 +485,14 @@ CORPUS = {
         ("sino-frame-count", meta_edit(_delete("items", 1, "sino", 3))),
         ("n-items-mismatch", also_naming(meta_edit(_set(5, "n_items")),
                                          "n_items is 5, items lists 2")),
+        ("dtype-float64", also_naming(meta_edit(_set("float64", "dtype")),
+                                      "dtype")),
+        ("endianness-big", also_naming(meta_edit(_set("BE", "endianness")),
+                                       "endianness")),
+        ("index-mismatch", also_naming(
+            meta_edit(_set(0, "items", 1, "index")), "items[1].index")),
+        ("geometry-angle-counts", also_naming(
+            meta_edit(_geometry_angles(7, 5)), "item 0 step 0")),
     ],
     "sinogram": COMMON + [
         ("missing-offsets", meta_edit(_delete("offsets"))),
@@ -474,6 +520,12 @@ CORPUS = {
          meta_edit(_extra_angle_and_row, named="sino_0_t1.f32")),
         ("n-items-mismatch", also_naming(meta_edit(_set(3, "n_items")),
                                          "n_items is 3, items lists 2")),
+        ("dtype-float64", also_naming(meta_edit(_set("float64", "dtype")),
+                                      "dtype")),
+        ("endianness-big", also_naming(meta_edit(_set("BE", "endianness")),
+                                       "endianness")),
+        ("index-mismatch", also_naming(
+            meta_edit(_set(3, "items", 0, "index")), "items[0].index")),
     ],
     "checkpoint": COMMON + [
         ("missing-tensors", meta_edit(_delete("tensors"))),
@@ -502,7 +554,7 @@ CORPUS = {
         ("overlong", payload("priors.f32", extend)),
         ("nan", payload("refined.f32", first_to(np.nan))),
         ("inf", payload("initial.f32", last_to(np.inf))),
-    ],
+    ] + METRIC_CASES,
 }
 
 CASES = [pytest.param(fmt, mutate, id=f"{fmt}-{name}")
@@ -552,6 +604,20 @@ def test_bad_artifact_exits_3(good, tmp_path, capsys, fmt, mutate):
         assert name in payload_["message"]
 
 
+@pytest.mark.parametrize("mutate", [m for _, m in METRIC_CASES],
+                         ids=[name for name, _ in METRIC_CASES])
+def test_bad_metric_rows_plot_exits_3_writing_nothing(good, tmp_path, capsys,
+                                                      mutate):
+    path, names = broken(good, tmp_path, "result", mutate)
+    out = tmp_path / "plot"
+    assert main(["plot", "--results", str(path), "--out", str(out)]) == 3
+    payload_ = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload_["error"] == "format-mismatch"
+    for name in names:
+        assert name in payload_["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_missing_files_are_missing_artifacts(good, tmp_path, fmt):
     with pytest.raises(MissingArtifactError):
@@ -576,10 +642,104 @@ def test_n_items_may_be_omitted(good, tmp_path, fmt):
     assert len(loaded if fmt == "dataset" else loaded[0]) == 2
 
 
+def _delete_stated_layout(meta):
+    del meta["dtype"], meta["endianness"]
+    for item in meta["items"]:
+        del item["index"]
+
+
+@pytest.mark.parametrize("fmt", ["dataset", "sinogram"])
+def test_dtype_endianness_and_index_may_be_omitted(good, tmp_path, fmt):
+    path, _ = broken(good, tmp_path, fmt, meta_edit(_delete_stated_layout))
+    loaded = LOADERS[fmt](path)
+    assert len(loaded if fmt == "dataset" else loaded[0]) == 2
+
+
 def test_empty_sinogram_set_is_refused(tmp_path):
     with pytest.raises(ValueError, match="at least one sinogram"):
         write_sinogram_set([], 16, tmp_path / "scans")
     assert not (tmp_path / "scans").exists()
+
+
+# ------------------------------------------------ meta.json leaf sweep
+
+def _leaf_keys(node, keys=()):
+    """Key path of every scalar in a JSON tree."""
+    if isinstance(node, (dict, list)):
+        for key, sub in (node.items() if isinstance(node, dict)
+                         else enumerate(node)):
+            yield from _leaf_keys(sub, keys + (key,))
+    else:
+        yield keys
+
+
+def _cli_load(fmt, path):
+    """Load the artifact with the loader the CLI uses for it."""
+    if fmt in ("dataset", "sinogram"):
+        cli._load_measurements(str(path))
+    elif fmt == "checkpoint":
+        cli._load_model(str(path), "refine")
+    else:
+        load_result(path)
+
+
+def _numeric_csv(path):
+    """Whether every cell of a _psnr.csv is a number; step 0 has no
+    prior, so its prior cells are empty."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    for row in rows:
+        for key, cell in row.items():
+            if cell == "" and key.endswith("_prior") and row["step"] == "0":
+                continue
+            try:
+                if math.isnan(float(cell)):
+                    return False
+            except ValueError:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("mutation", ["delete", "null", "word"])
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_meta_leaf_sweep(good, tmp_path, capsys, fmt, mutation):
+    """Each meta.json leaf of the good artifact deleted, set to null or
+    set to "x": the CLI's loader loads it or raises an error the CLI
+    exits 3 on (DatasetFormatError, or MissingArtifactError for a payload
+    file name that names no file), and plot on a result exits 3, or
+    exits 0 with numeric cells."""
+    path = tmp_path / fmt
+    shutil.copytree(good / fmt, path)
+    meta = json.loads((path / "meta.json").read_text())
+    out = tmp_path / "plot"
+    wrong = []
+    for keys in _leaf_keys(meta):
+        edited = copy.deepcopy(meta)
+        parent = functools.reduce(operator.getitem, keys[:-1], edited)
+        if mutation == "delete":
+            del parent[keys[-1]]
+        else:
+            parent[keys[-1]] = None if mutation == "null" else "x"
+        (path / "meta.json").write_text(json.dumps(edited))
+        try:
+            _cli_load(fmt, path)
+        except (DatasetFormatError, MissingArtifactError):
+            pass
+        except Exception as exc:
+            wrong.append((keys, f"load: {type(exc).__name__}: {exc}"))
+        if fmt != "result":
+            continue
+        try:
+            code = main(["plot", "--results", str(path), "--out", str(out)])
+        except Exception as exc:
+            code = f"{type(exc).__name__}: {exc}"
+        if code == 0 and not _numeric_csv(out / "item_000_psnr.csv"):
+            code = "exit 0 with a non-numeric cell"
+        if code not in (0, 3):
+            wrong.append((keys, f"plot: {code}"))
+        shutil.rmtree(out, ignore_errors=True)
+    capsys.readouterr()
+    assert wrong == []
 
 
 # --------------------------------------------------------- one module

@@ -30,14 +30,6 @@ def test_backward_accumulates_and_releases():
         y.backward()
 
 
-def test_retain_graph_allows_second_pass():
-    x = t64([3.0])
-    y = ad.tsum(ad.mul(x, x))
-    y.backward(retain_graph=True)
-    y.backward(retain_graph=True)
-    assert np.allclose(x.grad, [12.0])  # two accumulations
-
-
 def test_no_grad_suppresses_graph():
     x = t64([1.0])
     with ad.no_grad():
@@ -163,8 +155,8 @@ def test_leaky_relu_rejects_a_negative_slope(slope):
     with pytest.raises(ValueError, match=f"slope .*{slope}"):
         ad.leaky_relu(x, slope)
     with pytest.raises(ValueError, match=f"slope .*{slope}"):
-        ad.conv2d(Tensor(np.ones((1, 1, 3, 3), np.float32)), x[None, None],
-                  slope=slope)
+        ad.conv2d(Tensor(np.ones((1, 1, 3, 3), np.float32)),
+                  ad.reshape(x, (1, 1, 2, 3)), slope=slope)
 
 
 # --------------------------------------- gelu kernel against scipy's erf
@@ -267,7 +259,8 @@ def test_grad_reshape_transpose_slice_concat():
         a = ad.reshape(x, (3, 4))
         b = ad.transpose(ad.reshape(y, (4, 3)), (1, 0))
         c = ad.concat([a, b], axis=0)
-        return ad.tsum(ad.mul(c[1:4, :2], c[2:5, 1:3]))
+        return ad.tsum(ad.mul(ad.tslice(c, (slice(1, 4), slice(None, 2))),
+                              ad.tslice(c, (slice(2, 5), slice(1, 3)))))
 
     ad.gradcheck(fn, [x, y])
 
@@ -282,12 +275,6 @@ def test_grad_reductions():
     ad.gradcheck(lambda: ad.tsum(x), [x])
     ad.gradcheck(lambda: ad.tsum(ad.tmean(x, axis=(1, 2))), [x])
     ad.gradcheck(lambda: ad.tmean(x), [x])
-
-
-def test_grad_losses():
-    x = t64(rand((3, 4), 11))
-    y = t64(rand((3, 4), 12))
-    ad.gradcheck(lambda: ad.mse_loss(x, y), [x, y])
 
 
 def test_grad_matmul_batched():

@@ -432,6 +432,28 @@ class TestExitCodes:
         assert payload["error"] == "format-mismatch"
         assert "/model_dim" in payload["message"]
 
+    @pytest.mark.parametrize("command", ["reconstruct", "train-predict"])
+    @pytest.mark.parametrize("size", [0, -8])
+    def test_stored_image_size_below_8_is_3(self, work, tmp_path, capsys,
+                                            command, size):
+        """A stored model too small for the three stride-2 stages fails
+        its config checks: a bad entry of the checkpoint's meta.json."""
+        ckpt = copy_tree(work.refine, tmp_path / "ckpt")
+        meta = json.loads((ckpt / "meta.json").read_text())
+        meta["extra"]["model"]["image_size"] = size
+        (ckpt / "meta.json").write_text(json.dumps(meta))
+        argv = [command, "--config", work.cfg, "--refine", ckpt,
+                "--out", tmp_path / "o"]
+        if command == "reconstruct":
+            argv += ["--input", work.data / "test", "--predict", work.predict]
+        else:
+            argv += ["--data", work.data / "train"]
+        assert run_cli(*argv) == 3
+        payload = stderr_payload(capsys)
+        assert payload["error"] == "format-mismatch"
+        assert str(ckpt / "meta.json") in payload["message"]
+        assert "/image_size" in payload["message"]
+
     def test_bad_solver_flag_is_2(self, work, tmp_path, capsys):
         rc = run_cli("reconstruct", "--input", work.data / "test",
                      "--refine", work.refine, "--predict", work.predict,

@@ -16,7 +16,7 @@ from test_artifacts import ref_save_checkpoint
 class TestInit:
     def test_trunc_normal_bounds_and_scale(self):
         rng = np.random.default_rng(0)
-        x = trunc_normal(rng, (20000,), std=0.02)
+        x = trunc_normal(rng, (20000,))
         assert x.dtype == np.float32
         assert np.max(np.abs(x)) <= 2 * 0.02 + 1e-8
         # std of a +-2 sigma truncated normal is about 0.88 sigma

@@ -1,6 +1,7 @@
-"""The public surface: every exported name resolves, the README's
-module map lists every module, its Configuration section names every
-config key, and its quick start calls the API as it is."""
+"""The public surface: every exported name resolves and has a caller in
+the package or the benchmark, the README's module map lists every
+module, its Configuration section names every config key, and its quick
+start calls the API as it is."""
 
 import ast
 import importlib
@@ -12,9 +13,11 @@ from pathlib import Path
 import pytest
 
 import tcrtomo
+from tcrtomo.autodiff import Tensor
 from tcrtomo.config import SCHEMA
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 MODULES = sorted(m.name for m in pkgutil.iter_modules(tcrtomo.__path__)
                  if m.name != "__main__")
 
@@ -29,6 +32,74 @@ def test_module_exports_resolve(module):
     mod = importlib.import_module(f"tcrtomo.{module}")
     for name in getattr(mod, "__all__", ()):
         assert hasattr(mod, name), f"tcrtomo.{module}.{name}"
+
+
+# public names of src/tcrtomo that no code in src/ or bench/ references,
+# each kept for the reason given
+UNREFERENCED = {
+    "gradcheck": "acceptance 3's finite-difference gradient checks",
+    "select_alphas": "acceptance 6 picks its solver weights with it",
+    "write_sinogram_set": "writes the sets that reconstruct --input reads",
+    "disc_image": "the test object of acceptance 1 and 2 and of demos 1-2",
+}
+
+
+def _defines(stmt):
+    """Public names a top-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, ast.Assign):
+        names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target,
+                                                        ast.Name):
+        names = [stmt.target.id]
+    else:
+        names = []
+    return [n for n in names if not n.startswith("_")]
+
+
+def _references(stmt):
+    """Names a statement reads, as a Name, an Attribute or an import."""
+    out = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_every_public_name_has_a_caller():
+    """Each public top-level name of the package is read by some other
+    top-level statement in src/ or bench/, unless UNREFERENCED lists it:
+    what only tests reach belongs to the tests."""
+    src = ROOT / "src" / "tcrtomo"
+    stmts = [(path.parent == src, stmt)
+             for path in sorted(src.glob("*.py")) + sorted(
+                 (ROOT / "bench").glob("*.py"))
+             for stmt in ast.parse(path.read_text()).body]
+    refs = [(stmt, _references(stmt)) for _, stmt in stmts]
+    unreferenced = sorted(
+        name for in_src, stmt in stmts if in_src for name in _defines(stmt)
+        if not any(name in names for other, names in refs
+                   if other is not stmt))
+    assert unreferenced == sorted(UNREFERENCED)
+
+
+OPERATORS = ({f"__{side}{op}__" for side in ("", "r", "i")
+              for op in ("add", "sub", "mul", "matmul", "truediv",
+                         "floordiv", "mod", "divmod", "pow", "lshift",
+                         "rshift", "and", "xor", "or")}
+             | {"__neg__", "__pos__", "__abs__", "__invert__",
+                "__getitem__", "__setitem__", "__delitem__"})
+
+
+def test_tensor_has_only_the_operators_in_use():
+    """training.py and bench/layers.py write a - b and a * b on Tensors;
+    every other op is called by name."""
+    assert sorted(OPERATORS & set(vars(Tensor))) == ["__mul__", "__sub__"]
 
 
 def test_readme_module_map_lists_every_module():

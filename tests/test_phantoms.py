@@ -10,8 +10,9 @@ from tcrtomo.datasets import (load_external_sinogram, read_dataset,
 from tcrtomo.errors import DatasetFormatError, GenerationError
 from tcrtomo.geometry import (ScanGeometry, angle_schedule,
                               operator_for_angles)
+from tcrtomo import phantoms
 from tcrtomo.phantoms import (AffineMotion, PhantomSpec, generate_dataset,
-                              mass_center, render_sequence, sample_phantom,
+                              render_sequence, sample_phantom,
                               simulate_measurements)
 
 
@@ -37,11 +38,12 @@ def test_sample_phantom_deterministic():
     assert a.to_dict() == b.to_dict()
 
 
-def test_sample_phantom_infeasible_motion_raises():
+def test_sample_phantom_infeasible_motion_raises(monkeypatch):
     # huge forced translation can never stay inside the unit disc
-    with pytest.raises(GenerationError):
-        sample_phantom(0, image_size=32, n_steps=6, max_translation=5.0,
-                       max_attempts=3)
+    monkeypatch.setattr(phantoms, "MAX_TRANSLATION", 5.0)
+    monkeypatch.setattr(phantoms, "MAX_ATTEMPTS", 3)
+    with pytest.raises(GenerationError, match="in 3 attempts"):
+        sample_phantom(0, image_size=32, n_steps=6)
 
 
 def test_render_values_in_range_and_inside_disc():
@@ -84,8 +86,11 @@ def test_mass_center_moves_linearly_under_translation():
                  "half_axes": [0.2, 0.15], "orientation": 0.3,
                  "intensity": 1.0}],
         motion=AffineMotion(translation=(h, 2 * h)))
-    frames = render_sequence(spec)
-    centers = np.array([mass_center(f) for f in frames])
+    frames = render_sequence(spec).astype(np.float64)
+    coord = -1.0 + (np.arange(size) + 0.5) * h
+    # intensity-weighted centroid (x, y) of each frame
+    centers = np.array([[f.sum(axis=0) @ coord, f.sum(axis=1) @ coord]
+                        for f in frames]) / frames.sum(axis=(1, 2))[:, None]
     t = np.arange(6)
     for dim in (0, 1):
         fit = np.polyfit(t, centers[:, dim], 1)

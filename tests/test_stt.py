@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from tcrtomo.autodiff import (Tensor, causal_attention, conv3d, gelu,
-                              gradcheck, layer_norm, matmul, mse_loss,
-                              no_grad, reshape, rope_apply, scale, transpose,
-                              tslice, tsum)
+                              gradcheck, layer_norm, matmul, mul, no_grad,
+                              reshape, rope_apply, scale, sub, tmean,
+                              transpose, tslice, tsum)
 from tcrtomo.errors import ConfigError
 from tcrtomo.stt import (Predictor, SttConfig, _run, check_stt_params,
                          init_stt_params, predict_next, refine, rollout,
@@ -218,8 +218,8 @@ class TestGradients:
         target = rng.normal(size=(1, 3, 8, 8))
 
         def loss():
-            out = stt_apply(params, cfg, x)
-            return mse_loss(out, Tensor(target))
+            d = sub(stt_apply(params, cfg, x), Tensor(target))
+            return tmean(mul(d, d))
 
         checked = [x, params["enc0.w"], params["embed.w"],
                    params["blk0.qkv.w"], params["blk0.mlp1.b"],
