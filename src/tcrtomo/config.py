@@ -75,34 +75,31 @@ class _Unowned:
     data_range: float = spec(1.0, above=0.0)
 
 
-_TRAIN = ("epochs", "batch_size", "warmup", "hold_until", "min_lr", "max_lr",
-          "checkpoint_every")
-_MODEL = dict.fromkeys(("model_dim", "heads", "layers", "window"), SttConfig)
+# the fields each trainer's builder fixes per run
+_RUN = ("seed", "out_dir", "log_path")
+
+
+def _keys(owner, *fixed):
+    """A key owned by owner for each of its fields but those fixed."""
+    return {f.name: owner for f in fields(owner) if f.name not in fixed}
+
+
+_MODEL = _keys(SttConfig, "image_size", "enc_channels")
 
 # each key -> the dataclass (or, for train_predict, the default instance)
-# whose field of that name gives the key's type, bound and default
+# whose field of that name gives the key's type, bound and default; a
+# section's keys are its dataclasses' fields, less what the builders fix
 _SECTIONS = {
     "seed": _Unowned,
-    "geometry": dict.fromkeys(("image_size", "n_steps", "n_angles_init",
-                               "n_angles_rest", "n_offsets",
-                               "rotation_delta"), ScanGeometry),
+    "geometry": _keys(ScanGeometry),
     "phantom": dict.fromkeys(("n_train", "n_val", "n_test", "noise_level"),
                              _Unowned),
-    "train_refine": {**dict.fromkeys(_TRAIN, TrainConfig), "model": _MODEL},
-    "train_predict": {**dict.fromkeys(_TRAIN, prediction_train_config()),
+    "train_refine": {**_keys(TrainConfig, *_RUN), "model": _MODEL},
+    "train_predict": {**_keys(prediction_train_config(), *_RUN),
                       "model": _MODEL},
-    "train_uar": {
-        "mode": _Unowned,
-        **dict.fromkeys(("unroll", "gamma_channels", "critic_channels",
-                         "critic_hidden"), UarConfig),
-        **dict.fromkeys(("phase1_epochs", "phase2_epochs", "phase3_epochs",
-                         "lr_warmup", "lr_adversarial", "alpha",
-                         "lambda_gp"), UarTrainConfig),
-    },
-    "recon": dict.fromkeys(("solver", "alpha_init", "alpha_rest", "beta_init",
-                            "beta_rest", "max_iter_l2", "max_iter_l1",
-                            "max_iter_pdhg", "init_mode", "init_tv_weight"),
-                           ReconConfig),
+    "train_uar": {"mode": _Unowned, **_keys(UarConfig),
+                  **_keys(UarTrainConfig, *_RUN)},
+    "recon": _keys(ReconConfig, "image_size"),
     "eval": {"data_range": _Unowned},
 }
 
@@ -195,14 +192,14 @@ def load_config(path=None, preset=None, overrides=None):
 # ------------------------------------------- section -> module configs
 
 def _build(cls, section, path, **fixed):
-    """cls from the entries of a validated section that name its fields.
+    """cls from a validated section's entries, fixed's values and, for a
+    field neither sets (enc_channels), its default.
 
     A ConfigError raised while constructing gets path in front.
     """
-    names = {f.name for f in fields(cls)}
+    values = {f.name: section.get(f.name, f.default) for f in fields(cls)}
     with under(path):
-        return fields_from_dict(cls, {
-            **{k: v for k, v in section.items() if k in names}, **fixed})
+        return fields_from_dict(cls, {**values, **fixed})
 
 
 def geometry_from(cfg):

@@ -47,9 +47,10 @@ __all__ = [
     "load_result",
 ]
 
-# Landweber budget of the frames-0/1 bootstrap, in training and in
-# reconstruction alike
+# Landweber budget of every L2 solve, the frames-0/1 bootstrap's (in
+# training and in reconstruction alike) included; the "tv" bootstrap's weight
 LANDWEBER_ITERS = 19
+INIT_TV_WEIGHT = 0.01
 
 
 @dataclass(frozen=True)
@@ -58,11 +59,12 @@ class ReconConfig:
 
     alpha_init applies to the solves of frames 0 and 1, alpha_rest to
     every later step; beta_* are the TV weights of the L1TV solver with
-    the same split. The initial frames (initial_frames) use plain
-    Landweber at LANDWEBER_ITERS, as the pairs the refinement model is
-    trained on do; the "tv" init_mode solves a TV-regularized problem
-    instead, for measured data whose raw backprojections are too streaky
-    to refine. Solver names may be given in lower case.
+    the same split; L2 runs LANDWEBER_ITERS steps. The initial frames
+    (initial_frames) use plain Landweber, as the pairs the refinement
+    model is trained on do; the "tv" init_mode solves a TV-regularized
+    problem at INIT_TV_WEIGHT instead, for measured data whose raw
+    backprojections are too streaky to refine. Solver names may be given
+    in lower case.
     """
 
     image_size: int = spec(minimum=8)
@@ -72,11 +74,9 @@ class ReconConfig:
     alpha_rest: float = spec(0.1, minimum=0.0)
     beta_init: float = spec(0.0, minimum=0.0)
     beta_rest: float = spec(0.0, minimum=0.0)
-    max_iter_l2: int = spec(19, minimum=1)
     max_iter_l1: int = spec(200, minimum=1)
     max_iter_pdhg: int = spec(400, minimum=1)
     init_mode: str = spec("landweber", choices=("landweber", "tv"))
-    init_tv_weight: float = spec(0.01, minimum=0.0)
 
     def __post_init__(self):
         check_fields(self)
@@ -106,10 +106,11 @@ class ReconResult:
 
 
 def solve_step(op, psi, prior, alpha, beta, cfg):
-    """Dispatch one per-step variational problem to the configured solver."""
+    """Solve one frame by cfg's solver from prior (beta: L1TV's TV
+    weight); the one solver dispatch, the frames-0/1 bootstrap's too."""
     if cfg.solver == "L2":
         return l2_tcr(op, psi, prior, alpha, x0=prior,
-                      max_iter=cfg.max_iter_l2)
+                      max_iter=LANDWEBER_ITERS)
     if cfg.solver == "L1":
         return l1_tcr_fista(op, psi, prior, alpha, x0=prior,
                             max_iter=cfg.max_iter_l1)
@@ -122,12 +123,16 @@ def initial_frames(sino, cfg, trace=None):
 
     The one map behind both the reconstruction's initial frames and the
     training pairs of the refinement model (training.landweber_pairs):
-    each frame is solved on its own data by plain Landweber within
-    LANDWEBER_ITERS steps, or by TV-regularized PDHG when cfg.init_mode
-    is "tv". trace, if given, receives ("initial", t) before frame t's
-    solve; a failing solve is a NumericalError naming its step.
-    Returns float64 (2, H, W).
+    solve_step solves each frame on its own data at alpha = 0, by plain
+    Landweber (the L2 solver), or by TV-regularized PDHG at
+    INIT_TV_WEIGHT when cfg.init_mode is "tv". trace, if given, receives
+    ("initial", t) before frame t's solve; a failing solve is a
+    NumericalError naming its step. Returns float64 (2, H, W).
     """
+    boot, beta = ((replace(cfg, solver="L2"), 0.0)
+                  if cfg.init_mode == "landweber"
+                  else (replace(cfg, solver="L1TV"), INIT_TV_WEIGHT))
+    zeros = np.zeros((cfg.image_size, cfg.image_size))
     frames = []
     for t in range(2):
         if trace is not None:
@@ -135,14 +140,7 @@ def initial_frames(sino, cfg, trace=None):
         try:
             op = operator_for_angles(sino.angles[t], sino.offsets,
                                      cfg.image_size)
-            zeros = np.zeros(op.in_shape)
-            if cfg.init_mode == "landweber":
-                x, _ = l2_tcr(op, sino.frames[t], zeros, 0.0,
-                              max_iter=LANDWEBER_ITERS)
-            else:
-                x, _ = l1_tv_tcr_pdhg(op, sino.frames[t], zeros, 0.0,
-                                      cfg.init_tv_weight,
-                                      max_iter=cfg.max_iter_pdhg)
+            x, _ = solve_step(op, sino.frames[t], zeros, 0.0, beta, boot)
         except Exception as exc:
             raise NumericalError(
                 f"initialization failed at step {t}: {exc}") from exc
@@ -180,7 +178,7 @@ def tcr_reconstruct(sino, cfg, refine_model, predict_model, trace=None):
     initial = initial_frames(sino, cfg, trace)
 
     emit("refine", (0, 1))
-    refined = refine(re_params, re_cfg, initial.astype(np.float32))
+    refined = refine(re_params, re_cfg, initial)
 
     recon = np.zeros((n_frames, size, size))
     predictions = np.zeros((n_frames - 1, size, size), dtype=np.float32)
@@ -192,16 +190,14 @@ def tcr_reconstruct(sino, cfg, refine_model, predict_model, trace=None):
             if trace is not None:  # the history tuple only for a listener
                 emit("predict", t, tuple(range(predictor.length + 1)))
             phase = "loop"
-            prior = predictions[t - 1] = predictor.push(
-                recon[t - 1].astype(np.float32))
+            prior = predictions[t - 1] = predictor.push(recon[t - 1])
         alpha, beta = ((cfg.alpha_init, cfg.beta_init) if t < 2
                        else (cfg.alpha_rest, cfg.beta_rest))
         emit("solve", t, phase)
         try:
             op = operator_for_angles(sino.angles[t], sino.offsets, size)
-            recon[t], rep = solve_step(op, sino.frames[t],
-                                       prior.astype(np.float64), alpha, beta,
-                                       cfg)
+            recon[t], rep = solve_step(op, sino.frames[t], prior, alpha,
+                                       beta, cfg)
         except Exception as exc:
             raise NumericalError(f"solver failed at step {t}: {exc}") from exc
         reports.append({"step": t, "phase": phase, "report": rep})

@@ -92,7 +92,11 @@ def fields_to_dict(obj):
 
 
 def fields_from_dict(cls, d):
-    """Inverse of fields_to_dict: cls(**d), lists turned back into tuples."""
+    """Inverse of fields_to_dict: cls(**d), lists turned back into tuples.
+    d is read whole: a missing field is a TypeError, never its default."""
+    for f in dataclasses.fields(cls):
+        if f.name not in d:
+            raise TypeError(f"{cls.__name__} lacks field {f.name!r}")
     return cls(**{k: tuple(v) if isinstance(v, list) else v
                   for k, v in d.items()})
 

@@ -118,10 +118,10 @@ def landweber_pairs(dataset):
     """Initial reconstructions of frames 0 and 1 for every dataset item.
 
     pipeline.initial_frames under the default ReconConfig: plain
-    Landweber on each frame's own measurements, run to the
-    discrepancy-increase stop within pipeline.LANDWEBER_ITERS steps, so
-    reconstruction starts from the same pairs.  Returns float32
-    (N, 2, H, W).
+    Landweber (pipeline.solve_step's L2 solver at alpha = 0) on each
+    frame's own measurements, run to the discrepancy-increase stop within
+    pipeline.LANDWEBER_ITERS steps, so reconstruction starts from the
+    same pairs.  Returns float32 (N, 2, H, W).
     """
     cfg = ReconConfig(image_size=dataset.geometry.image_size)
     pairs = []
@@ -298,7 +298,7 @@ def train_prediction(dataset, refine_params, refine_cfg, cfg, model_cfg=None,
                               "prediction training needs at least 3 frames per item")
         lw = landweber_pairs(ds)
         refined = np.stack([refine(refine_params, refine_cfg, pair)
-                            for pair in lw]).astype(np.float32)
+                            for pair in lw])
         return refined, gt
 
     def batch(params, optimizer, rng, data, idx, e, lr):

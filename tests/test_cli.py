@@ -301,17 +301,20 @@ class TestExitCodes:
         assert str(src / "meta.json") in payload["message"]
         assert f"{key}: must be >= 8, got 4" in payload["message"]
 
-    def test_removed_landweber_iters_key_is_2(self, work, tmp_path, capsys):
-        """The frames-0/1 Landweber budget is a module constant, no longer
-        a recon key: a config file that sets it exits 2 at its pointer."""
+    @pytest.mark.parametrize("key", ["landweber_iters", "max_iter_l2",
+                                     "init_tv_weight"])
+    def test_removed_recon_key_is_2(self, work, tmp_path, capsys, key):
+        """The frames-0/1 Landweber budget, the L2 budget and the "tv"
+        bootstrap's TV weight are module constants, no longer recon keys:
+        a config file that sets one exits 2 at its pointer."""
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"recon": {"landweber_iters": 19}}))
+        bad.write_text(json.dumps({"recon": {key: 19}}))
         assert run_cli("reconstruct", "--config", bad, "--input",
                        work.data / "test", "--refine", work.refine,
                        "--predict", work.predict, "--out", tmp_path / "r") == 2
         payload = stderr_payload(capsys)
         assert payload["error"] == "schema-violation"
-        assert payload["path"] == "/recon/landweber_iters"
+        assert payload["path"] == f"/recon/{key}"
 
     @pytest.mark.parametrize("kind", ["dataset", "sinogram-set"])
     def test_input_without_items_is_3(self, work, tmp_path, capsys, kind):
@@ -453,6 +456,50 @@ class TestExitCodes:
         assert payload["error"] == "format-mismatch"
         assert str(ckpt / "meta.json") in payload["message"]
         assert "/image_size" in payload["message"]
+
+    @pytest.mark.parametrize("command", ["reconstruct", "train-predict"])
+    @pytest.mark.parametrize("key", ["model_dim", "heads", "layers",
+                                     "image_size"])
+    def test_stored_model_key_missing_is_3(self, work, tmp_path, capsys,
+                                           command, key):
+        """A checkpoint's stored model config is read whole: a deleted
+        entry is a bad entry of its meta.json, not the field's default."""
+        ckpt = copy_tree(work.refine, tmp_path / "ckpt")
+        meta = json.loads((ckpt / "meta.json").read_text())
+        del meta["extra"]["model"][key]
+        (ckpt / "meta.json").write_text(json.dumps(meta))
+        argv = [command, "--config", work.cfg, "--refine", ckpt,
+                "--out", tmp_path / "o"]
+        if command == "reconstruct":
+            argv += ["--input", work.data / "test", "--predict", work.predict]
+        else:
+            argv += ["--data", work.data / "train"]
+        assert run_cli(*argv) == 3
+        payload = stderr_payload(capsys)
+        assert payload["error"] == "format-mismatch"
+        assert str(ckpt / "meta.json") in payload["message"]
+        assert f"lacks field {key!r}" in payload["message"]
+
+    @pytest.mark.parametrize("command", ["reconstruct", "train-refine"])
+    def test_stored_geometry_key_missing_is_3(self, work, tmp_path, capsys,
+                                              command):
+        """A dataset's stored geometry is read whole: a deleted entry is a
+        bad entry of its meta.json, not a payload of the default shape."""
+        data = copy_tree(work.data / "train", tmp_path / "data")
+        meta = json.loads((data / "meta.json").read_text())
+        del meta["geometry"]["n_offsets"]
+        (data / "meta.json").write_text(json.dumps(meta))
+        if command == "reconstruct":
+            argv = ["reconstruct", "--input", data, "--refine", work.refine,
+                    "--predict", work.predict]
+        else:
+            argv = ["train-refine", "--data", data]
+        assert run_cli(*argv, "--config", work.cfg,
+                       "--out", tmp_path / "o") == 3
+        payload = stderr_payload(capsys)
+        assert payload["error"] == "format-mismatch"
+        assert str(data / "meta.json") in payload["message"]
+        assert "lacks field 'n_offsets'" in payload["message"]
 
     def test_bad_solver_flag_is_2(self, work, tmp_path, capsys):
         rc = run_cli("reconstruct", "--input", work.data / "test",

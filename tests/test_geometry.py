@@ -376,11 +376,13 @@ def test_operator_cache_evicts_least_recently_used(monkeypatch):
                                                                  0.2]
 
 
-class _RadonOperatorCalls(ast.NodeVisitor):
-    """Collects (module, enclosing def) of every RadonOperator(...) call."""
+class _CallSites(ast.NodeVisitor):
+    """Collects (module, enclosing def, callee) of every call to one of
+    names."""
 
-    def __init__(self, module, sites):
-        self.module, self.sites, self.scope = module, sites, []
+    def __init__(self, module, names, sites):
+        self.module, self.names, self.sites = module, names, sites
+        self.scope = []
 
     def _scoped(self, node):
         self.scope.append(node.name)
@@ -390,19 +392,26 @@ class _RadonOperatorCalls(ast.NodeVisitor):
     visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _scoped
 
     def visit_Call(self, node):
-        func = node.func
-        if getattr(func, "id", getattr(func, "attr", None)) == "RadonOperator":
-            self.sites.append((self.module, ".".join(self.scope)))
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        if name in self.names:
+            self.sites.append((self.module, ".".join(self.scope), name))
         self.generic_visit(node)
+
+
+def call_sites(*names):
+    """(module, enclosing def, callee) of every call in the package to
+    one of names, in module order."""
+    sites = []
+    for path in sorted(pathlib.Path(geometry.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        _CallSites(path.stem, names, sites).visit(tree)
+    return sites
 
 
 def test_only_the_operator_cache_constructs_projectors():
     # every caller reaches a projector through operator_for_angles
-    sites = []
-    for path in sorted(pathlib.Path(geometry.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        _RadonOperatorCalls(path.stem, sites).visit(tree)
-    assert sites == [("geometry", "operator_for_angles")]
+    assert call_sites("RadonOperator") == [
+        ("geometry", "operator_for_angles", "RadonOperator")]
 
 
 def test_cached_operator_keeps_its_own_sampling():

@@ -12,6 +12,7 @@ from tcrtomo.phantoms import disc_image
 from tcrtomo.solvers import (PDHG_TOL, div2d, grad2d, l1_tcr_fista,
                              l1_tv_tcr_pdhg, l2_tcr, prox_shifted_l1,
                              soft_threshold)
+from test_geometry import call_sites
 
 
 def scalar_op(a=1.0):
@@ -485,3 +486,11 @@ def test_l2_keeps_the_last_finite_iterate():
     x, rep = l2_tcr(InfAfter(op, 5), psi, np.zeros(op.in_shape), 0.0)
     assert (rep.iterations, rep.stop_reason) == (4, "discrepancy_increase")
     assert np.isfinite(x).all()
+
+
+def test_only_solve_step_calls_the_solvers():
+    # every frame's solve, the bootstrap of frames 0 and 1 included, is
+    # dispatched by pipeline.solve_step
+    names = ("l2_tcr", "l1_tcr_fista", "l1_tv_tcr_pdhg")
+    assert call_sites(*names) == [("pipeline", "solve_step", name)
+                                  for name in names]
